@@ -12,7 +12,9 @@ selfcheck  seeded property battery; exit 1 on any failure
 Exit codes: 0 success, 1 check failure, 2 usage/config error, 3 numerical
 failure.  CSV output carries a ``# schema=1`` line and 17-significant-digit
 fields; identical config + seed reproduce byte-identical output.  The
-environment variable THOULESS_LAB_THREADS caps grid parallelism.
+environment variable THOULESS_LAB_THREADS caps grid parallelism; it only
+matters for grids longer than one GRID_CHUNK of energies, and output is
+independent of it.
 """
 
 from __future__ import annotations
@@ -44,6 +46,10 @@ from .selfcheck import run_selfcheck
 from .transport import _r_theta_values, transmittance_inf, transmittance_n
 
 SCHEMA_LINE = "# schema=1"
+
+# Energies per _parallel_grid work item: long enough to amortise the pool,
+# short enough that a chunk's temporaries stay cache-sized.
+GRID_CHUNK = 2**14
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -249,11 +255,15 @@ def _thread_count() -> int:
 
 
 def _parallel_grid(fn, grid: np.ndarray) -> np.ndarray:
-    """Evaluate fn over the grid in ordered chunks, optionally in parallel."""
+    """Evaluate fn over the grid in ordered GRID_CHUNK-sized pieces.
+
+    A grid that fits in one chunk is evaluated serially: below that size the
+    pool costs more than it saves.
+    """
     threads = _thread_count()
-    if threads == 1 or grid.size < 64:
+    if threads == 1 or grid.size <= GRID_CHUNK:
         return np.asarray(fn(grid))
-    chunks = np.array_split(grid, threads * 4)
+    chunks = [grid[i : i + GRID_CHUNK] for i in range(0, grid.size, GRID_CHUNK)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         parts = list(pool.map(fn, chunks))
     return np.concatenate([np.atleast_1d(p) for p in parts])
@@ -274,19 +284,39 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
-def _csv_table(header: list[str], rows: list[list[float]]) -> str:
-    lines = [SCHEMA_LINE, ",".join(header)]
-    lines.extend(",".join(_num(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _as_table(rows, width: int) -> np.ndarray:
+    return np.asarray(rows, dtype=float).reshape(-1, width)
 
 
-def _json_table(header: list[str], rows: list[list[float]]) -> str:
-    return json.dumps(
-        {"schema": 1, "columns": header, "rows": rows}, indent=2, allow_nan=True
-    ) + "\n"
+def _csv_table(header: list[str], rows) -> str:
+    """CSV text of a 2-D float array-like; each field is f"{x:.17g}"."""
+    arr = _as_table(rows, len(header))
+    head = f"{SCHEMA_LINE}\n{','.join(header)}\n"
+    row = ",".join(["%.17g"] * arr.shape[1]) + "\n"
+    return head + (row * arr.shape[0]) % tuple(arr.ravel().tolist())
 
 
-def _table(config: RunConfig, header: list[str], rows: list[list[float]]) -> str:
+def _json_table(header: list[str], rows) -> str:
+    """json.dumps({"schema", "columns", "rows"}, indent=2, allow_nan=True) text.
+
+    Row values go through %s, which for a float is float.__repr__, the json
+    encoder's own float form; non-finite values become its NaN/Infinity tokens.
+    """
+    arr = _as_table(rows, len(header))
+    head = json.dumps({"schema": 1, "columns": header, "rows": []}, indent=2)
+    if arr.shape[0] == 0:
+        return head + "\n"
+    flat = arr.ravel()
+    values = flat.astype(object)
+    values[np.isnan(flat)] = "NaN"
+    values[flat == np.inf] = "Infinity"
+    values[flat == -np.inf] = "-Infinity"
+    row = "    [\n      " + ",\n      ".join(["%s"] * arr.shape[1]) + "\n    ]"
+    body = ",\n".join([row] * arr.shape[0]) % tuple(values)
+    return head[: -len("[]\n}")] + "[\n" + body + "\n  ]\n}\n"
+
+
+def _table(config: RunConfig, header: list[str], rows) -> str:
     if config.out_format == "json":
         return _json_table(header, rows)
     return _csv_table(header, rows)
@@ -335,8 +365,7 @@ def cmd_transmit(config: RunConfig, n_cells: int | None, use_inf: bool, diagnost
         )
         header += ["r", "theta"]
         cols += [r, theta]
-    rows = [list(vals) for vals in zip(*cols)]
-    return _table(config, header, rows)
+    return _table(config, header, np.column_stack(cols))
 
 
 def _report_dict(report: CurrentReport, mode: str) -> dict:

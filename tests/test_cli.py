@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from thouless_lab import cli
 from thouless_lab.cli import main
 
 MATCHED = {
@@ -247,16 +248,40 @@ def test_deterministic_reruns_byte_identical(tmp_path):
 
 
 def test_thread_env_does_not_change_output(tmp_path, monkeypatch):
-    # grid large enough to take the chunked ThreadPoolExecutor path
+    # grid spanning several GRID_CHUNKs, so that 3 threads take the pool path
     payload = json.loads(json.dumps(DIMER))
-    payload["energy_grid"] = {"count": 257}
+    payload["energy_grid"] = {"count": 3 * cli.GRID_CHUNK + 1}
     cfg = write_config(tmp_path, payload)
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    pools = []
+
+    class CountingPool(cli.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", CountingPool)
     monkeypatch.setenv("THOULESS_LAB_THREADS", "1")
     assert main(["transmit", "--config", cfg, "--out", str(out1), "--N", "5"]) == 0
+    assert pools == []
     monkeypatch.setenv("THOULESS_LAB_THREADS", "3")
     assert main(["transmit", "--config", cfg, "--out", str(out2), "--N", "5"]) == 0
+    assert pools == [{"max_workers": 3}]
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_default_grid_runs_without_pool(tmp_path, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a default 400-point grid must not start a thread pool")
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+    monkeypatch.delenv("THOULESS_LAB_THREADS", raising=False)
+    payload = json.loads(json.dumps(DIMER))
+    del payload["energy_grid"]
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "t.csv"
+    assert main(["transmit", "--config", cfg, "--out", str(out), "--N", "5"]) == 0
+    assert len(out.read_text().splitlines()) == 2 + 400
 
 
 def test_full_roundtrip_precision(tmp_path):
