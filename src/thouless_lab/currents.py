@@ -11,8 +11,12 @@ with T = T_N, T_infty, or identically 1 (Thouless).  Delta and varsigma
 are built from Fermi-Dirac occupations of the two reservoirs; the spin
 degeneracy factor 2 is deliberately not included.  Quadrature is composite
 Gauss-Legendre over each band shrunk by a small edge margin (the
-integrands are only a.e.-defined at band edges), with panel doubling until
-successive estimates agree.
+integrands are only a.e.-defined at band edges), refined panel by panel:
+each level halves only the panels whose two halves still disagree with
+their parent by more than their share abs_tol * width / (total width) of
+the error budget, so refinement concentrates on the sharp T_N resonances
+near band edges.  Refinement stops once the summed absolute panel
+differences of every finite component are below abs_tol.
 
 At beta = inf the occupations are exact indicators: panels are split at the
 chemical potentials, and an off-equilibrium entropy current is genuinely
@@ -35,7 +39,9 @@ from .transport import transmittance_inf, transmittance_n
 
 log = logging.getLogger(__name__)
 
-_MAX_HALVINGS = 12
+# Finest panel: initial width / 2^13.  Refinement is local, so the deepest
+# levels cost only the few panels that reach them (N = 64 band-edge resonances).
+_MAX_HALVINGS = 13
 
 
 @dataclass(frozen=True)
@@ -65,8 +71,11 @@ class ThermoState:
 class QuadratureConfig:
     """Composite Gauss-Legendre settings for band integrals.
 
-    edge_margin is the fraction of each band's width excluded at both edges;
-    the reported error estimate includes a bound for the excluded mass.
+    panels_per_band is the initial number of panels per segment (a band, or
+    a part of one between chemical-potential breakpoints); panels are then
+    halved locally until the error budget abs_tol is met.  edge_margin is
+    the fraction of each band's width excluded at both edges; the reported
+    error estimate includes a bound for the excluded mass.
     """
 
     panels_per_band: int = 8
@@ -90,6 +99,9 @@ class CurrentReport:
     conservation_residuals = (|phi_l + phi_r|, |i_l + i_r|); the entropy
     balance residual is nan when either beta is infinite (the balance
     identity involves beta * (phi - mu i), ill-defined there).
+    error_estimate is the largest quadrature error estimate among the finite
+    currents (in the currents' units, margin bound included; inf if none is
+    finite), and evaluations the number of integrand energies used.
     """
 
     phi_l: float
@@ -99,6 +111,8 @@ class CurrentReport:
     entropy_j: float
     conservation_residuals: tuple[float, float]
     entropy_balance_residual: float
+    error_estimate: float = math.nan
+    evaluations: int = 0
 
 
 def fermi_dirac(beta: float, mu: float, E):
@@ -182,13 +196,23 @@ def _segments(spectrum: BandSpectrum, edge_margin: float, breakpoints) -> list[t
 
 
 def _adaptive_panels(spectrum, integrand_vec, quad: QuadratureConfig, breakpoints=()):
-    """Adaptive composite Gauss-Legendre for a vector-valued integrand.
+    """Panel-local adaptive composite Gauss-Legendre for a vector-valued integrand.
 
-    integrand_vec maps an energy array of length n to an (m, n) array.
-    Panels per segment start at quad.panels_per_band and double until all
-    finite components move by less than abs_tol; components that come out
-    non-finite (infinite entropy weights) are passed through with an inf
-    error estimate.  Returns (values (m,), error_estimates (m,)).
+    integrand_vec maps an energy array of length n to an (m, n) array.  Each
+    segment starts with quad.panels_per_band panels whose coarse sums are
+    computed once.  Every level halves all active panels and evaluates the
+    nodes of all halves in one integrand_vec call; a panel's two half-sums
+    give its fine sum and become the coarse sums of its halves, so no node is
+    evaluated twice.  A panel is locked once every finite component satisfies
+    |fine - coarse| < abs_tol * width / (total segment width).  Refinement
+    stops when, for every finite component, sum |fine - coarse| over locked
+    and active panels is below abs_tol (no cancellation between panels).
+    Components that come out non-finite (infinite entropy weights) are
+    skipped while coarse and fine agree on which components are finite, and
+    are returned with an inf error estimate.  The error estimate is
+    sum |fine - coarse| plus a bound on the margin-excluded mass.  Returns
+    (values (m,), error_estimates (m,)); raises QuadratureError carrying the
+    partial result when panels are still active after _MAX_HALVINGS levels.
     """
     segs = _segments(spectrum, quad.edge_margin, breakpoints)
     probe = np.atleast_2d(integrand_vec(np.empty(0)))
@@ -197,42 +221,49 @@ def _adaptive_panels(spectrum, integrand_vec, quad: QuadratureConfig, breakpoint
         return np.zeros(m), np.zeros(m)
     xg, wg = np.polynomial.legendre.leggauss(quad.points_per_panel)
     margin_measure = sum(2.0 * quad.edge_margin * (hi - lo) for lo, hi in spectrum.bands)
-
-    panels = quad.panels_per_band
-    prev = None
-    diff = np.full(m, np.inf)
-    total = np.zeros(m)
+    budget = quad.abs_tol / sum(s1 - s0 for s0, s1 in segs)
     fmax = np.zeros(m)
-    for _ in range(_MAX_HALVINGS + 1):
-        total = np.zeros(m)
-        fmax = np.zeros(m)
-        for s0, s1 in segs:
-            edges = np.linspace(s0, s1, panels + 1)
-            half = (edges[1] - edges[0]) / 2.0
-            mids = (edges[:-1] + edges[1:]) / 2.0
-            nodes = (mids[:, None] + half * xg[None, :]).ravel()
-            w = np.tile(wg * half, panels)
-            vals = np.atleast_2d(integrand_vec(nodes))
-            with np.errstate(invalid="ignore"):
-                total = total + vals @ w
-            finite_vals = np.where(np.isfinite(vals), np.abs(vals), 0.0)
-            if finite_vals.size:
-                fmax = np.maximum(fmax, finite_vals.max(axis=1))
-        finite = np.isfinite(total)
-        if prev is not None:
-            with np.errstate(invalid="ignore"):
-                diff = np.abs(total - prev)
-            ok = finite & np.isfinite(prev)
-            if np.all(diff[ok] < quad.abs_tol) and np.array_equal(finite, np.isfinite(prev)):
-                err = np.where(finite, np.where(ok, diff, 0.0) + fmax * margin_measure, np.inf)
-                return total, err
-        prev = total
-        panels *= 2
-    err = np.where(np.isfinite(total), diff + fmax * margin_measure, np.inf)
+
+    def panel_sums(lo, hi):
+        nonlocal fmax
+        half = (hi - lo) / 2.0
+        nodes = ((lo + half)[:, None] + half[:, None] * xg).ravel()
+        vals = np.atleast_2d(integrand_vec(nodes)).reshape(m, lo.size, xg.size)
+        if vals.size:
+            fmax = np.maximum(fmax, np.where(np.isfinite(vals), np.abs(vals), 0.0).max(axis=(1, 2)))
+        with np.errstate(invalid="ignore"):
+            return (vals @ wg) * half
+
+    edges = [np.linspace(s0, s1, quad.panels_per_band + 1) for s0, s1 in segs]
+    lo = np.concatenate([e[:-1] for e in edges])
+    hi = np.concatenate([e[1:] for e in edges])
+    coarse = panel_sums(lo, hi)
+    locked_fine, locked_coarse, locked_diff = np.zeros(m), np.zeros(m), np.zeros(m)
+    for _ in range(_MAX_HALVINGS):
+        mid = (lo + hi) / 2.0
+        child_lo = np.column_stack([lo, mid]).ravel()
+        child_hi = np.column_stack([mid, hi]).ravel()
+        halves = panel_sums(child_lo, child_hi)
+        fine = halves.reshape(m, lo.size, 2).sum(axis=2)
+        with np.errstate(invalid="ignore"):
+            diff = np.abs(fine - coarse)
+            total = locked_fine + fine.sum(axis=1)
+            err = locked_diff + diff.sum(axis=1)
+            finite = np.isfinite(total)
+            same_mask = np.array_equal(finite, np.isfinite(locked_coarse + coarse.sum(axis=1)))
+            if same_mask and np.all(err[finite] < quad.abs_tol):
+                return total, np.where(finite, err + fmax * margin_measure, np.inf)
+            ok = (diff < budget * (hi - lo)) | ~(np.isfinite(fine) | np.isfinite(coarse))
+            lock = ok.all(axis=0)
+            locked_fine += fine[:, lock].sum(axis=1)
+            locked_coarse += coarse[:, lock].sum(axis=1)
+            locked_diff += diff[:, lock].sum(axis=1)
+        split = np.repeat(~lock, 2)
+        lo, hi, coarse = child_lo[split], child_hi[split], halves[:, split]
     raise QuadratureError(
-        f"quadrature did not converge to {quad.abs_tol} after {_MAX_HALVINGS} panel doublings",
+        f"quadrature did not converge to {quad.abs_tol} after {_MAX_HALVINGS} panel halvings",
         value=total,
-        error_estimate=err,
+        error_estimate=np.where(finite, err + fmax * margin_measure, np.inf),
     )
 
 
@@ -266,15 +297,21 @@ def _mu_breakpoints(thermo: ThermoState) -> list[float]:
 def _current_report(T_of_E, spectrum, thermo: ThermoState, quad: QuadratureConfig) -> CurrentReport:
     """Assemble all five current integrals for a given transmittance profile."""
 
+    evaluations = 0
+
     def integrand(E: np.ndarray) -> np.ndarray:
+        nonlocal evaluations
+        evaluations += E.size
         T = T_of_E(E)
         _, _, delta_l, delta_r, varsigma = weights(thermo, E)
         with np.errstate(invalid="ignore"):
             ent = np.where(T == 0.0, 0.0, T * varsigma)
         return np.vstack([T * E * delta_l, T * E * delta_r, T * delta_l, T * delta_r, ent])
 
-    vals, _ = _adaptive_panels(spectrum, integrand, quad, _mu_breakpoints(thermo))
+    vals, errs = _adaptive_panels(spectrum, integrand, quad, _mu_breakpoints(thermo))
     phi_l, phi_r, i_l, i_r, ent = (v / (2.0 * np.pi) for v in vals)
+    finite_errs = errs[np.isfinite(errs)]
+    error_estimate = finite_errs.max() / (2.0 * np.pi) if finite_errs.size else math.inf
 
     if ent < -quad.abs_tol:
         raise NumericalError(f"entropy production {ent} below -abs_tol")
@@ -294,6 +331,8 @@ def _current_report(T_of_E, spectrum, thermo: ThermoState, quad: QuadratureConfi
         entropy_j=float(ent),
         conservation_residuals=(abs(float(phi_l + phi_r)), abs(float(i_l + i_r))),
         entropy_balance_residual=balance,
+        error_estimate=float(error_estimate),
+        evaluations=evaluations,
     )
 
 

@@ -6,8 +6,10 @@ import pytest
 from thouless_lab import (
     CrystallineLead,
     DomainError,
+    HalfLineLead,
     QuadratureConfig,
     QuadratureError,
+    SampleSpec,
     ThermoState,
     band_spectrum,
     convergence_study,
@@ -128,6 +130,60 @@ def test_integrate_bands_failure_carries_partial(free_chain):
     with pytest.raises(QuadratureError) as exc_info:
         integrate_bands(spectrum, lambda E: np.sin(3.0e5 * E + 0.7), quad)
     assert exc_info.value.value is not None
+
+
+def test_integrate_bands_narrow_lorentzian_refines_locally(free_chain):
+    # a peak of half-width 1e-4 needs ~12 halvings around it and none elsewhere
+    quad = QuadratureConfig()
+    gamma, e0 = 1e-4, 0.3137
+    s0, s1 = -2.0 + 4.0 * quad.edge_margin, 2.0 - 4.0 * quad.edge_margin
+    sizes = []
+
+    def lorentzian(E):
+        sizes.append(E.size)
+        return gamma / ((E - e0) ** 2 + gamma**2)
+
+    value, err = integrate_bands(band_spectrum(free_chain), lorentzian, quad)
+    exact = math.atan((s1 - e0) / gamma) - math.atan((s0 - e0) / gamma)
+    assert value == pytest.approx(exact, abs=quad.abs_tol)
+    assert err >= abs(value - exact)
+    levels = sum(1 for n in sizes if n) - 1
+    uniform_last_level = quad.points_per_panel * quad.panels_per_band * 2**levels
+    assert levels >= 10
+    assert sum(sizes) < uniform_last_level / 4
+
+
+def test_report_error_estimate_and_evaluations(free_chain, monkeypatch):
+    from thouless_lab import currents
+
+    seen = []
+    weights_orig = currents.weights
+
+    def counting_weights(thermo, E):
+        seen.append(int(np.size(E)))
+        return weights_orig(thermo, E)
+
+    monkeypatch.setattr(currents, "weights", counting_weights)
+    th = ThermoState(math.inf, 2.5, math.inf, -2.5)  # bias window covers the band
+    rep = thouless_currents(free_chain, th)
+    exact = 4.0 / (2.0 * np.pi)
+    assert rep.i_l == pytest.approx(exact, rel=1e-3)
+    assert rep.error_estimate >= abs(rep.i_l - exact)
+    assert math.isinf(rep.entropy_j) and math.isfinite(rep.error_estimate)
+    assert rep.evaluations == sum(seen) > 0
+
+
+def test_lb_n64_converges_with_local_refinement():
+    # uniform panel doubling gives up on this config; local halving resolves
+    # the band-edge resonances of T_64
+    sample = SampleSpec((), (-0.92,), 0.67)
+    lead_l, lead_r = HalfLineLead(1.79, -0.95), HalfLineLead(1.49, -0.93)
+    quad = QuadratureConfig()
+    rep = lb_currents(sample, lead_l, lead_r, 0.42, 64, ThermoState(2.0, 0.3, 2.0, -0.3), quad)
+    assert max(rep.conservation_residuals) <= 2 * quad.abs_tol
+    assert rep.entropy_balance_residual <= 3 * quad.abs_tol
+    assert rep.entropy_j >= -quad.abs_tol
+    assert math.isfinite(rep.error_estimate)
 
 
 def test_lb_equilibrium_all_zero(free_chain, free_lead):

@@ -1,4 +1,7 @@
 import inspect
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -106,3 +109,13 @@ def test_self_energy_sign_makes_matched_chain_reflectionless(free_chain):
     lead = HalfLineLead(1.0, 0.0)
     T = transmittance_oracle(free_chain, lead, lead, 1.0, 1, 1.0)
     assert T == pytest.approx(1.0, abs=1e-12)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # the oracle imports scipy when it first solves; CLI start-up must not pay for it
+    import thouless_lab
+
+    src = os.path.dirname(os.path.dirname(thouless_lab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, thouless_lab.cli; assert 'scipy' not in sys.modules, sorted(sys.modules)"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)

@@ -92,6 +92,19 @@ def test_m_function_identities(rng):
             assert ed.psi_minus == pytest.approx(-s.kappa_s * m_l, rel=1e-10)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="psi_+ = (alpha - a)/b and -1/(kappa_s m_r) = -c/(kappa_s((d - a)/2 - i s)) agree "
+    "only when det T_L = ad - bc = 1; the L=8 transfer product at E = 2.947 has "
+    "det - 1 = 5.5e-12, which 1/|bc| = 24 amplifies to 1.3e-10, above the 1e-10 tolerance",
+)
+def test_selfcheck_m_identities_seed_1322342770():
+    from thouless_lab.selfcheck import run_selfcheck
+
+    _, results = run_selfcheck(1322342770, 4)
+    assert {r.name: r.passed for r in results}["m_identities"]
+
+
 def test_sample_green_scalar_value(free_chain):
     g = sample_green(free_chain, 1, 0.5)
     assert g.g_ll == pytest.approx(-2.0, abs=1e-12)
