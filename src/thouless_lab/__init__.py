@@ -66,7 +66,6 @@ from .transport import (
     TransferEigenData,
     full_green_lr,
     r_theta_diagnostic,
-    reflection,
     sample_green,
     transfer_eigendata,
     transmittance_inf,

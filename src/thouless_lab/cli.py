@@ -257,8 +257,9 @@ def _thread_count() -> int:
 def _parallel_grid(fn, grid: np.ndarray) -> np.ndarray:
     """Evaluate fn over the grid in ordered GRID_CHUNK-sized pieces.
 
-    A grid that fits in one chunk is evaluated serially: below that size the
-    pool costs more than it saves.
+    fn returns one value or one row per energy; the pieces are joined along
+    the energy axis.  A grid that fits in one chunk is evaluated serially:
+    below that size the pool costs more than it saves.
     """
     threads = _thread_count()
     if threads == 1 or grid.size <= GRID_CHUNK:
@@ -345,27 +346,20 @@ def cmd_transmit(config: RunConfig, n_cells: int | None, use_inf: bool, diagnost
     if use_inf == (n_cells is not None):
         raise ConfigError("transmit: pass exactly one of --N or --inf")
     grid = _energy_grid(config)
-    if use_inf:
-        T = _parallel_grid(
-            lambda E: transmittance_inf(config.sample, config.lead_l, config.lead_r, config.kappa, E),
-            grid,
-        )
-    else:
-        T = _parallel_grid(
-            lambda E: transmittance_n(
-                config.sample, config.lead_l, config.lead_r, config.kappa, n_cells, E
-            ),
-            grid,
-        )
-    header = ["E", "T"]
-    cols = [grid, T]
-    if diagnostics:
-        r, vth, theta, _ = _r_theta_values(
-            config.sample, config.lead_l, config.lead_r, config.kappa, grid
-        )
-        header += ["r", "theta"]
-        cols += [r, theta]
-    return _table(config, header, np.column_stack(cols))
+    sample, lead_l, lead_r, kappa = config.sample, config.lead_l, config.lead_r, config.kappa
+
+    def columns(E):
+        if use_inf:
+            T = transmittance_inf(sample, lead_l, lead_r, kappa, E)
+        else:
+            T = transmittance_n(sample, lead_l, lead_r, kappa, n_cells, E)
+        if not diagnostics:
+            return T
+        r, _, theta, _ = _r_theta_values(sample, lead_l, lead_r, kappa, E)
+        return np.column_stack([T, r, theta])
+
+    header = ["E", "T"] + (["r", "theta"] if diagnostics else [])
+    return _table(config, header, np.column_stack([grid, _parallel_grid(columns, grid)]))
 
 
 def _report_dict(report: CurrentReport, mode: str) -> dict:

@@ -10,6 +10,12 @@ absolutely continuous spectrum.  Three lead families are supported:
 * ``HalfLineLead`` -- a homogeneous Jacobi half-line with hopping t and
   onsite v0, Dirichlet boundary; F solves t^2 F^2 + (E - v0) F + 1 = 0.
 * ``TabulatedLead`` -- linear interpolation of user-supplied boundary data.
+
+``_eigendata_values`` is the one source of one-period transfer eigendata:
+from a single evaluation of T_L(E) it returns the m-functions together with
+the eigenvalues and eigenvectors that ``transport`` builds on.  Inside the
+bands the Herglotz root m_r is computed first and the eigenvectors follow
+from it, kappa_s psi_+ = -1/m_r and psi_- = conj(psi_+) = -kappa_s m_l.
 """
 
 from __future__ import annotations
@@ -118,45 +124,89 @@ def _halfline_F(lead: HalfLineLead, E: np.ndarray) -> np.ndarray:
     return out
 
 
-def _crystal_m_values(sample: SampleSpec, E: np.ndarray):
-    """Weyl m-functions (m_l, m_r) of the periodized half-lines at every energy.
+def _eigendata_values(sample: SampleSpec, E: np.ndarray):
+    """Vectorized transfer eigendata and Weyl m-functions, one T_L(E) evaluation.
 
-    Inside the bands these are the complex-conjugate roots of the quadratic
-    c z^2 + (a - d) z - b = 0 built from T_L(E) = [[a, b], [c, d]]; m_r is
-    the root with Im > 0 and 1/(kappa_s^2 m_l) is the other.  Outside the
-    bands both are real and selected by the decay of the corresponding
-    transfer-matrix eigenvector.  Returns (m_l, m_r, in_band).
+    Returns a dict of arrays: a, b, c, d (entries of T_L), alpha, phi_p,
+    phi_m, kpsi_p, kpsi_m (the second eigenvector components kappa_s psi_±),
+    m_l, m_r, theta (nan off band), in_band, edge (within the band-edge
+    exclusion zone).  No errors are raised; callers decide how to treat
+    flagged entries.
+
+    Inside the bands m_r is the root with Im > 0 of c z^2 + (a - d) z - b,
+    m_l = 1/(kappa_s^2 conj(m_r)), and the eigenvectors follow from it:
+    kappa_s psi_+ = -1/m_r, kappa_s psi_- = conj(kappa_s psi_+), phi_± = 1.
+    Outside the bands (or exactly at an edge) the eigenvectors are real, and
+    m_r is read from the decaying one, m_l from the growing one.
     """
     a, b, c, d = _one_period_abcd(sample, E)
     tr = a + d
     disc = tr * tr - 4.0
     in_band = disc < 0.0
+    edge = np.abs(np.abs(tr) - 2.0) < EDGE_TOL
     kS2 = sample.kappa_s**2
 
+    alpha = np.empty(E.shape, dtype=complex)
+    phi_p = np.ones(E.shape, dtype=complex)
+    phi_m = np.ones(E.shape, dtype=complex)
+    kpsi_p = np.empty(E.shape, dtype=complex)
+    kpsi_m = np.empty(E.shape, dtype=complex)
     m_l = np.empty(E.shape, dtype=complex)
     m_r = np.empty(E.shape, dtype=complex)
+    theta = np.full(E.shape, np.nan)
 
-    # in band: strictly there, b*c < 0, so both b and c are nonzero
-    sin_th = np.where(b[in_band] >= 0.0, 1.0, -1.0) * np.sqrt(-disc[in_band]) / 2.0
+    # in band: cos theta = tr/2, sign(theta) = sign(b); b*c < 0 there, so b, c != 0
+    sign_b = np.where(b[in_band] >= 0.0, 1.0, -1.0)
+    th = sign_b * np.arccos(np.clip(tr[in_band] / 2.0, -1.0, 1.0))
+    theta[in_band] = th
+    alpha[in_band] = np.exp(1j * th)
+    sin_th = sign_b * np.sqrt(-disc[in_band]) / 2.0
     mr_in = ((d[in_band] - a[in_band]) / 2.0 - 1j * sin_th) / c[in_band]
     m_r[in_band] = mr_in
     m_l[in_band] = mr_in / (kS2 * np.abs(mr_in) ** 2)
+    kpsi_p[in_band] = -1.0 / mr_in
+    kpsi_m[in_band] = np.conj(kpsi_p[in_band])
 
-    # off band (or exactly at an edge): real roots tied to eigenvector decay.
-    # The quadratic root associated with eigenvector (phi, w) is -phi/w; the
-    # decaying (|eigenvalue| < 1) one is m_r, the growing one is 1/(kS^2 m_l).
     off = ~in_band
     if np.any(off):
         ao, bo, co, do, tro = a[off], b[off], c[off], d[off], tr[off]
         sq = np.sqrt(np.maximum(disc[off], 0.0))
-        alpha = (tro + np.sign(tro) * sq) / 2.0  # growing eigenvalue, |alpha| >= 1
-        beta = 1.0 / alpha  # decaying eigenvalue
-        phi_d, w_d = _real_eigvec2(ao, bo, co, do, beta)
-        phi_g, w_g = _real_eigvec2(ao, bo, co, do, alpha)
+        al = (tro + np.sign(tro) * sq) / 2.0  # growing eigenvalue, |alpha| >= 1
+        # real eigenvectors (phi, kappa_s psi), any normalization
+        ph_p, w_p = _real_eigvec2(ao, bo, co, do, al)
+        ph_m, w_m = _real_eigvec2(ao, bo, co, do, 1.0 / al)
+        alpha[off] = al
+        phi_p[off] = ph_p
+        phi_m[off] = ph_m
+        kpsi_p[off] = w_p
+        kpsi_m[off] = w_m
+        # the quadratic root of eigenvector (phi, w) is -phi/w: the decaying
+        # one gives m_r, the growing one 1/(kappa_s^2 m_l)
         with np.errstate(divide="ignore", invalid="ignore"):
-            m_r[off] = -phi_d / w_d
-            m_l[off] = -w_g / (kS2 * phi_g)
-    return m_l, m_r, in_band
+            m_r[off] = -ph_m / w_m
+            m_l[off] = -w_p / (kS2 * ph_p)
+    return {
+        "a": a,
+        "b": b,
+        "c": c,
+        "d": d,
+        "alpha": alpha,
+        "phi_p": phi_p,
+        "phi_m": phi_m,
+        "kpsi_p": kpsi_p,
+        "kpsi_m": kpsi_m,
+        "m_l": m_l,
+        "m_r": m_r,
+        "theta": theta,
+        "in_band": in_band,
+        "edge": edge,
+    }
+
+
+def _crystal_m_values(sample: SampleSpec, E: np.ndarray):
+    """Weyl m-functions of the periodized half-lines: (m_l, m_r, eigendata)."""
+    ed = _eigendata_values(sample, E)
+    return ed["m_l"], ed["m_r"], ed
 
 
 def crystal_m_functions(sample: SampleSpec, E: float) -> tuple[complex, complex]:
@@ -166,14 +216,12 @@ def crystal_m_functions(sample: SampleSpec, E: float) -> tuple[complex, complex]
     1e-9 of 2 (band-edge exclusion zone, where the values are near-singular
     in derivative and all downstream quantities are only a.e.-defined).
     """
-    E_arr = np.asarray([float(E)])
-    a, b, c, d = _one_period_abcd(sample, E_arr)
-    tr = float(a[0] + d[0])
+    m_l, m_r, ed = _crystal_m_values(sample, np.asarray([float(E)]))
+    tr = float(ed["a"][0] + ed["d"][0])
     if abs(tr) >= 2.0 - EDGE_TOL:
         raise OffSpectrumError(
             f"m-functions requested off spectrum or at a band edge (|tr T_L({E})| = {abs(tr)})"
         )
-    m_l, m_r, _ = _crystal_m_values(sample, E_arr)
     return complex(m_l[0]), complex(m_r[0])
 
 

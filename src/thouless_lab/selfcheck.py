@@ -14,10 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .currents import QuadratureConfig, ThermoState, crystalline_currents, thouless_currents
-from .jacobi import SampleSpec, band_spectrum, transfer_step
-from .leads import CrystallineLead, HalfLineLead, crystal_m_functions
-from .oracle import transmittance_oracle
-from .transport import sample_green, transfer_eigendata, transmittance_n
+from .errors import SingularEnergyError
+from .jacobi import SampleSpec, band_spectrum, periodized_parameters, transfer_step
+from .leads import CrystallineLead, HalfLineLead, _crystal_m_values
+from .oracle import _corner_green, transmittance_oracle
+from .transport import sample_green, transmittance_n
 
 
 @dataclass(frozen=True)
@@ -128,22 +129,43 @@ def check_graph_map(
 def check_m_identities(
     rng: np.random.Generator, n_samples: int = 25, tol: float = 1e-10
 ) -> CheckResult:
-    """psi_+ = -1/(kappa_s m_r) and psi_- = -kappa_s m_l on band-interior grids."""
+    """Weyl m-functions are Herglotz and fixed points of one period's Schur complement.
+
+    On band-interior grids Im m_l > 0, Im m_r > 0, and
+
+        m_r = [(h_L - E - kappa_s^2 m_r e_L e_L^T)^{-1}]_11,
+        m_l = [(h_L - E - kappa_s^2 m_l e_1 e_1^T)^{-1}]_LL,
+
+    each solved by the oracle's banded LU, so no transfer matrix is involved.
+    The residual is |m - m_fixed| / (|m| + 1); energies where the one-period
+    system is singular are skipped.
+    """
     worst = 0.0
+    min_im = math.inf
     for _ in range(n_samples):
         sample = random_sample(rng)
-        spectrum = band_spectrum(sample)
-        for E in band_interior_grid(spectrum, 30):
+        grid = band_interior_grid(band_spectrum(sample), 30)
+        m_l, m_r, _ = _crystal_m_values(sample, grid)
+        min_im = min(min_im, float(np.min(m_l.imag)), float(np.min(m_r.imag)))
+        diag, off = periodized_parameters(sample, 1)
+        kS2 = sample.kappa_s**2
+        e_1, e_L = np.eye(sample.length)[[0, -1]]
+        for E, ml, mr in zip(grid, m_l, m_r):
             try:
-                ed = transfer_eigendata(sample, float(E))
-                m_l, m_r = crystal_m_functions(sample, float(E))
-            except Exception:
+                fixed_r = _corner_green(diag - E - kS2 * mr * e_L, off)[0]
+                fixed_l = _corner_green(diag - E - kS2 * ml * e_1, off)[3]
+            except SingularEnergyError:
                 continue
-            kS = sample.kappa_s
-            d1 = abs(ed.psi_plus + 1.0 / (kS * m_r)) / (abs(ed.psi_plus) + 1.0)
-            d2 = abs(ed.psi_minus + kS * m_l) / (abs(ed.psi_minus) + 1.0)
-            worst = max(worst, d1, d2)
-    return CheckResult("m_identities", worst <= tol, f"max identity residual = {worst:.3e}")
+            worst = max(
+                worst,
+                abs(mr - fixed_r) / (abs(mr) + 1.0),
+                abs(ml - fixed_l) / (abs(ml) + 1.0),
+            )
+    return CheckResult(
+        "m_identities",
+        bool(worst <= tol and min_im > 0.0),
+        f"max one-period fixed-point residual = {worst:.3e}, min Im m = {min_im:.3e}",
+    )
 
 
 _CHECK_STATES = (

@@ -1,20 +1,21 @@
 """Closed-form transmittances of N-fold repeated samples and their crystalline limit.
 
 Everything is driven by the eigendata of the one-period transfer matrix
-T_L(E).  Inside a band T_L has unimodular eigenvalues e^{±i theta} with
-cos theta = tr T_L / 2 and sign(theta) = sign(b); the normalized
-eigenvectors (1, kappa_s psi_±) satisfy
+T_L(E), computed once per energy array by ``leads._eigendata_values``
+together with the Weyl m-functions of the periodized half-lines.  Inside a
+band T_L has unimodular eigenvalues e^{±i theta} with cos theta = tr T_L / 2
+and sign(theta) = sign(b); the normalized eigenvectors (1, kappa_s psi_±)
+are taken from the m-functions,
 
-    kappa_s psi_±(E) = (e^{±i theta} - a) / b,
-    psi_+ = -1 / (kappa_s m_r),      psi_- = -kappa_s m_l,
+    psi_+ = -1 / (kappa_s m_r),      psi_- = -kappa_s m_l = conj(psi_+),
 
-tying them to the Weyl m-functions of the periodized half-lines.  Outside
-the bands the eigenvalues are real with |alpha| > 1 and the eigenvectors
-real.  The 2x2 Green matrices of the N-cell sample, the coupled system's
-off-diagonal Green value, the transmittances T_N and T_infty, and the
-(r, vartheta) oscillation diagnostics are all evaluated from this data;
-large-N powers use e^{±iN theta} in band and log-domain magnitudes off
-band, never raw matrix powers.
+so T_N and T_infty share one in-band root selection.  Outside the bands the
+eigenvalues are real with |alpha| > 1 and the eigenvectors real.  The 2x2
+Green matrices of the N-cell sample, the coupled system's off-diagonal Green
+value, the transmittances T_N and T_infty, and the (r, vartheta) oscillation
+diagnostics are all evaluated from this data; large-N powers use
+e^{±iN theta} in band and log-domain magnitudes off band, never raw matrix
+powers.
 """
 
 from __future__ import annotations
@@ -32,8 +33,11 @@ from .errors import (
     SampleEigenvalueError,
     SingularEnergyError,
 )
-from .jacobi import GreenMatrix2, SampleSpec, _one_period_abcd, _real_eigvec2
-from .leads import EDGE_TOL, SUPPORT_TOL, LeadModel, _crystal_m_values, lead_F_values
+from .jacobi import GreenMatrix2, SampleSpec
+# Not called here; kept importable because bench/tracer.py wraps this name.
+from .jacobi import _one_period_abcd  # noqa: F401
+from .leads import EDGE_TOL, SUPPORT_TOL, LeadModel, lead_F_values
+from .leads import _crystal_m_values, _eigendata_values
 
 log = logging.getLogger(__name__)
 
@@ -59,67 +63,6 @@ class TransferEigenData:
     psi_minus: complex
     theta: float | None
     in_band: bool
-
-
-def _eigendata_values(sample: SampleSpec, E: np.ndarray):
-    """Vectorized transfer eigendata.
-
-    Returns a dict of arrays: alpha, phi_p, phi_m, kpsi_p, kpsi_m (the
-    second eigenvector components kappa_s psi_±), theta (nan off band),
-    in_band, edge (within the band-edge exclusion zone).  No errors are
-    raised; callers decide how to treat flagged entries.
-    """
-    a, b, c, d = _one_period_abcd(sample, E)
-    tr = a + d
-    disc = tr * tr - 4.0
-    in_band = disc < 0.0
-    edge = np.abs(np.abs(tr) - 2.0) < EDGE_TOL
-
-    alpha = np.empty(E.shape, dtype=complex)
-    phi_p = np.ones(E.shape, dtype=complex)
-    phi_m = np.ones(E.shape, dtype=complex)
-    kpsi_p = np.empty(E.shape, dtype=complex)
-    kpsi_m = np.empty(E.shape, dtype=complex)
-    theta = np.full(E.shape, np.nan)
-
-    # in band: cos theta = tr/2, sign(theta) = sign(b); b != 0 there since bc < 0
-    bi = b[in_band]
-    costh = tr[in_band] / 2.0
-    th = np.where(bi >= 0.0, 1.0, -1.0) * np.arccos(np.clip(costh, -1.0, 1.0))
-    al_in = np.exp(1j * th)
-    theta[in_band] = th
-    alpha[in_band] = al_in
-    kpsi_p[in_band] = (al_in - a[in_band]) / bi
-    kpsi_m[in_band] = (np.conj(al_in) - a[in_band]) / bi
-
-    off = ~in_band
-    if np.any(off):
-        sq = np.sqrt(np.maximum(disc[off], 0.0))
-        tro = tr[off]
-        al = (tro + np.sign(tro) * sq) / 2.0  # |alpha| >= 1
-        be = 1.0 / al
-        # real eigenvectors (phi, kappa_s psi), any normalization
-        ph_p, w_p = _real_eigvec2(a[off], b[off], c[off], d[off], al)
-        ph_m, w_m = _real_eigvec2(a[off], b[off], c[off], d[off], be)
-        alpha[off] = al
-        phi_p[off] = ph_p
-        phi_m[off] = ph_m
-        kpsi_p[off] = w_p
-        kpsi_m[off] = w_m
-    return {
-        "a": a,
-        "b": b,
-        "c": c,
-        "d": d,
-        "alpha": alpha,
-        "phi_p": phi_p,
-        "phi_m": phi_m,
-        "kpsi_p": kpsi_p,
-        "kpsi_m": kpsi_m,
-        "theta": theta,
-        "in_band": in_band,
-        "edge": edge,
-    }
 
 
 def transfer_eigendata(sample: SampleSpec, E: float) -> TransferEigenData:
@@ -339,6 +282,19 @@ def transmittance_n(
     return float(T[0]) if scalar else T
 
 
+def _crystalline_inputs(sample, lead_l, lead_r, E: np.ndarray):
+    """(m_l, m_r, F_l, F_r, live, eigendata) for the crystalline-limit formulas.
+
+    live marks the band interior (outside the edge exclusion zone) within
+    the common essential support of the leads.
+    """
+    m_l, m_r, ed = _crystal_m_values(sample, E)
+    F_l = lead_F_values(lead_l, E)
+    F_r = lead_F_values(lead_r, E)
+    live = ed["in_band"] & ~ed["edge"] & (F_l.imag > SUPPORT_TOL) & (F_r.imag > SUPPORT_TOL)
+    return m_l, m_r, F_l, F_r, live, ed
+
+
 def transmittance_inf(
     sample: SampleSpec,
     lead_l: LeadModel,
@@ -353,13 +309,7 @@ def transmittance_inf(
     """
     scalar = np.ndim(E) == 0
     E_arr = np.atleast_1d(np.asarray(E, dtype=float))
-    m_l, m_r, in_band = _crystal_m_values(sample, E_arr)
-    a, b, c, d = _one_period_abcd(sample, E_arr)
-    edge = np.abs(np.abs(a + d) - 2.0) < EDGE_TOL
-    F_l = lead_F_values(lead_l, E_arr)
-    F_r = lead_F_values(lead_r, E_arr)
-    live = in_band & ~edge & (F_l.imag > SUPPORT_TOL) & (F_r.imag > SUPPORT_TOL)
-
+    m_l, m_r, F_l, F_r, live, _ = _crystalline_inputs(sample, lead_l, lead_r, E_arr)
     T = np.zeros(E_arr.shape)
     if np.any(live):
         kS2 = sample.kappa_s**2
@@ -378,14 +328,7 @@ def _r_theta_values(sample, lead_l, lead_r, kappa, E: np.ndarray):
 
     Entries off the band interior or off the common support are nan.
     """
-    m_l, m_r, in_band = _crystal_m_values(sample, E)
-    a, b, c, d = _one_period_abcd(sample, E)
-    tr = a + d
-    edge = np.abs(np.abs(tr) - 2.0) < EDGE_TOL
-    F_l = lead_F_values(lead_l, E)
-    F_r = lead_F_values(lead_r, E)
-    live = in_band & ~edge & (F_l.imag > SUPPORT_TOL) & (F_r.imag > SUPPORT_TOL)
-
+    m_l, m_r, F_l, F_r, live, ed = _crystalline_inputs(sample, lead_l, lead_r, E)
     eta2 = (kappa / sample.kappa_s) ** 2
     r = np.full(E.shape, np.nan)
     vth = np.full(E.shape, np.nan)
@@ -402,9 +345,7 @@ def _r_theta_values(sample, lead_l, lead_r, kappa, E: np.ndarray):
         )
         r[live] = np.abs(prod)
         vth[live] = np.angle(prod)
-        bi = b[live]
-        costh = np.clip(tr[live] / 2.0, -1.0, 1.0)
-        theta[live] = np.where(bi >= 0.0, 1.0, -1.0) * np.arccos(costh)
+        theta[live] = ed["theta"][live]
     return r, vth, theta, live
 
 
@@ -430,10 +371,3 @@ def r_theta_diagnostic(
             f"r/theta diagnostic requested at E={E} outside band interior ∩ support"
         )
     return float(r[0]), float(vth[0]), float(theta[0])
-
-
-def reflection(T: float) -> float:
-    """Reflection probability 1 - T for a transmittance T in [0, 1]."""
-    if not -CLAMP_TOL <= T <= 1.0 + CLAMP_TOL:
-        raise DomainError(f"transmittance {T} outside [0, 1]")
-    return 1.0 - min(max(T, 0.0), 1.0)

@@ -262,10 +262,11 @@ def test_thread_env_does_not_change_output(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "ThreadPoolExecutor", CountingPool)
     monkeypatch.setenv("THOULESS_LAB_THREADS", "1")
-    assert main(["transmit", "--config", cfg, "--out", str(out1), "--N", "5"]) == 0
+    argv = ["transmit", "--config", cfg, "--N", "5", "--diagnostics"]
+    assert main(argv + ["--out", str(out1)]) == 0
     assert pools == []
     monkeypatch.setenv("THOULESS_LAB_THREADS", "3")
-    assert main(["transmit", "--config", cfg, "--out", str(out2), "--N", "5"]) == 0
+    assert main(argv + ["--out", str(out2)]) == 0
     assert pools == [{"max_workers": 3}]
     assert out1.read_bytes() == out2.read_bytes()
 

@@ -11,9 +11,9 @@ from thouless_lab import (
     crystal_m_functions,
     full_green_lr,
     lead_F,
+    lead_F_values,
     one_period_transfer,
     r_theta_diagnostic,
-    reflection,
     sample_green,
     transfer_eigendata,
     transmittance_inf,
@@ -92,17 +92,65 @@ def test_m_function_identities(rng):
             assert ed.psi_minus == pytest.approx(-s.kappa_s * m_l, rel=1e-10)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="psi_+ = (alpha - a)/b and -1/(kappa_s m_r) = -c/(kappa_s((d - a)/2 - i s)) agree "
-    "only when det T_L = ad - bc = 1; the L=8 transfer product at E = 2.947 has "
-    "det - 1 = 5.5e-12, which 1/|bc| = 24 amplifies to 1.3e-10, above the 1e-10 tolerance",
-)
 def test_selfcheck_m_identities_seed_1322342770():
+    # Regression: this seed draws an L=8 sample whose transfer product at
+    # E = 2.947 has det T_L - 1 = 5.5e-12.  A check comparing two transfer-
+    # matrix root formulas saw that drift amplified to 1.3e-10; the one-period
+    # fixed-point check is independent of det T_L and passes at 1e-10.
     from thouless_lab.selfcheck import run_selfcheck
 
     _, results = run_selfcheck(1322342770, 4)
     assert {r.name: r.passed for r in results}["m_identities"]
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda m_l, m_r: (np.conj(m_l), np.conj(m_r)),
+        lambda m_l, m_r: (m_l * (1.0 + 1e-8), m_r * (1.0 + 1e-8)),
+        lambda m_l, m_r: (m_r, m_l),
+    ],
+    ids=["conjugated", "perturbed_1e-8", "swapped"],
+)
+def test_check_m_identities_rejects_wrong_m_functions(monkeypatch, mutate):
+    from thouless_lab import selfcheck
+
+    assert selfcheck.check_m_identities(np.random.default_rng(3), n_samples=10).passed
+    true_values = selfcheck._crystal_m_values
+
+    def wrong_values(sample, E):
+        m_l, m_r, ed = true_values(sample, E)
+        return (*mutate(m_l, m_r), ed)
+
+    monkeypatch.setattr(selfcheck, "_crystal_m_values", wrong_values)
+    result = selfcheck.check_m_identities(np.random.default_rng(3), n_samples=10)
+    assert result.passed is False
+
+
+def test_one_kernel_call_per_evaluator_call(monkeypatch, dimer, wide_lead):
+    from thouless_lab import leads
+    from thouless_lab.transport import _r_theta_values
+
+    calls = []
+    kernel = leads._one_period_abcd
+
+    def counting_kernel(sample, E):
+        calls.append(sample)
+        return kernel(sample, E)
+
+    monkeypatch.setattr(leads, "_one_period_abcd", counting_kernel)
+    grid = np.linspace(-1.4, 1.4, 50)
+    evaluators = [
+        lambda: transmittance_inf(dimer, wide_lead, wide_lead, 0.7, grid),
+        lambda: transmittance_n(dimer, wide_lead, wide_lead, 0.7, 3, grid),
+        lambda: _r_theta_values(dimer, wide_lead, wide_lead, 0.7, grid),
+        lambda: crystal_m_functions(dimer, 1.0),
+        lambda: lead_F_values(CrystallineLead(dimer, "r"), grid),
+    ]
+    for evaluate in evaluators:
+        calls.clear()
+        evaluate()
+        assert len(calls) == 1
 
 
 def test_sample_green_scalar_value(free_chain):
@@ -281,11 +329,3 @@ def test_transmittance_oracle_agreement_small(rng):
             [transmittance_oracle(s, lead_l, lead_r, kappa, n, float(E)) for E in grid]
         )
         assert np.max(np.abs(closed - dense)) <= 1e-8
-
-
-def test_reflection_complement():
-    assert reflection(1.0) == 0.0
-    assert reflection(0.0) == 1.0
-    assert reflection(0.8) == pytest.approx(0.2)
-    with pytest.raises(DomainError):
-        reflection(1.5)
