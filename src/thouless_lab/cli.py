@@ -11,10 +11,9 @@ selfcheck  seeded property battery; exit 1 on any failure
 
 Exit codes: 0 success, 1 check failure, 2 usage/config error, 3 numerical
 failure.  CSV output carries a ``# schema=1`` line and 17-significant-digit
-fields; identical config + seed reproduce byte-identical output.  The
-environment variable THOULESS_LAB_THREADS caps grid parallelism; it only
-matters for grids longer than one GRID_CHUNK of energies, and output is
-independent of it.
+fields; identical config + seed reproduce byte-identical output.
+``transmit`` evaluates its grid serially in GRID_CHUNK-energy chunks through
+``_parallel_grid``, a name kept because bench/tracer.py times that call.
 """
 
 from __future__ import annotations
@@ -23,9 +22,7 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,12 +40,13 @@ from .errors import ConfigError, ThoulessLabError
 from .jacobi import SampleSpec, band_spectrum, bloch_eigenvalues
 from .leads import CrystallineLead, HalfLineLead, LeadModel, load_tabulated_csv
 from .selfcheck import run_selfcheck
-from .transport import _r_theta_values, transmittance_inf, transmittance_n
+from .transport import _diagnostic_columns, transmittance_inf, transmittance_n
+# Not called here; kept importable because bench/tracer.py wraps this name.
+from .transport import _r_theta_values  # noqa: F401
 
 SCHEMA_LINE = "# schema=1"
 
-# Energies per _parallel_grid work item: long enough to amortise the pool,
-# short enough that a chunk's temporaries stay cache-sized.
+# Energies per _parallel_grid chunk; bounds the per-call temporaries.
 GRID_CHUNK = 2**14
 
 EXIT_OK = 0
@@ -243,30 +241,14 @@ def _num(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("THOULESS_LAB_THREADS", "")
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"THOULESS_LAB_THREADS: expected an integer, got {raw!r}") from exc
-        return max(1, n)
-    return min(4, os.cpu_count() or 1)
-
-
 def _parallel_grid(fn, grid: np.ndarray) -> np.ndarray:
-    """Evaluate fn over the grid in ordered GRID_CHUNK-sized pieces.
+    """Evaluate fn over the grid in ordered GRID_CHUNK-sized pieces, serially.
 
     fn returns one value or one row per energy; the pieces are joined along
-    the energy axis.  A grid that fits in one chunk is evaluated serially:
-    below that size the pool costs more than it saves.
+    the energy axis.  The name predates the serial loop; it is kept because
+    bench/tracer.py times this call as the span of the grid computation.
     """
-    threads = _thread_count()
-    if threads == 1 or grid.size <= GRID_CHUNK:
-        return np.asarray(fn(grid))
-    chunks = [grid[i : i + GRID_CHUNK] for i in range(0, grid.size, GRID_CHUNK)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(fn, chunks))
+    parts = [fn(grid[i : i + GRID_CHUNK]) for i in range(0, grid.size, GRID_CHUNK)]
     return np.concatenate([np.atleast_1d(p) for p in parts])
 
 
@@ -349,14 +331,11 @@ def cmd_transmit(config: RunConfig, n_cells: int | None, use_inf: bool, diagnost
     sample, lead_l, lead_r, kappa = config.sample, config.lead_l, config.lead_r, config.kappa
 
     def columns(E):
+        if diagnostics:
+            return _diagnostic_columns(sample, lead_l, lead_r, kappa, n_cells, E)
         if use_inf:
-            T = transmittance_inf(sample, lead_l, lead_r, kappa, E)
-        else:
-            T = transmittance_n(sample, lead_l, lead_r, kappa, n_cells, E)
-        if not diagnostics:
-            return T
-        r, _, theta, _ = _r_theta_values(sample, lead_l, lead_r, kappa, E)
-        return np.column_stack([T, r, theta])
+            return transmittance_inf(sample, lead_l, lead_r, kappa, E)
+        return transmittance_n(sample, lead_l, lead_r, kappa, n_cells, E)
 
     header = ["E", "T"] + (["r", "theta"] if diagnostics else [])
     return _table(config, header, np.column_stack([grid, _parallel_grid(columns, grid)]))
@@ -409,8 +388,8 @@ def _parse_n_list(raw: str) -> list[int]:
         values = [int(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"--N-list: expected comma-separated integers, got {raw!r}") from exc
-    if not values:
-        raise ConfigError("--N-list: empty")
+    if not values or min(values) < 1:
+        raise ConfigError(f"--N-list: needs one or more entries, each must be >= 1, got {raw!r}")
     return values
 
 
@@ -508,6 +487,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "N", None) is not None and args.N < 1:
+            raise ConfigError(f"--N: must be >= 1, got {args.N}")
         config = load_config(args.config)
         if args.format is not None:
             config = dataclasses.replace(config, out_format=args.format)

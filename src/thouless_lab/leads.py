@@ -16,6 +16,8 @@ from a single evaluation of T_L(E) it returns the m-functions together with
 the eigenvalues and eigenvectors that ``transport`` builds on.  Inside the
 bands the Herglotz root m_r is computed first and the eigenvectors follow
 from it, kappa_s psi_+ = -1/m_r and psi_- = conj(psi_+) = -kappa_s m_l.
+``transport`` reads the F of a ``CrystallineLead`` on its own sample from that
+data, through ``_clamp_im``, the Im-floor clamp of ``lead_F_values``.
 """
 
 from __future__ import annotations
@@ -244,8 +246,12 @@ def lead_F_values(lead: LeadModel, E) -> np.ndarray:
         )
     else:
         raise TypeError(f"unknown lead model {type(lead).__name__}")
-    im = F.imag
-    im = np.where((im < 0.0) & (im >= -_IM_FLOOR), 0.0, im)
+    return _clamp_im(F)
+
+
+def _clamp_im(F: np.ndarray) -> np.ndarray:
+    """Boundary values with Im F in [-1e-12, 0) (rounding below the axis) set to Im 0."""
+    im = np.where((F.imag < 0.0) & (F.imag >= -_IM_FLOOR), 0.0, F.imag)
     return F.real + 1j * im
 
 

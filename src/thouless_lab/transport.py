@@ -13,9 +13,10 @@ so T_N and T_infty share one in-band root selection.  Outside the bands the
 eigenvalues are real with |alpha| > 1 and the eigenvectors real.  The 2x2
 Green matrices of the N-cell sample, the coupled system's off-diagonal Green
 value, the transmittances T_N and T_infty, and the (r, vartheta) oscillation
-diagnostics are all evaluated from this data; large-N powers use
-e^{±iN theta} in band and log-domain magnitudes off band, never raw matrix
-powers.
+diagnostics are all evaluated from this data, taken once per energy array; a
+crystalline lead on the sample itself reads its F from the sample's m_l or
+m_r.  Large-N powers use e^{±iN theta} in band and log-domain magnitudes off
+band, never raw matrix powers.
 """
 
 from __future__ import annotations
@@ -36,8 +37,10 @@ from .errors import (
 from .jacobi import GreenMatrix2, SampleSpec
 # Not called here; kept importable because bench/tracer.py wraps this name.
 from .jacobi import _one_period_abcd  # noqa: F401
-from .leads import EDGE_TOL, SUPPORT_TOL, LeadModel, lead_F_values
-from .leads import _crystal_m_values, _eigendata_values
+from .leads import EDGE_TOL, SUPPORT_TOL, CrystallineLead, LeadModel, lead_F_values
+from .leads import _clamp_im, _eigendata_values
+# Not called here; kept importable because bench/tracer.py wraps this name.
+from .leads import _crystal_m_values  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -95,32 +98,18 @@ def transfer_eigendata(sample: SampleSpec, E: float) -> TransferEigenData:
     )
 
 
-def _alpha_pow(ed, n_cells: int):
-    """(alpha^N, alpha^{-N}) elementwise: e^{±iN theta} in band, log-domain off band.
-
-    Off band alpha^{-N} underflows gracefully to 0; alpha^{+N} is returned
-    as inf past the overflow threshold (callers use the normalized forms
-    that never multiply by it).
-    """
+def _alpha_neg_pow(ed, n_cells: int) -> np.ndarray:
+    """alpha^{-N} elementwise: e^{-iN theta} in band, log-domain off band (may underflow to 0)."""
     in_band = ed["in_band"]
-    theta = ed["theta"]
-    alpha = ed["alpha"]
-    a_pow = np.empty(alpha.shape, dtype=complex)
-    a_neg = np.empty(alpha.shape, dtype=complex)
-
-    phase = np.mod(n_cells * theta[in_band], 2.0 * np.pi)
-    a_pow[in_band] = np.exp(1j * phase)
-    a_neg[in_band] = np.exp(-1j * phase)
-
+    a_neg = np.empty(in_band.shape, dtype=complex)
+    a_neg[in_band] = np.exp(-1j * np.mod(n_cells * ed["theta"][in_band], 2.0 * np.pi))
     off = ~in_band
     if np.any(off):
-        al = alpha[off].real
+        al = ed["alpha"][off].real
         sign = np.where(al >= 0.0, 1.0, -1.0) ** (n_cells % 2)
         log_mag = n_cells * np.log(np.abs(al))
-        with np.errstate(over="ignore"):
-            a_pow[off] = sign * np.exp(log_mag)
         a_neg[off] = sign * np.exp(-log_mag)
-    return a_pow, a_neg
+    return a_neg
 
 
 def _sample_green_values(sample: SampleSpec, n_cells: int, E: np.ndarray):
@@ -138,7 +127,7 @@ def _sample_green_values(sample: SampleSpec, n_cells: int, E: np.ndarray):
     kpsi_p, kpsi_m = ed["kpsi_p"], ed["kpsi_m"]
     phi_p, phi_m = ed["phi_p"], ed["phi_m"]
     psi_p, psi_m = kpsi_p / kS, kpsi_m / kS
-    a_pow, a_neg = _alpha_pow(ed, n_cells)
+    a_neg = _alpha_neg_pow(ed, n_cells)
     z = a_neg * a_neg
     A = phi_p * psi_m
     B = phi_m * psi_p
@@ -149,7 +138,7 @@ def _sample_green_values(sample: SampleSpec, n_cells: int, E: np.ndarray):
         g_lr = -(1.0 / kS) * W * a_neg / denom
         g_rr = -(1.0 / kS) * psi_p * psi_m * (1.0 - z) / denom
     scale = np.abs(A) + np.abs(B)
-    return g_ll, g_lr, g_rr, denom, scale, ed
+    return g_ll, g_lr, g_rr, denom, scale
 
 
 def sample_green(sample: SampleSpec, n_cells: int, E: float) -> GreenMatrix2:
@@ -161,7 +150,7 @@ def sample_green(sample: SampleSpec, n_cells: int, E: float) -> GreenMatrix2:
     if n_cells < 1:
         raise DomainError("n_cells must be a positive integer")
     E_arr = np.asarray([float(E)])
-    g_ll, g_lr, g_rr, denom, scale, _ = _sample_green_values(sample, n_cells, E_arr)
+    g_ll, g_lr, g_rr, denom, scale = _sample_green_values(sample, n_cells, E_arr)
     if abs(denom[0]) <= 1e-12 * max(scale[0], 1e-300):
         raise SampleEigenvalueError(
             f"E={E} is an eigenvalue of the {n_cells}-cell sample (D_N ~ 0)"
@@ -176,7 +165,22 @@ def sample_green(sample: SampleSpec, n_cells: int, E: float) -> GreenMatrix2:
     )
 
 
-def _full_green_lr_values(sample, kappa, n_cells, E, F_l, F_r):
+def _transport_inputs(sample, lead_l, lead_r, E: np.ndarray):
+    """(eigendata, F_l, F_r) from one eigendata evaluation of the energy array.
+
+    A CrystallineLead on a sample equal to this one takes F from its m_l or m_r.
+    """
+    ed = _eigendata_values(sample, E)
+
+    def boundary_values(lead):
+        if isinstance(lead, CrystallineLead) and lead.sample == sample:
+            return _clamp_im(ed["m_l"] if lead.side == "l" else ed["m_r"])
+        return lead_F_values(lead, E)
+
+    return ed, boundary_values(lead_l), boundary_values(lead_r)
+
+
+def _full_green_lr_values(sample, kappa, n_cells, ed, F_l, F_r):
     """Off-diagonal full Green value, vectorized; returns (g_lr, denom, scale).
 
     Dressed eigenvector components per the coupling to the reservoirs:
@@ -188,26 +192,27 @@ def _full_green_lr_values(sample, kappa, n_cells, E, F_l, F_r):
 
         G_lr = -(1/kappa_s) (phi_+ psi_- - phi_- psi_+) alpha^{-N}
                / (phi~_+ psi~_- - alpha^{-2N} phi~_- psi~_+).
+
+    Non-finite F (off the leads' support) gives non-finite entries, silently.
     """
-    ed = _eigendata_values(sample, E)
     kS = sample.kappa_s
     eta2 = (kappa / kS) ** 2
     psi_p, psi_m = ed["kpsi_p"] / kS, ed["kpsi_m"] / kS
     phi_p, phi_m = ed["phi_p"], ed["phi_m"]
-    pst_p = psi_p + eta2 * kS * phi_p * F_l
-    pst_m = psi_m + eta2 * kS * phi_m * F_l
-    pht_p = phi_p + eta2 * kS * psi_p * F_r
-    pht_m = phi_m + eta2 * kS * psi_m * F_r
-    a_pow, a_neg = _alpha_pow(ed, n_cells)
-    z = a_neg * a_neg
-    A = pht_p * pst_m
-    B = pht_m * pst_p
-    denom = A - z * B
-    W = phi_p * psi_m - phi_m * psi_p
+    a_neg = _alpha_neg_pow(ed, n_cells)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        pst_p = psi_p + eta2 * kS * phi_p * F_l
+        pst_m = psi_m + eta2 * kS * phi_m * F_l
+        pht_p = phi_p + eta2 * kS * psi_p * F_r
+        pht_m = phi_m + eta2 * kS * psi_m * F_r
+        z = a_neg * a_neg
+        A = pht_p * pst_m
+        B = pht_m * pst_p
+        denom = A - z * B
+        W = phi_p * psi_m - phi_m * psi_p
         g_lr = -(1.0 / kS) * W * a_neg / denom
-    scale = np.abs(A) + np.abs(B)
-    return g_lr, denom, scale, ed
+        scale = np.abs(A) + np.abs(B)
+    return g_lr, denom, scale
 
 
 def full_green_lr(
@@ -228,9 +233,8 @@ def full_green_lr(
     if kappa == 0.0:
         raise DomainError("coupling kappa must be nonzero")
     E_arr = np.asarray([float(E)])
-    F_l = lead_F_values(lead_l, E_arr)
-    F_r = lead_F_values(lead_r, E_arr)
-    g_lr, denom, scale, _ = _full_green_lr_values(sample, kappa, n_cells, E_arr, F_l, F_r)
+    ed, F_l, F_r = _transport_inputs(sample, lead_l, lead_r, E_arr)
+    g_lr, denom, scale = _full_green_lr_values(sample, kappa, n_cells, ed, F_l, F_r)
     if not np.isfinite(g_lr[0]) or abs(denom[0]) <= 1e-12 * max(scale[0], 1e-300):
         raise SingularEnergyError(f"full Green denominator vanished at E={E}")
     return complex(g_lr[0])
@@ -248,6 +252,18 @@ def _clamp_unit(T: np.ndarray, what: str) -> np.ndarray:
     return np.clip(T, 0.0, 1.0)
 
 
+def _tn_values(sample, kappa, n_cells, ed, F_l, F_r) -> np.ndarray:
+    """T_N on the whole array; 0 off the leads' common support and where singular."""
+    g_lr, _, _ = _full_green_lr_values(sample, kappa, n_cells, ed, F_l, F_r)
+    with np.errstate(invalid="ignore", over="ignore"):
+        vals = 4.0 * kappa**4 * np.abs(g_lr) ** 2 * F_l.imag * F_r.imag
+    live = (F_l.imag > SUPPORT_TOL) & (F_r.imag > SUPPORT_TOL)
+    ok = live & np.isfinite(vals)
+    if np.any(live & ~ok):
+        log.debug("transmittance_n: %d singular energies set to 0", int(np.sum(live & ~ok)))
+    return _clamp_unit(np.where(ok, vals, 0.0), "T_N")
+
+
 def transmittance_n(
     sample: SampleSpec,
     lead_l: LeadModel,
@@ -260,39 +276,34 @@ def transmittance_n(
 
     Accepts a scalar or an array of energies.  T_N is 0 outside the common
     essential support of the leads; energies where the Green denominator
-    degenerates (a measure-zero set) are returned as 0 and logged.
+    degenerates (a measure-zero set) are returned as 0 and logged.  Raises
+    DomainError for n_cells < 1.
     """
+    if n_cells < 1:
+        raise DomainError(f"n_cells must be a positive integer, got {n_cells}")
     scalar = np.ndim(E) == 0
     E_arr = np.atleast_1d(np.asarray(E, dtype=float))
-    F_l = lead_F_values(lead_l, E_arr)
-    F_r = lead_F_values(lead_r, E_arr)
-    T = np.zeros(E_arr.shape)
-    live = (F_l.imag > SUPPORT_TOL) & (F_r.imag > SUPPORT_TOL)
-    if np.any(live):
-        g_lr, denom, scale, _ = _full_green_lr_values(
-            sample, kappa, n_cells, E_arr[live], F_l[live], F_r[live]
-        )
-        vals = 4.0 * kappa**4 * np.abs(g_lr) ** 2 * F_l.imag[live] * F_r.imag[live]
-        bad = ~np.isfinite(vals)
-        if np.any(bad):
-            log.debug("transmittance_n: %d singular energies set to 0", int(np.sum(bad)))
-            vals = np.where(bad, 0.0, vals)
-        T[live] = vals
-    T = _clamp_unit(T, "T_N")
+    T = _tn_values(sample, kappa, n_cells, *_transport_inputs(sample, lead_l, lead_r, E_arr))
     return float(T[0]) if scalar else T
 
 
-def _crystalline_inputs(sample, lead_l, lead_r, E: np.ndarray):
-    """(m_l, m_r, F_l, F_r, live, eigendata) for the crystalline-limit formulas.
+def _crystal_live(ed, F_l, F_r) -> np.ndarray:
+    """Band interior (outside the edge exclusion zone) within the leads' common support."""
+    return ed["in_band"] & ~ed["edge"] & (F_l.imag > SUPPORT_TOL) & (F_r.imag > SUPPORT_TOL)
 
-    live marks the band interior (outside the edge exclusion zone) within
-    the common essential support of the leads.
-    """
-    m_l, m_r, ed = _crystal_m_values(sample, E)
-    F_l = lead_F_values(lead_l, E)
-    F_r = lead_F_values(lead_r, E)
-    live = ed["in_band"] & ~ed["edge"] & (F_l.imag > SUPPORT_TOL) & (F_r.imag > SUPPORT_TOL)
-    return m_l, m_r, F_l, F_r, live, ed
+
+def _tinf_values(sample, kappa, ed, F_l, F_r) -> np.ndarray:
+    """T_infty from the transport inputs; 0 off `_crystal_live`."""
+    live = _crystal_live(ed, F_l, F_r)
+    T = np.zeros(live.shape)
+    if np.any(live):
+        kS2, k2 = sample.kappa_s**2, kappa**2
+        sm_r, sm_l = kS2 * ed["m_r"][live], kS2 * ed["m_l"][live]
+        sF_r, sF_l = k2 * F_r[live], k2 * F_l[live]
+        term_r = np.abs(sm_r - sF_r) ** 2 / (sm_r.imag * sF_r.imag)
+        term_l = np.abs(sm_l - sF_l) ** 2 / (sm_l.imag * sF_l.imag)
+        T[live] = 1.0 / (1.0 + 0.25 * (term_r + term_l))
+    return _clamp_unit(T, "T_inf")
 
 
 def transmittance_inf(
@@ -309,32 +320,17 @@ def transmittance_inf(
     """
     scalar = np.ndim(E) == 0
     E_arr = np.atleast_1d(np.asarray(E, dtype=float))
-    m_l, m_r, F_l, F_r, live, _ = _crystalline_inputs(sample, lead_l, lead_r, E_arr)
-    T = np.zeros(E_arr.shape)
-    if np.any(live):
-        kS2 = sample.kappa_s**2
-        k2 = kappa**2
-        sm_r, sm_l = kS2 * m_r[live], kS2 * m_l[live]
-        sF_r, sF_l = k2 * F_r[live], k2 * F_l[live]
-        term_r = np.abs(sm_r - sF_r) ** 2 / (sm_r.imag * sF_r.imag)
-        term_l = np.abs(sm_l - sF_l) ** 2 / (sm_l.imag * sF_l.imag)
-        T[live] = 1.0 / (1.0 + 0.25 * (term_r + term_l))
-    T = _clamp_unit(T, "T_inf")
+    T = _tinf_values(sample, kappa, *_transport_inputs(sample, lead_l, lead_r, E_arr))
     return float(T[0]) if scalar else T
 
 
-def _r_theta_values(sample, lead_l, lead_r, kappa, E: np.ndarray):
-    """Vectorized (r, vartheta, theta) of the oscillation polar decomposition.
-
-    Entries off the band interior or off the common support are nan.
-    """
-    m_l, m_r, F_l, F_r, live, ed = _crystalline_inputs(sample, lead_l, lead_r, E)
+def _r_theta_from(sample, kappa, ed, F_l, F_r):
+    """(r, vartheta, theta, live) from the transport inputs; nan off `_crystal_live`."""
+    live = _crystal_live(ed, F_l, F_r)
     eta2 = (kappa / sample.kappa_s) ** 2
-    r = np.full(E.shape, np.nan)
-    vth = np.full(E.shape, np.nan)
-    theta = np.full(E.shape, np.nan)
+    r, vth, theta = (np.full(live.shape, np.nan) for _ in range(3))
     if np.any(live):
-        ml, mr = m_l[live], m_r[live]
+        ml, mr = ed["m_l"][live], ed["m_r"][live]
         fl, fr = F_l[live], F_r[live]
         prod = (
             (ml - eta2 * fl)
@@ -347,6 +343,20 @@ def _r_theta_values(sample, lead_l, lead_r, kappa, E: np.ndarray):
         vth[live] = np.angle(prod)
         theta[live] = ed["theta"][live]
     return r, vth, theta, live
+
+
+def _r_theta_values(sample, lead_l, lead_r, kappa, E: np.ndarray):
+    """Vectorized (r, vartheta, theta, live) of the oscillation polar decomposition."""
+    return _r_theta_from(sample, kappa, *_transport_inputs(sample, lead_l, lead_r, E))
+
+
+def _diagnostic_columns(sample, lead_l, lead_r, kappa, n_cells, E: np.ndarray):
+    """Columns (T, r, theta) of `transmit --diagnostics`; T is T_infty if n_cells is None."""
+    inputs = _transport_inputs(sample, lead_l, lead_r, E)
+    T = (_tinf_values(sample, kappa, *inputs) if n_cells is None
+         else _tn_values(sample, kappa, n_cells, *inputs))
+    r, _, theta, _ = _r_theta_from(sample, kappa, *inputs)
+    return np.column_stack([T, r, theta])
 
 
 def r_theta_diagnostic(

@@ -9,7 +9,14 @@ import json
 import numpy as np
 import pytest
 
-from thouless_lab import HalfLineLead, SampleSpec, band_spectrum, transmittance_n
+from thouless_lab import (
+    CrystallineLead,
+    HalfLineLead,
+    SampleSpec,
+    band_spectrum,
+    transmittance_inf,
+    transmittance_n,
+)
 from thouless_lab.cli import GRID_CHUNK, SCHEMA_LINE, _csv_table, _json_table, main
 from thouless_lab.transport import _r_theta_values
 
@@ -51,15 +58,35 @@ def test_formatters_match_reference(n_rows, n_cols):
     assert _json_table(header, arr.tolist()) == ref_json(header, arr.tolist())
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_transmit_diagnostics_bytes_across_chunks(tmp_path, fmt):
-    # half-line leads cover the dimer's gap, where r and theta are nan
+DIMER = SampleSpec((1.0,), (0.0, 0.0), 0.5)
+# half-line leads cover the dimer's gap, where r and theta are nan
+LEAD_CASES = {
+    "half_line": (
+        [{"type": "half_line", "t": 1.2, "v0": 0.0}, {"type": "half_line", "t": 1.1, "v0": 0.1}],
+        (HalfLineLead(1.2, 0.0), HalfLineLead(1.1, 0.1)),
+    ),
+    "crystalline_self": (
+        [{"type": "crystalline", "sample": "self", "side": side} for side in "lr"],
+        (CrystallineLead(DIMER, "l"), CrystallineLead(DIMER, "r")),
+    ),
+}
+
+
+MODES = {"N3": ["--N", "3"], "inf": ["--inf"]}
+# the half-line --N 3 cases keep their original ids, "csv" and "json"
+DIAGNOSTIC_CASES = [
+    pytest.param(fmt, leads, mode, id=fmt if (leads, mode) == ("half_line", "N3")
+                 else f"{leads}-{mode}-{fmt}")
+    for leads in LEAD_CASES for mode in MODES for fmt in ("csv", "json")
+]
+
+
+@pytest.mark.parametrize("fmt, leads, mode", DIAGNOSTIC_CASES)
+def test_transmit_diagnostics_bytes_across_chunks(tmp_path, fmt, leads, mode):
+    (left, right), (lead_l, lead_r) = LEAD_CASES[leads]
     payload = {
         "sample": {"J": [1.0], "lambda": [0.0, 0.0], "kappa_S": 0.5},
-        "leads": {
-            "left": {"type": "half_line", "t": 1.2, "v0": 0.0},
-            "right": {"type": "half_line", "t": 1.1, "v0": 0.1},
-        },
+        "leads": {"left": left, "right": right},
         "kappa": 0.7,
         "energy_grid": {"count": 2 * GRID_CHUNK + 5},
     }
@@ -67,14 +94,16 @@ def test_transmit_diagnostics_bytes_across_chunks(tmp_path, fmt):
     cfg.write_text(json.dumps(payload))
     out = tmp_path / f"t.{fmt}"
     argv = ["transmit", "--config", str(cfg), "--out", str(out), "--format", fmt,
-            "--N", "3", "--diagnostics"]
+            *MODES[mode], "--diagnostics"]
     assert main(argv) == 0
 
-    sample = SampleSpec((1.0,), (0.0, 0.0), 0.5)
-    lead_l, lead_r = HalfLineLead(1.2, 0.0), HalfLineLead(1.1, 0.1)
-    grid = np.linspace(*band_spectrum(sample).hull, 2 * GRID_CHUNK + 5)
-    T = transmittance_n(sample, lead_l, lead_r, 0.7, 3, grid)
-    r, _, theta, _ = _r_theta_values(sample, lead_l, lead_r, 0.7, grid)
+    # the chunked CLI output equals one whole-grid evaluation of each column
+    grid = np.linspace(*band_spectrum(DIMER).hull, 2 * GRID_CHUNK + 5)
+    if mode == "inf":
+        T = transmittance_inf(DIMER, lead_l, lead_r, 0.7, grid)
+    else:
+        T = transmittance_n(DIMER, lead_l, lead_r, 0.7, 3, grid)
+    r, _, theta, _ = _r_theta_values(DIMER, lead_l, lead_r, 0.7, grid)
     assert np.isnan(r).any() and np.isfinite(r).any()
     rows = [list(vals) for vals in zip(grid, T, r, theta)]
     ref = ref_json if fmt == "json" else ref_csv

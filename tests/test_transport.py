@@ -129,7 +129,7 @@ def test_check_m_identities_rejects_wrong_m_functions(monkeypatch, mutate):
 
 def test_one_kernel_call_per_evaluator_call(monkeypatch, dimer, wide_lead):
     from thouless_lab import leads
-    from thouless_lab.transport import _r_theta_values
+    from thouless_lab.transport import _diagnostic_columns, _r_theta_values
 
     calls = []
     kernel = leads._one_period_abcd
@@ -140,17 +140,36 @@ def test_one_kernel_call_per_evaluator_call(monkeypatch, dimer, wide_lead):
 
     monkeypatch.setattr(leads, "_one_period_abcd", counting_kernel)
     grid = np.linspace(-1.4, 1.4, 50)
-    evaluators = [
-        lambda: transmittance_inf(dimer, wide_lead, wide_lead, 0.7, grid),
-        lambda: transmittance_n(dimer, wide_lead, wide_lead, 0.7, 3, grid),
-        lambda: _r_theta_values(dimer, wide_lead, wide_lead, 0.7, grid),
-        lambda: crystal_m_functions(dimer, 1.0),
-        lambda: lead_F_values(CrystallineLead(dimer, "r"), grid),
+    cases = [
+        (crystal_m_functions, (dimer, 1.0)),
+        (lead_F_values, (CrystallineLead(dimer, "r"), grid)),
     ]
-    for evaluate in evaluators:
+    # leads on the sample itself read its eigendata instead of evaluating their own
+    own_leads = (CrystallineLead(dimer, "l"), CrystallineLead(dimer, "r"))
+    for lead_pair in [(wide_lead, wide_lead), own_leads]:
+        cases += [
+            (transmittance_inf, (dimer, *lead_pair, 0.7, grid)),
+            (transmittance_n, (dimer, *lead_pair, 0.7, 3, grid)),
+            (_r_theta_values, (dimer, *lead_pair, 0.7, grid)),
+            (_diagnostic_columns, (dimer, *lead_pair, 0.7, 3, grid)),
+            (_diagnostic_columns, (dimer, *lead_pair, 0.7, None, grid)),
+        ]
+    for evaluate, args in cases:
         calls.clear()
-        evaluate()
-        assert len(calls) == 1
+        evaluate(*args)
+        assert len(calls) == 1, (evaluate.__name__, args[1])
+
+
+@pytest.mark.parametrize("n_cells", [0, -1, -3])
+def test_repetition_count_below_one_raises(dimer, wide_lead, n_cells):
+    from thouless_lab import ThermoState, convergence_study, lb_currents
+
+    with pytest.raises(DomainError):
+        transmittance_n(dimer, wide_lead, wide_lead, 0.7, n_cells, 1.0)
+    with pytest.raises(DomainError):
+        lb_currents(dimer, wide_lead, wide_lead, 0.7, n_cells, ThermoState(1.0, -1.0, 1.0, 1.0))
+    with pytest.raises(DomainError):
+        convergence_study(dimer, wide_lead, wide_lead, 0.7, np.ones_like, [n_cells, 1])
 
 
 def test_sample_green_scalar_value(free_chain):
