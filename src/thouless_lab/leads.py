@@ -157,12 +157,13 @@ def _eigendata_values(sample: SampleSpec, E: np.ndarray):
     m_r = np.empty(E.shape, dtype=complex)
     theta = np.full(E.shape, np.nan)
 
-    # in band: cos theta = tr/2, sign(theta) = sign(b); b*c < 0 there, so b, c != 0
+    # in band: cos theta = tr/2, sign(theta) = sign(b); b*c < 0 there, so b, c != 0.
+    # theta takes the same sine as m_r, so phase and eigenvectors agree at the edges.
     sign_b = np.where(b[in_band] >= 0.0, 1.0, -1.0)
-    th = sign_b * np.arccos(np.clip(tr[in_band] / 2.0, -1.0, 1.0))
+    sin_th = sign_b * np.sqrt(-disc[in_band]) / 2.0
+    th = np.arctan2(sin_th, tr[in_band] / 2.0)
     theta[in_band] = th
     alpha[in_band] = np.exp(1j * th)
-    sin_th = sign_b * np.sqrt(-disc[in_band]) / 2.0
     mr_in = ((d[in_band] - a[in_band]) / 2.0 - 1j * sin_th) / c[in_band]
     m_r[in_band] = mr_in
     m_l[in_band] = mr_in / (kS2 * np.abs(mr_in) ** 2)

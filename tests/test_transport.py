@@ -172,6 +172,26 @@ def test_repetition_count_below_one_raises(dimer, wide_lead, n_cells):
         convergence_study(dimer, wide_lead, wide_lead, 0.7, np.ones_like, [n_cells, 1])
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_tn_matches_oracle_next_to_band_edges(seed):
+    # near an edge the phase theta and the eigenvectors (from the same sine) must agree
+    from thouless_lab import transmittance_oracle
+
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(10):
+        sample, lead_l, lead_r, kappa = random_configuration(rng)
+        bands = np.asarray(band_spectrum(sample).bands)
+        inset = 1e-7 * (bands[:, 1] - bands[:, 0])
+        grid = np.concatenate([bands[:, 0] + inset, bands[:, 1] - inset])
+        for n_cells in (1, 16):
+            t_closed = transmittance_n(sample, lead_l, lead_r, kappa, n_cells, grid)
+            t_oracle = [transmittance_oracle(sample, lead_l, lead_r, kappa, n_cells, E)
+                        for E in grid]
+            worst = max(worst, float(np.max(np.abs(t_closed - t_oracle))))
+    assert worst <= 2e-11
+
+
 def test_sample_green_scalar_value(free_chain):
     g = sample_green(free_chain, 1, 0.5)
     assert g.g_ll == pytest.approx(-2.0, abs=1e-12)
