@@ -15,7 +15,6 @@ from .currents import (
     convergence_study,
     crystalline_currents,
     fermi_dirac,
-    integrate_bands,
     lb_currents,
     sign_change_energy,
     thouless_currents,
@@ -46,27 +45,22 @@ from .jacobi import (
     one_period_transfer,
     periodized_parameters,
     thouless_conductance,
-    transfer_step,
 )
 from .leads import (
-    BoundaryValue,
     CrystallineLead,
     HalfLineLead,
     LeadModel,
     TabulatedLead,
     crystal_m_functions,
-    essential_support,
     lead_F,
     lead_F_values,
     load_tabulated_csv,
 )
-from .oracle import dirichlet_sample_green, resolvent_green, transmittance_oracle
+from .oracle import resolvent_green, transmittance_oracle
 from .selfcheck import CheckResult, run_selfcheck
 from .transport import (
     TransferEigenData,
-    full_green_lr,
     r_theta_diagnostic,
-    sample_green,
     transfer_eigendata,
     transmittance_inf,
     transmittance_n,

@@ -16,7 +16,9 @@ each level halves only the panels whose two halves still disagree with
 their parent by more than their share abs_tol * width / (total width) of
 the error budget, so refinement concentrates on the sharp T_N resonances
 near band edges.  Refinement stops once the summed absolute panel
-differences of every finite component are below abs_tol.
+differences of every finite component are below abs_tol.  Where a lead's
+support edge falls inside a band, T has a square-root kink there, and the
+band is split at it.
 
 At beta = inf the occupations are exact indicators: panels are split at the
 chemical potentials, and an off-equilibrium entropy current is genuinely
@@ -34,7 +36,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, QuadratureError
 from .jacobi import BandSpectrum, SampleSpec, band_spectrum, thouless_conductance
-from .leads import LeadModel
+from .leads import CrystallineLead, HalfLineLead, LeadModel
 from .transport import transmittance_inf, transmittance_n
 
 log = logging.getLogger(__name__)
@@ -72,7 +74,8 @@ class QuadratureConfig:
     """Composite Gauss-Legendre settings for band integrals.
 
     panels_per_band is the initial number of panels per segment (a band, or
-    a part of one between chemical-potential breakpoints); panels are then
+    a part of one between breakpoints: lead support edges and zero-temperature
+    chemical potentials); panels are then
     halved locally until the error budget abs_tol is met.  edge_margin is
     the fraction of each band's width excluded at both edges; the reported
     error estimate includes a bound for the excluded mass.
@@ -183,14 +186,14 @@ def sign_change_energy(thermo: ThermoState) -> float:
 
 
 def _segments(spectrum: BandSpectrum, edge_margin: float, breakpoints) -> list[tuple[float, float]]:
-    """Band intervals shrunk by the edge margin and split at interior breakpoints."""
+    """Band intervals shrunk by the edge margin and split at distinct interior breakpoints."""
     segs: list[tuple[float, float]] = []
     for lo, hi in spectrum.bands:
         w = hi - lo
         s0, s1 = lo + edge_margin * w, hi - edge_margin * w
         if s1 <= s0:
             continue
-        cuts = [s0] + sorted(b for b in breakpoints if s0 < b < s1) + [s1]
+        cuts = [s0] + sorted({b for b in breakpoints if s0 < b < s1}) + [s1]
         segs.extend(zip(cuts[:-1], cuts[1:]))
     return segs
 
@@ -267,24 +270,6 @@ def _adaptive_panels(spectrum, integrand_vec, quad: QuadratureConfig, breakpoint
     )
 
 
-def integrate_bands(
-    spectrum: BandSpectrum,
-    integrand,
-    quad: QuadratureConfig,
-    breakpoints=(),
-) -> tuple[float, float]:
-    """Integral of a scalar integrand over the band spectrum minus edge margins.
-
-    integrand must accept an energy array and return an array of values.
-    Returns (value, error_estimate); the estimate combines the last panel
-    refinement difference with a bound on the margin-excluded mass.
-    """
-    vals, errs = _adaptive_panels(
-        spectrum, lambda E: np.asarray(integrand(E))[None, :], quad, breakpoints
-    )
-    return float(vals[0]), float(errs[0])
-
-
 def _mu_breakpoints(thermo: ThermoState) -> list[float]:
     cuts = []
     if math.isinf(thermo.beta_l):
@@ -294,8 +279,29 @@ def _mu_breakpoints(thermo: ThermoState) -> list[float]:
     return cuts
 
 
-def _current_report(T_of_E, spectrum, thermo: ThermoState, quad: QuadratureConfig) -> CurrentReport:
-    """Assemble all five current integrals for a given transmittance profile."""
+def _lead_breakpoints(sample: SampleSpec, lead_l: LeadModel, lead_r: LeadModel) -> list[float]:
+    """Support edges of the leads, where T has a square-root kink inside a band.
+
+    A half-line contributes v0 ± 2|t|, a crystalline lead the band edges of its
+    own sample; one on `sample` itself shares the band edges and adds none,
+    and neither does a tabulated lead.
+    """
+    cuts: list[float] = []
+    for lead in (lead_l, lead_r):
+        if isinstance(lead, HalfLineLead):
+            cuts += [lead.v0 - 2.0 * abs(lead.t), lead.v0 + 2.0 * abs(lead.t)]
+        elif isinstance(lead, CrystallineLead) and lead.sample != sample:
+            cuts += [E for band in band_spectrum(lead.sample).bands for E in band]
+    return cuts
+
+
+def _current_report(
+    T_of_E, spectrum, thermo: ThermoState, quad: QuadratureConfig, breakpoints=()
+) -> CurrentReport:
+    """Assemble all five current integrals for a given transmittance profile.
+
+    Panels split at `breakpoints` and at zero-temperature chemical potentials.
+    """
 
     evaluations = 0
 
@@ -308,7 +314,8 @@ def _current_report(T_of_E, spectrum, thermo: ThermoState, quad: QuadratureConfi
             ent = np.where(T == 0.0, 0.0, T * varsigma)
         return np.vstack([T * E * delta_l, T * E * delta_r, T * delta_l, T * delta_r, ent])
 
-    vals, errs = _adaptive_panels(spectrum, integrand, quad, _mu_breakpoints(thermo))
+    cuts = [*breakpoints, *_mu_breakpoints(thermo)]
+    vals, errs = _adaptive_panels(spectrum, integrand, quad, cuts)
     phi_l, phi_r, i_l, i_r, ent = (v / (2.0 * np.pi) for v in vals)
     finite_errs = errs[np.isfinite(errs)]
     error_estimate = finite_errs.max() / (2.0 * np.pi) if finite_errs.size else math.inf
@@ -352,6 +359,7 @@ def lb_currents(
         spectrum,
         thermo,
         quad,
+        _lead_breakpoints(sample, lead_l, lead_r),
     )
 
 
@@ -370,6 +378,7 @@ def crystalline_currents(
         spectrum,
         thermo,
         quad,
+        _lead_breakpoints(sample, lead_l, lead_r),
     )
 
 
@@ -438,12 +447,14 @@ def convergence_study(
     with N and the row tolerance is relaxed to at least 1e-6; rows whose
     quadrature still fails are flagged with converged=False and the study
     continues.  `weight` maps an energy array to weight values; pass its
-    discontinuities in `breakpoints`.
+    discontinuities in `breakpoints`.  The leads' support edges are added to
+    them.
     """
     n_list = [int(n) for n in n_list]
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise DomainError("n_list must be strictly increasing")
     spectrum = band_spectrum(sample)
+    breakpoints = [*breakpoints, *_lead_breakpoints(sample, lead_l, lead_r)]
     val_inf, _ = _adaptive_panels(
         spectrum,
         lambda E: (transmittance_inf(sample, lead_l, lead_r, kappa, E) * weight(E))[None, :],

@@ -232,9 +232,6 @@ class BandSpectrum:
             raise DomainError("interval must satisfy lo <= hi")
         return sum(max(0.0, min(hi, b_hi) - max(lo, b_lo)) for b_lo, b_hi in self.bands)
 
-    def contains(self, E: float) -> bool:
-        return any(lo <= E <= hi for lo, hi in self.bands)
-
     @property
     def hull(self) -> tuple[float, float]:
         return self.bands[0][0], self.bands[-1][1]

@@ -75,7 +75,6 @@ class TabulatedLead:
 
     energies: np.ndarray
     values: np.ndarray
-    note: str = ""
 
     def __post_init__(self):
         E = np.asarray(self.energies, dtype=float)
@@ -99,14 +98,6 @@ class TabulatedLead:
 
 
 LeadModel = HalfLineLead | CrystallineLead | TabulatedLead
-
-
-@dataclass(frozen=True)
-class BoundaryValue:
-    """Boundary value F(E) of a lead resolvent; Im F >= 0."""
-
-    energy: float
-    value: complex
 
 
 def _halfline_F(lead: HalfLineLead, E: np.ndarray) -> np.ndarray:
@@ -256,22 +247,9 @@ def _clamp_im(F: np.ndarray) -> np.ndarray:
     return F.real + 1j * im
 
 
-def lead_F(lead: LeadModel, E: float) -> BoundaryValue:
-    """Boundary value F(E) of a lead at a single energy."""
-    F = lead_F_values(lead, float(E))[0]
-    return BoundaryValue(float(E), complex(F))
-
-
-def essential_support(lead: LeadModel, E: float) -> bool:
-    """True iff Im F(E) exceeds the 1e-12 support threshold.
-
-    Never raises: a tabulated lead evaluated outside its grid reports False.
-    """
-    try:
-        F = lead_F_values(lead, float(E))[0]
-    except DomainError:
-        return False
-    return bool(F.imag > SUPPORT_TOL)
+def lead_F(lead: LeadModel, E: float) -> complex:
+    """Boundary value F(E) of a lead at a single energy; Im F >= 0."""
+    return complex(lead_F_values(lead, float(E))[0])
 
 
 def load_tabulated_csv(path) -> TabulatedLead:

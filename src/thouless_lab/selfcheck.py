@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .currents import QuadratureConfig, ThermoState, crystalline_currents, thouless_currents
-from .errors import SingularEnergyError
+from .errors import SampleEigenvalueError, SingularEnergyError
 from .jacobi import SampleSpec, band_spectrum, periodized_parameters, transfer_step
 from .leads import CrystallineLead, HalfLineLead, _crystal_m_values
 from .oracle import _corner_green, transmittance_oracle
@@ -110,7 +110,7 @@ def check_graph_map(
         n_cells = int(rng.integers(1, 11))
         try:
             g = sample_green(sample, n_cells, E)
-        except Exception:
+        except SampleEigenvalueError:
             continue
         kS = sample.kappa_s
         T = _transfer_product(sample, n_cells * sample.length, E)

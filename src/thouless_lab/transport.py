@@ -32,7 +32,6 @@ from .errors import (
     DomainError,
     NumericalError,
     SampleEigenvalueError,
-    SingularEnergyError,
 )
 from .jacobi import GreenMatrix2, SampleSpec
 # Not called here; kept importable because bench/tracer.py wraps this name.
@@ -181,7 +180,7 @@ def _transport_inputs(sample, lead_l, lead_r, E: np.ndarray):
 
 
 def _full_green_lr_values(sample, kappa, n_cells, ed, F_l, F_r):
-    """Off-diagonal full Green value, vectorized; returns (g_lr, denom, scale).
+    """Off-diagonal element G_lr^(N) of the coupled-system Green matrix, vectorized.
 
     Dressed eigenvector components per the coupling to the reservoirs:
 
@@ -206,38 +205,13 @@ def _full_green_lr_values(sample, kappa, n_cells, ed, F_l, F_r):
         pht_p = phi_p + eta2 * kS * psi_p * F_r
         pht_m = phi_m + eta2 * kS * psi_m * F_r
         z = a_neg * a_neg
+        # B is named on purpose: in z * (pht_m * pst_p) numpy reuses a large
+        # temporary in place as (pht_m * pst_p) * z, and complex products are
+        # not bitwise commutative, so T would move in the last bit
         A = pht_p * pst_m
         B = pht_m * pst_p
-        denom = A - z * B
         W = phi_p * psi_m - phi_m * psi_p
-        g_lr = -(1.0 / kS) * W * a_neg / denom
-        scale = np.abs(A) + np.abs(B)
-    return g_lr, denom, scale
-
-
-def full_green_lr(
-    sample: SampleSpec,
-    lead_l: LeadModel,
-    lead_r: LeadModel,
-    kappa: float,
-    n_cells: int,
-    E: float,
-) -> complex:
-    """Off-diagonal element G_lr^(N)(E) of the coupled-system Green matrix.
-
-    Raises SingularEnergyError when the dressed denominator vanishes beyond
-    tolerance (an a.e.-measure-zero set, skipped by quadrature grids).
-    """
-    if n_cells < 1:
-        raise DomainError("n_cells must be a positive integer")
-    if kappa == 0.0:
-        raise DomainError("coupling kappa must be nonzero")
-    E_arr = np.asarray([float(E)])
-    ed, F_l, F_r = _transport_inputs(sample, lead_l, lead_r, E_arr)
-    g_lr, denom, scale = _full_green_lr_values(sample, kappa, n_cells, ed, F_l, F_r)
-    if not np.isfinite(g_lr[0]) or abs(denom[0]) <= 1e-12 * max(scale[0], 1e-300):
-        raise SingularEnergyError(f"full Green denominator vanished at E={E}")
-    return complex(g_lr[0])
+        return -(1.0 / kS) * W * a_neg / (A - z * B)
 
 
 def _clamp_unit(T: np.ndarray, what: str) -> np.ndarray:
@@ -254,7 +228,7 @@ def _clamp_unit(T: np.ndarray, what: str) -> np.ndarray:
 
 def _tn_values(sample, kappa, n_cells, ed, F_l, F_r) -> np.ndarray:
     """T_N on the whole array; 0 off the leads' common support and where singular."""
-    g_lr, _, _ = _full_green_lr_values(sample, kappa, n_cells, ed, F_l, F_r)
+    g_lr = _full_green_lr_values(sample, kappa, n_cells, ed, F_l, F_r)
     with np.errstate(invalid="ignore", over="ignore"):
         vals = 4.0 * kappa**4 * np.abs(g_lr) ** 2 * F_l.imag * F_r.imag
     live = (F_l.imag > SUPPORT_TOL) & (F_r.imag > SUPPORT_TOL)

@@ -15,7 +15,6 @@ from thouless_lab import (
     convergence_study,
     crystalline_currents,
     fermi_dirac,
-    integrate_bands,
     lb_currents,
     sign_change_energy,
     thouless_conductance,
@@ -23,6 +22,7 @@ from thouless_lab import (
     weights,
     zero_temperature_conductance,
 )
+from thouless_lab.currents import _adaptive_panels
 from thouless_lab.selfcheck import random_configuration
 
 SQRT2 = np.sqrt(2.0)
@@ -100,21 +100,21 @@ def test_weights_infinite_beta_entropy():
 def test_integrate_bands_constant(free_chain):
     spectrum = band_spectrum(free_chain)
     quad = QuadratureConfig(edge_margin=1e-3)
-    value, err = integrate_bands(spectrum, lambda E: np.ones_like(E), quad)
+    (value,), (err,) = _adaptive_panels(spectrum, lambda E: np.ones_like(E), quad)
     assert value == pytest.approx(4.0 * (1.0 - 2.0 * quad.edge_margin), abs=quad.abs_tol)
     assert err >= abs(value - 4.0 * (1.0 - 2.0 * quad.edge_margin))
 
 
 def test_integrate_bands_odd_function(free_chain):
     spectrum = band_spectrum(free_chain)
-    value, _ = integrate_bands(spectrum, lambda E: E, QuadratureConfig())
+    (value,), _ = _adaptive_panels(spectrum, lambda E: E, QuadratureConfig())
     assert value == pytest.approx(0.0, abs=1e-8)
 
 
 def test_integrate_bands_indicator_measures_thouless(dimer):
     spectrum = band_spectrum(dimer)
     lo, hi = -1.0, 1.2
-    value, _ = integrate_bands(
+    (value,), _ = _adaptive_panels(
         spectrum,
         lambda E: ((E >= lo) & (E <= hi)).astype(float),
         QuadratureConfig(edge_margin=1e-6),
@@ -124,11 +124,27 @@ def test_integrate_bands_indicator_measures_thouless(dimer):
     assert value == pytest.approx(expected, abs=1e-4)
 
 
+def test_repeated_breakpoint_splits_once(free_chain):
+    # the same lead on both sides repeats its support edges as breakpoints
+    spectrum = band_spectrum(free_chain)
+    results = []
+    for cuts in [(0.3,), (0.3, 0.3)]:
+        sizes = []
+
+        def integrand(E):
+            sizes.append(E.size)
+            return np.sqrt(np.abs(E - 0.3))
+
+        (value,), _ = _adaptive_panels(spectrum, integrand, QuadratureConfig(), cuts)
+        results.append((value, sum(sizes)))
+    assert results[0] == results[1]
+
+
 def test_integrate_bands_failure_carries_partial(free_chain):
     spectrum = band_spectrum(free_chain)
     quad = QuadratureConfig(panels_per_band=1, points_per_panel=2, abs_tol=1e-12)
     with pytest.raises(QuadratureError) as exc_info:
-        integrate_bands(spectrum, lambda E: np.sin(3.0e5 * E + 0.7), quad)
+        _adaptive_panels(spectrum, lambda E: np.sin(3.0e5 * E + 0.7), quad)
     assert exc_info.value.value is not None
 
 
@@ -143,7 +159,7 @@ def test_integrate_bands_narrow_lorentzian_refines_locally(free_chain):
         sizes.append(E.size)
         return gamma / ((E - e0) ** 2 + gamma**2)
 
-    value, err = integrate_bands(band_spectrum(free_chain), lorentzian, quad)
+    (value,), (err,) = _adaptive_panels(band_spectrum(free_chain), lorentzian, quad)
     exact = math.atan((s1 - e0) / gamma) - math.atan((s0 - e0) / gamma)
     assert value == pytest.approx(exact, abs=quad.abs_tol)
     assert err >= abs(value - exact)
@@ -184,6 +200,27 @@ def test_lb_n64_converges_with_local_refinement():
     assert rep.entropy_balance_residual <= 3 * quad.abs_tol
     assert rep.entropy_j >= -quad.abs_tol
     assert math.isfinite(rep.error_estimate)
+
+
+@pytest.mark.parametrize("n_cells", [None, 4], ids=["crystalline", "finite_N4"])
+def test_lead_support_edges_inside_a_band_are_breakpoints(n_cells):
+    # the L=1 sample's band [-2.118, 2.142] holds all three bands of the left
+    # lead's sample, so T has square-root kinks at their edges inside it
+    sample = SampleSpec((), (0.01206,), 1.0651)
+    lead_sample = SampleSpec((0.7520, 0.5952), (-0.7737, -0.4388, 0.1850), 0.8432)
+    lead_l, lead_r = CrystallineLead(lead_sample, "l"), HalfLineLead(1.5, -0.2)
+    thermo = ThermoState(2.0, -0.5, 3.0, 0.5)
+
+    def report(quad):
+        if n_cells is None:
+            return crystalline_currents(sample, lead_l, lead_r, 0.8, thermo, quad)
+        return lb_currents(sample, lead_l, lead_r, 0.8, n_cells, thermo, quad)
+
+    quad = QuadratureConfig()
+    rep = report(quad)
+    ref = report(QuadratureConfig(abs_tol=1e-11, points_per_panel=24, panels_per_band=64))
+    assert rep.i_l == pytest.approx(ref.i_l, abs=quad.abs_tol)
+    assert max(rep.conservation_residuals) <= 2.0 * quad.abs_tol
 
 
 def test_lb_equilibrium_all_zero(free_chain, free_lead):
@@ -349,7 +386,7 @@ def test_convergence_rows_match_series_oracle(free_chain, free_lead):
         return np.where(live, t_inf * series * weight(E), 0.0)
 
     for row in rows:
-        oracle, _ = integrate_bands(
+        (oracle,), _ = _adaptive_panels(
             spectrum,
             lambda E: series_integrand(E, row.n_cells),
             QuadratureConfig(abs_tol=1e-8, panels_per_band=8 + 2 * row.n_cells),

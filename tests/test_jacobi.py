@@ -10,8 +10,8 @@ from thouless_lab import (
     one_period_transfer,
     periodized_parameters,
     thouless_conductance,
-    transfer_step,
 )
+from thouless_lab.jacobi import transfer_step
 from thouless_lab.selfcheck import random_sample
 
 

@@ -10,11 +10,11 @@ from thouless_lab import (
     TabulatedLead,
     band_spectrum,
     crystal_m_functions,
-    essential_support,
     lead_F,
     lead_F_values,
     load_tabulated_csv,
 )
+from thouless_lab.leads import SUPPORT_TOL
 from thouless_lab.selfcheck import band_interior_grid, random_sample
 
 
@@ -24,18 +24,16 @@ def test_halfline_validation():
 
 
 def test_halfline_in_band_value(free_lead):
-    bv = lead_F(free_lead, 0.0)
-    assert bv.value == pytest.approx(1j, abs=1e-15)
-    assert bv.energy == 0.0
+    assert lead_F(free_lead, 0.0) == pytest.approx(1j, abs=1e-15)
 
 
 def test_halfline_outside_band_real_decaying(free_lead):
-    bv = lead_F(free_lead, 3.0)
-    assert bv.value.imag == 0.0
-    assert bv.value.real == pytest.approx((-3.0 + np.sqrt(5.0)) / 2.0, abs=1e-14)
+    F = lead_F(free_lead, 3.0)
+    assert F.imag == 0.0
+    assert F.real == pytest.approx((-3.0 + np.sqrt(5.0)) / 2.0, abs=1e-14)
     # decaying: |t m| < 1
-    assert abs(bv.value) < 1.0
-    below = lead_F(free_lead, -3.0).value
+    assert abs(F) < 1.0
+    below = lead_F(free_lead, -3.0)
     assert below.imag == 0.0 and abs(below) < 1.0
 
 
@@ -51,19 +49,18 @@ def test_halfline_resolvent_asymptotics():
     # F(E) ~ -1/E far outside the band
     lead = HalfLineLead(t=0.8, v0=0.2)
     for E in (50.0, -50.0):
-        assert lead_F(lead, E).value.real == pytest.approx(-1.0 / (E - lead.v0), rel=1e-2)
+        assert lead_F(lead, E).real == pytest.approx(-1.0 / (E - lead.v0), rel=1e-2)
 
 
 def test_essential_support_halfline(free_lead):
-    assert essential_support(free_lead, 0.0) is True
-    assert essential_support(free_lead, 3.0) is False
-    assert essential_support(free_lead, 1.999) is True
+    support = lead_F_values(free_lead, [0.0, 3.0, 1.999]).imag > SUPPORT_TOL
+    assert support.tolist() == [True, False, True]
 
 
 def test_essential_support_crystalline_gap(dimer):
     lead = CrystallineLead(dimer, "r")
-    assert essential_support(lead, 0.0) is False  # mid-gap
-    assert essential_support(lead, 1.0) is True  # mid-band
+    support = lead_F_values(lead, [0.0, 1.0]).imag > SUPPORT_TOL
+    assert support.tolist() == [False, True]  # mid-gap, mid-band
 
 
 def test_crystal_m_functions_free_chain(free_chain):
@@ -131,8 +128,8 @@ def test_tabulated_node_exactness_and_interp():
     vals = np.array([0.1 + 0.5j, -0.2 + 1.0j, 0.0 + 0.8j, 0.3 + 0.1j])
     lead = TabulatedLead(grid, vals)
     for E, v in zip(grid, vals):
-        assert lead_F(lead, float(E)).value == pytest.approx(v, abs=1e-15)
-    mid = lead_F(lead, 0.5).value
+        assert lead_F(lead, float(E)) == pytest.approx(v, abs=1e-15)
+    mid = lead_F(lead, 0.5)
     assert mid == pytest.approx(0.5 * (vals[1] + vals[2]), abs=1e-15)
 
 
@@ -141,7 +138,6 @@ def test_tabulated_extrapolation_rejected():
     lead = TabulatedLead(np.array([0.0, 1.0]), np.array([1j, 1j]))
     with pytest.raises(DomainError):
         lead_F(lead, 2.0)
-    assert essential_support(lead, 2.0) is False  # support query never raises
 
 
 def test_tabulated_validation():
@@ -172,7 +168,7 @@ def test_load_tabulated_csv(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     lead = load_tabulated_csv(path)
     assert lead.energies.size == 201
-    assert lead_F(lead, 0.0).value == pytest.approx(1j, abs=1e-12)
+    assert lead_F(lead, 0.0) == pytest.approx(1j, abs=1e-12)
 
 
 def test_load_tabulated_csv_errors(tmp_path):
