@@ -99,9 +99,11 @@ class QuadratureConfig:
 class CurrentReport:
     """Steady currents with conservation and entropy-balance residuals.
 
-    conservation_residuals = (|phi_l + phi_r|, |i_l + i_r|); the entropy
-    balance residual is nan when either beta is infinite (the balance
-    identity involves beta * (phi - mu i), ill-defined there).
+    conservation_residuals = (|phi_l + phi_r|, |i_l + i_r|), zero by
+    construction: Delta_r = -Delta_l, so the right currents are the exact
+    negations of the left ones.  The entropy balance residual is nan when
+    either beta is infinite (the balance identity involves
+    beta * (phi - mu i), ill-defined there).
     error_estimate is the largest quadrature error estimate among the finite
     currents (in the currents' units, margin bound included; inf if none is
     finite), and evaluations the number of integrand energies used.
@@ -309,14 +311,17 @@ def _current_report(
         nonlocal evaluations
         evaluations += E.size
         T = T_of_E(E)
-        _, _, delta_l, delta_r, varsigma = weights(thermo, E)
+        _, _, delta_l, _, varsigma = weights(thermo, E)
         with np.errstate(invalid="ignore"):
             ent = np.where(T == 0.0, 0.0, T * varsigma)
-        return np.vstack([T * E * delta_l, T * E * delta_r, T * delta_l, T * delta_r, ent])
+        return np.vstack([T * E * delta_l, T * delta_l, ent])
 
     cuts = [*breakpoints, *_mu_breakpoints(thermo)]
     vals, errs = _adaptive_panels(spectrum, integrand, quad, cuts)
-    phi_l, phi_r, i_l, i_r, ent = (v / (2.0 * np.pi) for v in vals)
+    phi_l, i_l, ent = (v / (2.0 * np.pi) for v in vals)
+    # Delta_r = -Delta_l exactly, so the right currents are exact negations;
+    # 0.0 - x keeps +0.0 at equilibrium where -x would give -0.0
+    phi_r, i_r = 0.0 - phi_l, 0.0 - i_l
     finite_errs = errs[np.isfinite(errs)]
     error_estimate = finite_errs.max() / (2.0 * np.pi) if finite_errs.size else math.inf
 

@@ -11,13 +11,14 @@ absolutely continuous spectrum.  Three lead families are supported:
   onsite v0, Dirichlet boundary; F solves t^2 F^2 + (E - v0) F + 1 = 0.
 * ``TabulatedLead`` -- linear interpolation of user-supplied boundary data.
 
-``_eigendata_values`` is the one source of one-period transfer eigendata:
-from a single evaluation of T_L(E) it returns the m-functions together with
-the eigenvalues and eigenvectors that ``transport`` builds on.  Inside the
-bands the Herglotz root m_r is computed first and the eigenvectors follow
-from it, kappa_s psi_+ = -1/m_r and psi_- = conj(psi_+) = -kappa_s m_l.
-``transport`` reads the F of a ``CrystallineLead`` on its own sample from that
-data, through ``_clamp_im``, the Im-floor clamp of ``lead_F_values``.
+``_eigendata_values`` is the one source of one-period transfer data: from a
+single evaluation of T_L(E) it returns the entries of T_L, the eigenvalue
+and in-band phase, and the m-functions that ``transport`` builds on.  Inside
+the bands the Herglotz root m_r is computed first and m_l follows from it,
+m_l = 1/(kappa_s^2 conj(m_r)); outside them both are read from the real
+eigenvectors.  ``transport`` reads the F of a ``CrystallineLead`` on its own
+sample from that data, through ``_clamp_im``, the Im-floor clamp of
+``lead_F_values``.
 """
 
 from __future__ import annotations
@@ -120,17 +121,15 @@ def _halfline_F(lead: HalfLineLead, E: np.ndarray) -> np.ndarray:
 def _eigendata_values(sample: SampleSpec, E: np.ndarray):
     """Vectorized transfer eigendata and Weyl m-functions, one T_L(E) evaluation.
 
-    Returns a dict of arrays: a, b, c, d (entries of T_L), alpha, phi_p,
-    phi_m, kpsi_p, kpsi_m (the second eigenvector components kappa_s psi_±),
-    m_l, m_r, theta (nan off band), in_band, edge (within the band-edge
-    exclusion zone).  No errors are raised; callers decide how to treat
-    flagged entries.
+    Returns a dict of arrays: a, b, c, d (entries of T_L), alpha (the
+    eigenvalue e^{i theta} in band, the growing real one off band), m_l, m_r,
+    theta (nan off band), in_band, edge (within the band-edge exclusion
+    zone).  No errors are raised; callers decide how to treat flagged entries.
 
-    Inside the bands m_r is the root with Im > 0 of c z^2 + (a - d) z - b,
-    m_l = 1/(kappa_s^2 conj(m_r)), and the eigenvectors follow from it:
-    kappa_s psi_+ = -1/m_r, kappa_s psi_- = conj(kappa_s psi_+), phi_± = 1.
-    Outside the bands (or exactly at an edge) the eigenvectors are real, and
-    m_r is read from the decaying one, m_l from the growing one.
+    Inside the bands m_r is the root with Im > 0 of c z^2 + (a - d) z - b and
+    m_l = 1/(kappa_s^2 conj(m_r)).  Outside the bands (or exactly at an edge)
+    the eigenvectors (phi, kappa_s psi) are real, and m_r = -phi/(kappa_s psi)
+    is read from the decaying one, m_l from the growing one.
     """
     a, b, c, d = _one_period_abcd(sample, E)
     tr = a + d
@@ -140,16 +139,12 @@ def _eigendata_values(sample: SampleSpec, E: np.ndarray):
     kS2 = sample.kappa_s**2
 
     alpha = np.empty(E.shape, dtype=complex)
-    phi_p = np.ones(E.shape, dtype=complex)
-    phi_m = np.ones(E.shape, dtype=complex)
-    kpsi_p = np.empty(E.shape, dtype=complex)
-    kpsi_m = np.empty(E.shape, dtype=complex)
     m_l = np.empty(E.shape, dtype=complex)
     m_r = np.empty(E.shape, dtype=complex)
     theta = np.full(E.shape, np.nan)
 
     # in band: cos theta = tr/2, sign(theta) = sign(b); b*c < 0 there, so b, c != 0.
-    # theta takes the same sine as m_r, so phase and eigenvectors agree at the edges.
+    # theta takes the same sine as m_r, so phase and m-functions agree at the edges.
     sign_b = np.where(b[in_band] >= 0.0, 1.0, -1.0)
     sin_th = sign_b * np.sqrt(-disc[in_band]) / 2.0
     th = np.arctan2(sin_th, tr[in_band] / 2.0)
@@ -158,22 +153,15 @@ def _eigendata_values(sample: SampleSpec, E: np.ndarray):
     mr_in = ((d[in_band] - a[in_band]) / 2.0 - 1j * sin_th) / c[in_band]
     m_r[in_band] = mr_in
     m_l[in_band] = mr_in / (kS2 * np.abs(mr_in) ** 2)
-    kpsi_p[in_band] = -1.0 / mr_in
-    kpsi_m[in_band] = np.conj(kpsi_p[in_band])
 
     off = ~in_band
     if np.any(off):
         ao, bo, co, do, tro = a[off], b[off], c[off], d[off], tr[off]
         sq = np.sqrt(np.maximum(disc[off], 0.0))
         al = (tro + np.sign(tro) * sq) / 2.0  # growing eigenvalue, |alpha| >= 1
-        # real eigenvectors (phi, kappa_s psi), any normalization
         ph_p, w_p = _real_eigvec2(ao, bo, co, do, al)
         ph_m, w_m = _real_eigvec2(ao, bo, co, do, 1.0 / al)
         alpha[off] = al
-        phi_p[off] = ph_p
-        phi_m[off] = ph_m
-        kpsi_p[off] = w_p
-        kpsi_m[off] = w_m
         # the quadratic root of eigenvector (phi, w) is -phi/w: the decaying
         # one gives m_r, the growing one 1/(kappa_s^2 m_l)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -185,10 +173,6 @@ def _eigendata_values(sample: SampleSpec, E: np.ndarray):
         "c": c,
         "d": d,
         "alpha": alpha,
-        "phi_p": phi_p,
-        "phi_m": phi_m,
-        "kpsi_p": kpsi_p,
-        "kpsi_m": kpsi_m,
         "m_l": m_l,
         "m_r": m_r,
         "theta": theta,

@@ -1,22 +1,22 @@
 """Closed-form transmittances of N-fold repeated samples and their crystalline limit.
 
-Everything is driven by the eigendata of the one-period transfer matrix
-T_L(E), computed once per energy array by ``leads._eigendata_values``
-together with the Weyl m-functions of the periodized half-lines.  Inside a
-band T_L has unimodular eigenvalues e^{±i theta} with cos theta = tr T_L / 2
-and sign(theta) = sign(b); the normalized eigenvectors (1, kappa_s psi_±)
-are taken from the m-functions,
+Everything is driven by one-period transfer data T_L(E) = [[a, b], [c, d]],
+computed once per energy array by ``leads._eigendata_values`` together with
+the Weyl m-functions of the periodized half-lines.  The N-cell sample enters
+through the Cayley-Hamilton power
 
-    psi_+ = -1 / (kappa_s m_r),      psi_- = -kappa_s m_l = conj(psi_+),
+    T_L^N = U_{N-1}(x) T_L - U_{N-2}(x) I,      x = tr T_L / 2,
 
-so T_N and T_infty share one in-band root selection.  Outside the bands the
-eigenvalues are real with |alpha| > 1 and the eigenvectors real.  The 2x2
-Green matrices of the N-cell sample, the coupled system's off-diagonal Green
-value, the transmittances T_N and T_infty, and the (r, vartheta) oscillation
-diagnostics are all evaluated from this data, taken once per energy array; a
-crystalline lead on the sample itself reads its F from the sample's m_l or
-m_r.  Large-N powers use e^{±iN theta} in band and log-domain magnitudes off
-band, never raw matrix powers.
+with the Chebyshev polynomials of the second kind U_k supplied by
+``_chebyshev_factors``: inside a band from the folded angle
+theta_f = arccos|x| in [0, pi/2], outside from the growing eigenvalue alpha,
+scaled by alpha^{-(N-1)} so nothing overflows.  The formula has no 0/0 at
+tr T_L = ±2, where T_L is a Jordan block, and raw matrix powers are never
+formed.  The Dirichlet sample's 2x2 Green matrix and the coupled system's
+end-to-end Green value, hence T_N, are read from the entries of T_L^N.
+T_infty and the (r, vartheta) oscillation diagnostics are read from the
+m-functions; a crystalline lead on the sample itself reads its F from the
+sample's m_l or m_r.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .errors import (
     NumericalError,
     SampleEigenvalueError,
 )
-from .jacobi import GreenMatrix2, SampleSpec
+from .jacobi import GreenMatrix2, SampleSpec, _real_eigvec2
 # Not called here; kept importable because bench/tracer.py wraps this name.
 from .jacobi import _one_period_abcd  # noqa: F401
 from .leads import EDGE_TOL, SUPPORT_TOL, CrystallineLead, LeadModel, lead_F_values
@@ -52,9 +52,9 @@ class TransferEigenData:
     """Eigenvalue and eigenvector data of T_L(E) under the in/out-of-band conventions.
 
     The stored psi values have the kappa_s factor stripped: the eigenvector
-    for alpha^{±1} is (phi_±, kappa_s psi_±).  In band, alpha = e^{i theta}
-    and psi_- = conj(psi_+); off band alpha is real with |alpha| > 1 and
-    all components are real (theta is None there).
+    for alpha^{±1} is (phi_±, kappa_s psi_±).  In band, alpha = e^{i theta},
+    phi_± = 1, kappa_s psi_+ = -1/m_r and psi_- = conj(psi_+); off band alpha
+    is real with |alpha| > 1 and all components are real (theta is None there).
     """
 
     energy: float
@@ -81,84 +81,102 @@ def transfer_eigendata(sample: SampleSpec, E: float) -> TransferEigenData:
         raise BandEdgeError(
             f"transfer eigendata at E={E}: |tr T_L| within {EDGE_TOL} of 2"
         )
-    if ed["in_band"][0] and abs(ed["b"][0]) < 1e-12:
+    in_band = bool(ed["in_band"][0])
+    if in_band and abs(ed["b"][0]) < 1e-12:
         raise DegeneratePivotError(f"b(E) degenerate inside a band at E={E}")
     kS = sample.kappa_s
-    in_band = bool(ed["in_band"][0])
+    alpha = complex(ed["alpha"][0])
+    if in_band:
+        phi_p = phi_m = 1.0
+        kpsi_p = complex(-1.0 / ed["m_r"][0])
+        kpsi_m = kpsi_p.conjugate()
+    else:
+        a, b, c, d = (ed[k] for k in "abcd")
+        (phi_p,), (kpsi_p,) = _real_eigvec2(a, b, c, d, alpha.real)
+        (phi_m,), (kpsi_m,) = _real_eigvec2(a, b, c, d, 1.0 / alpha.real)
     return TransferEigenData(
         energy=float(E),
-        alpha=complex(ed["alpha"][0]),
-        phi_plus=complex(ed["phi_p"][0]),
-        phi_minus=complex(ed["phi_m"][0]),
-        psi_plus=complex(ed["kpsi_p"][0]) / kS,
-        psi_minus=complex(ed["kpsi_m"][0]) / kS,
+        alpha=alpha,
+        phi_plus=complex(phi_p),
+        phi_minus=complex(phi_m),
+        psi_plus=complex(kpsi_p) / kS,
+        psi_minus=complex(kpsi_m) / kS,
         theta=float(ed["theta"][0]) if in_band else None,
         in_band=in_band,
     )
 
 
-def _alpha_neg_pow(ed, n_cells: int) -> np.ndarray:
-    """alpha^{-N} elementwise: e^{-iN theta} in band, log-domain off band (may underflow to 0)."""
+def _chebyshev_factors(ed, n_cells: int):
+    """(p, q, w) with w T_L^N = p T_L - q I, elementwise over the eigendata.
+
+    In band w = 1, p = U_{N-1}(x) and q = U_{N-2}(x), x = tr/2.  They are
+    taken at the folded angle theta_f = atan2(sqrt(1 - x^2), |x|) in
+    [0, pi/2], with U_k(-x) = (-1)^k U_k(x): p = sin(N theta_f) / sin(theta_f)
+    and q = p cos(theta_f) - cos(N theta_f), from the one phase N theta_f mod 2 pi.
+    The fold keeps theta_f's relative precision where theta is near ±pi, and
+    N = 1 gives p = 1 and q = 0 exactly.  Off band, and at tr = ±2 exactly,
+    w = alpha^{-(N-1)} may underflow to 0; with gamma = log|alpha|,
+    p = expm1(-2N gamma) / expm1(-2 gamma) and
+    q = expm1(-2(N-1) gamma) / (alpha expm1(-2 gamma)), which are N and
+    (N-1)/alpha at gamma = 0.
+    """
     in_band = ed["in_band"]
-    a_neg = np.empty(in_band.shape, dtype=complex)
-    a_neg[in_band] = np.exp(-1j * np.mod(n_cells * ed["theta"][in_band], 2.0 * np.pi))
+    p = np.empty(in_band.shape)
+    q = np.empty(in_band.shape)
+    w = np.ones(in_band.shape)
+
+    half_tr = (ed["a"][in_band] + ed["d"][in_band]) / 2.0
+    th = np.arctan2(np.sqrt(1.0 - half_tr * half_tr), np.abs(half_tr))
+    ph = np.mod(n_cells * th, 2.0 * np.pi)
+    u1 = np.sin(ph) / np.sin(th)
+    u2 = u1 * np.cos(th) - np.cos(ph)
+    sign = np.where(half_tr < 0.0, -1.0, 1.0)
+    p[in_band] = sign ** ((n_cells - 1) % 2) * u1
+    q[in_band] = sign ** (n_cells % 2) * u2
+
     off = ~in_band
     if np.any(off):
         al = ed["alpha"][off].real
-        sign = np.where(al >= 0.0, 1.0, -1.0) ** (n_cells % 2)
-        log_mag = n_cells * np.log(np.abs(al))
-        a_neg[off] = sign * np.exp(-log_mag)
-    return a_neg
-
-
-def _sample_green_values(sample: SampleSpec, n_cells: int, E: np.ndarray):
-    """Closed-form entries of G_S^(N) plus the scaled denominator, vectorized.
-
-    Uses the alpha^{-N}-normalized form so nothing overflows: with
-    z = alpha^{-2N}, A = phi_+ psi_-, B = phi_- psi_+,
-
-        G_ll = -(1/kappa_s) phi_+ phi_- (1 - z) / (A - z B)
-        G_lr = -(1/kappa_s) (A - B) alpha^{-N} / (A - z B)
-        G_rr = -(1/kappa_s) psi_+ psi_- (1 - z) / (A - z B).
-    """
-    ed = _eigendata_values(sample, E)
-    kS = sample.kappa_s
-    kpsi_p, kpsi_m = ed["kpsi_p"], ed["kpsi_m"]
-    phi_p, phi_m = ed["phi_p"], ed["phi_m"]
-    psi_p, psi_m = kpsi_p / kS, kpsi_m / kS
-    a_neg = _alpha_neg_pow(ed, n_cells)
-    z = a_neg * a_neg
-    A = phi_p * psi_m
-    B = phi_m * psi_p
-    denom = A - z * B
-    W = A - B
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g_ll = -(1.0 / kS) * phi_p * phi_m * (1.0 - z) / denom
-        g_lr = -(1.0 / kS) * W * a_neg / denom
-        g_rr = -(1.0 / kS) * psi_p * psi_m * (1.0 - z) / denom
-    scale = np.abs(A) + np.abs(B)
-    return g_ll, g_lr, g_rr, denom, scale
+        gamma = np.log(np.abs(al))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            den = np.expm1(-2.0 * gamma)
+            at_edge = gamma == 0.0
+            p[off] = np.where(at_edge, n_cells, np.expm1(-2.0 * n_cells * gamma) / den)
+            q[off] = np.where(
+                at_edge, n_cells - 1, np.expm1(-2.0 * (n_cells - 1) * gamma) / den
+            ) / al
+        sign = np.where(al < 0.0, -1.0, 1.0)
+        w[off] = sign ** ((n_cells - 1) % 2) * np.exp(-(n_cells - 1) * gamma)
+    return p, q, w
 
 
 def sample_green(sample: SampleSpec, n_cells: int, E: float) -> GreenMatrix2:
     """2x2 Green matrix of the decoupled (Dirichlet) N-cell sample at energy E.
 
+    With w T_L^N = [[A, B], [C, D]] from `_chebyshev_factors`,
+
+        G_ll = B/A,   G_lr = G_rl = -w/(kappa_s A),   G_rr = -C/(kappa_s^2 A).
+
     Raises SampleEigenvalueError when E sits at an eigenvalue of the N-cell
-    sample, where the resolvent has a pole.
+    sample, where A vanishes and the resolvent has a pole.
     """
     if n_cells < 1:
         raise DomainError("n_cells must be a positive integer")
-    E_arr = np.asarray([float(E)])
-    g_ll, g_lr, g_rr, denom, scale = _sample_green_values(sample, n_cells, E_arr)
-    if abs(denom[0]) <= 1e-12 * max(scale[0], 1e-300):
+    ed = _eigendata_values(sample, np.asarray([float(E)]))
+    p, q, w = (float(v[0]) for v in _chebyshev_factors(ed, n_cells))
+    a, b, c = (float(ed[k][0]) for k in "abc")
+    A = p * a - q
+    if abs(A) <= 1e-12 * (abs(p) * (abs(a) + abs(b)) + abs(q)):
         raise SampleEigenvalueError(
-            f"E={E} is an eigenvalue of the {n_cells}-cell sample (D_N ~ 0)"
+            f"E={E} is an eigenvalue of the {n_cells}-cell sample (A ~ 0)"
         )
+    kS = sample.kappa_s
+    g_lr = complex(-w / (kS * A))
     return GreenMatrix2(
-        g_ll=complex(g_ll[0]),
-        g_lr=complex(g_lr[0]),
-        g_rl=complex(g_lr[0]),
-        g_rr=complex(g_rr[0]),
+        g_ll=complex(p * b / A),
+        g_lr=g_lr,
+        g_rl=g_lr,
+        g_rr=complex(-(p * c) / (kS * kS * A)),
         energy=float(E),
         n_cells=n_cells,
     )
@@ -182,36 +200,23 @@ def _transport_inputs(sample, lead_l, lead_r, E: np.ndarray):
 def _full_green_lr_values(sample, kappa, n_cells, ed, F_l, F_r):
     """Off-diagonal element G_lr^(N) of the coupled-system Green matrix, vectorized.
 
-    Dressed eigenvector components per the coupling to the reservoirs:
+    With f = kappa^2 F and w T_L^N = [[A, B], [C, D]] from `_chebyshev_factors`,
 
-        psi~_± = psi_± + eta^2 kappa_s phi_± F_l
-        phi~_± = phi_± + eta^2 kappa_s psi_± F_r,   eta = kappa / kappa_s,
-
-    and, normalized by alpha^{-N} against overflow,
-
-        G_lr = -(1/kappa_s) (phi_+ psi_- - phi_- psi_+) alpha^{-N}
-               / (phi~_+ psi~_- - alpha^{-2N} phi~_- psi~_+).
+        G_lr = -kappa_s w / (kappa_s^2 (A - f_l B) + f_r (C - f_l D)).
 
     Non-finite F (off the leads' support) gives non-finite entries, silently.
     """
     kS = sample.kappa_s
-    eta2 = (kappa / kS) ** 2
-    psi_p, psi_m = ed["kpsi_p"] / kS, ed["kpsi_m"] / kS
-    phi_p, phi_m = ed["phi_p"], ed["phi_m"]
-    a_neg = _alpha_neg_pow(ed, n_cells)
+    p, q, w = _chebyshev_factors(ed, n_cells)
+    A, B = p * ed["a"] - q, p * ed["b"]
+    C, D = p * ed["c"], p * ed["d"] - q
+    f_l, f_r = kappa**2 * F_l, kappa**2 * F_r
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        pst_p = psi_p + eta2 * kS * phi_p * F_l
-        pst_m = psi_m + eta2 * kS * phi_m * F_l
-        pht_p = phi_p + eta2 * kS * psi_p * F_r
-        pht_m = phi_m + eta2 * kS * psi_m * F_r
-        z = a_neg * a_neg
-        # B is named on purpose: in z * (pht_m * pst_p) numpy reuses a large
-        # temporary in place as (pht_m * pst_p) * z, and complex products are
-        # not bitwise commutative, so T would move in the last bit
-        A = pht_p * pst_m
-        B = pht_m * pst_p
-        W = phi_p * psi_m - phi_m * psi_p
-        return -(1.0 / kS) * W * a_neg / (A - z * B)
+        # the temporary comes first in each complex product: numpy may reuse a
+        # large temporary in place, and complex products are not bitwise
+        # commutative, so T would move in the last bit with the array size
+        den = kS**2 * (A - f_l * B) + (C - f_l * D) * f_r
+        return -kS * w / den
 
 
 def _clamp_unit(T: np.ndarray, what: str) -> np.ndarray:

@@ -72,7 +72,7 @@ LEAD_CASES = {
 }
 
 
-MODES = {"N3": ["--N", "3"], "inf": ["--inf"]}
+MODES = {"N3": ["--N", "3"], "N1000000": ["--N", "1000000"], "inf": ["--inf"]}
 # the half-line --N 3 cases keep their original ids, "csv" and "json"
 DIAGNOSTIC_CASES = [
     pytest.param(fmt, leads, mode, id=fmt if (leads, mode) == ("half_line", "N3")
@@ -102,9 +102,25 @@ def test_transmit_diagnostics_bytes_across_chunks(tmp_path, fmt, leads, mode):
     if mode == "inf":
         T = transmittance_inf(DIMER, lead_l, lead_r, 0.7, grid)
     else:
-        T = transmittance_n(DIMER, lead_l, lead_r, 0.7, 3, grid)
+        T = transmittance_n(DIMER, lead_l, lead_r, 0.7, int(MODES[mode][1]), grid)
     r, _, theta, _ = _r_theta_values(DIMER, lead_l, lead_r, 0.7, grid)
     assert np.isnan(r).any() and np.isfinite(r).any()
     rows = [list(vals) for vals in zip(grid, T, r, theta)]
     ref = ref_json if fmt == "json" else ref_csv
-    assert out.read_text() == ref(["E", "T", "r", "theta"], rows)
+    assert_same_text(out.read_text(), ref(["E", "T", "r", "theta"], rows))
+
+
+def assert_same_text(got, expected):
+    """Exact equality, reported by the first differing line.
+
+    pytest's own diff of two multi-megabyte strings takes minutes.
+    """
+    if got == expected:
+        return
+    got_lines, expected_lines = got.splitlines(), expected.splitlines()
+    for lineno, (g, e) in enumerate(zip(got_lines, expected_lines), start=1):
+        if g != e:
+            pytest.fail(f"line {lineno} differs: got {g!r}, expected {e!r}")
+    common = min(len(got_lines), len(expected_lines))
+    pytest.fail(f"the first {common} lines agree; got {len(got_lines)} lines and "
+                f"{len(got)} characters, expected {len(expected_lines)} and {len(expected)}")

@@ -18,7 +18,13 @@ from thouless_lab import (
     transmittance_n,
 )
 from thouless_lab.selfcheck import band_interior_grid, random_configuration, random_sample
-from thouless_lab.transport import _full_green_lr_values, _transport_inputs, sample_green
+from thouless_lab.leads import _eigendata_values
+from thouless_lab.transport import (
+    _chebyshev_factors,
+    _full_green_lr_values,
+    _transport_inputs,
+    sample_green,
+)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -196,7 +202,7 @@ def test_repetition_count_below_one_raises(dimer, wide_lead, n_cells):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_tn_matches_oracle_next_to_band_edges(seed):
-    # near an edge the phase theta and the eigenvectors (from the same sine) must agree
+    # at the band edges and 1e-7 band widths inside and outside each edge
     from thouless_lab import transmittance_oracle
 
     rng = np.random.default_rng(seed)
@@ -205,7 +211,8 @@ def test_tn_matches_oracle_next_to_band_edges(seed):
         sample, lead_l, lead_r, kappa = random_configuration(rng)
         bands = np.asarray(band_spectrum(sample).bands)
         inset = 1e-7 * (bands[:, 1] - bands[:, 0])
-        grid = np.concatenate([bands[:, 0] + inset, bands[:, 1] - inset])
+        lo, hi = bands[:, 0], bands[:, 1]
+        grid = np.concatenate([lo - inset, lo, lo + inset, hi - inset, hi, hi + inset])
         for n_cells in (1, 16):
             t_closed = transmittance_n(sample, lead_l, lead_r, kappa, n_cells, grid)
             t_oracle = [transmittance_oracle(sample, lead_l, lead_r, kappa, n_cells, E)
@@ -214,14 +221,9 @@ def test_tn_matches_oracle_next_to_band_edges(seed):
     assert worst <= 2e-11
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="T_N is zeroed where tr T_L rounds to exactly ±2: the Jordan block at "
-    "alpha = ±1 makes the eigenvector formula 0/0 (ROADMAP item 4)",
-)
 def test_tn_at_exact_band_edges_matches_oracle(dimer):
     # the dimer's four band edges, where tr T_L(E) = ±2 holds in floating point
+    # and T_L is a Jordan block
     from thouless_lab import transmittance_oracle
 
     lead_l, lead_r = HalfLineLead(1.6, 0.1), HalfLineLead(1.8, -0.2)
@@ -230,6 +232,25 @@ def test_tn_at_exact_band_edges_matches_oracle(dimer):
     np.testing.assert_allclose(oracle, [0.2277, 0.3947, 0.3899, 0.2300], atol=1e-4)
     T = transmittance_n(dimer, lead_l, lead_r, 0.7, 1, grid)
     np.testing.assert_allclose(T, oracle, rtol=0.0, atol=1e-9)
+
+
+def test_chebyshev_factors_match_matrix_power(rng):
+    # w T_L^N = p T_L - q I in the bands, in the gaps, outside the hull and at the edges
+    for _ in range(10):
+        s = random_sample(rng, max_sites=4)
+        spectrum = band_spectrum(s)
+        lo, hi = spectrum.hull
+        E = np.concatenate([np.linspace(lo - 0.5, hi + 0.5, 41), np.ravel(spectrum.bands)])
+        ed = _eigendata_values(s, E)
+        for n in (1, 2, 7, 12):
+            p, q, w = _chebyshev_factors(ed, n)
+            for i, energy in enumerate(E):
+                T = one_period_transfer(s, float(energy)).as_array()
+                power = w[i] * np.linalg.matrix_power(T, n)
+                got = p[i] * T - q[i] * np.eye(2)
+                assert np.max(np.abs(got - power)) <= 1e-10 * max(np.max(np.abs(power)), 1.0)
+        p, q, w = _chebyshev_factors(ed, 1)
+        assert np.all(p == 1.0) and np.all(q == 0.0) and np.all(w == 1.0)
 
 
 def test_sample_green_scalar_value(free_chain):
