@@ -417,8 +417,13 @@ def cmd_converge(config: RunConfig, n_list: list[int], weight_kind: str,
         config.sample, config.lead_l, config.lead_r, config.kappa,
         weight, n_list, config.quadrature, breakpoints,
     )
+    header = ["N", "int_TN", "int_Tinf", "abs_diff"]
     table = [[float(r.n_cells), r.integral_n, r.integral_inf, r.abs_diff] for r in rows]
-    return _table(config, ["N", "int_TN", "int_Tinf", "abs_diff"], table)
+    if config.out_format == "json":  # the CSV layout stays as it was
+        header.append("converged")
+        for line, r in zip(table, rows):
+            line.append(float(r.converged))
+    return _table(config, header, table)
 
 
 def cmd_selfcheck(config: RunConfig, seed: int | None, ensemble: int) -> tuple[str, bool]:

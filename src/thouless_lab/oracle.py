@@ -6,10 +6,15 @@ self-energies, so the sample block of the full resolvent is
 
     G(E) = (h_S^(N) - E - kappa^2 F_l(E) P_1 - kappa^2 F_r(E) P_NL)^{-1},
 
-an NL x NL complex tridiagonal system solved directly (LAPACK banded LU
-with partial pivoting).  This path depends only on the periodized Jacobi
-parameters and the lead boundary values; it shares nothing with the
-closed-form evaluation it validates.
+an NL x NL complex tridiagonal system per energy.  The systems of all the
+energies of one call are laid out as the blocks of one block-diagonal
+tridiagonal matrix, with zero coupling between blocks, and solved by one
+partial-pivoted LAPACK LU (gtsv, the routine scipy's ``solve_banded`` uses
+for one sub- and one super-diagonal).  Each energy's solution passes a
+1e-11 residual gate on its own; a system that fails it is solved again
+alone, so a singular energy neither stops nor pollutes the others.  This
+path depends only on the periodized Jacobi parameters and the lead boundary
+values; it shares nothing with the closed-form evaluation it validates.
 """
 
 from __future__ import annotations
@@ -23,39 +28,57 @@ from .leads import LeadModel, lead_F_values
 _RESIDUAL_TOL = 1e-11
 
 
-def _corner_green(diag: np.ndarray, off: np.ndarray) -> tuple[complex, complex, complex, complex]:
-    """Corner entries of the inverse of the tridiagonal matrix with the given
-    (complex) diagonal and (real) off-diagonal, via two banded solves."""
-    from scipy.linalg import solve_banded  # imported here: scipy costs ~0.3 s of every cold start
+def _corner_green(diag: np.ndarray, off: np.ndarray):
+    """Corner entries of the inverses of K tridiagonal matrices.
 
-    n = diag.size
-    ab = np.zeros((3, n), dtype=complex)
-    ab[1, :] = diag
-    if n > 1:
-        ab[0, 1:] = off
-        ab[2, :-1] = off
-    rhs = np.zeros((n, 2), dtype=complex)
-    rhs[0, 0] = 1.0
-    rhs[-1, 1] = 1.0
-    try:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = solve_banded((1, 1), ab, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularEnergyError(f"tridiagonal solve failed: {exc}") from exc
-    if not np.all(np.isfinite(x)):
-        raise SingularEnergyError("tridiagonal system is singular at this energy")
-    # residual check on both solves
-    for j in range(2):
-        v = x[:, j]
-        r = diag * v
-        if n > 1:
-            r[:-1] += off * v[1:]
-            r[1:] += off * v[:-1]
-        r -= rhs[:, j]
-        resid = np.linalg.norm(r)
-        if not resid <= _RESIDUAL_TOL * max(np.linalg.norm(rhs[:, j]), 1e-300):
-            raise SingularEnergyError(f"solver residual {resid:.3e} above {_RESIDUAL_TOL}")
-    return complex(x[0, 0]), complex(x[0, 1]), complex(x[-1, 0]), complex(x[-1, 1])
+    `diag` is the (K, n) complex diagonal of each matrix and `off` their
+    shared real off-diagonal of length n - 1.  Returns (g_11, g_1n, g_n1,
+    g_nn, ok), each of length K; ok[k] is False where system k failed the
+    residual gate, and its corners are then meaningless.
+    """
+    from scipy.linalg.lapack import zgtsv  # imported here: scipy costs ~0.3 s of every cold start
+
+    K, n = diag.shape
+    rhs = np.zeros((K, n, 2), dtype=complex)
+    rhs[:, 0, 0] = 1.0
+    rhs[:, -1, 1] = 1.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if n == 1:  # 1 x 1 systems: divide, as solve_banded does
+            x = rhs / diag[:, :, None]
+            info = 0
+        else:
+            coupling = np.zeros((K, n), dtype=complex)
+            coupling[:, :-1] = off
+            coupling = coupling.ravel()[:-1]
+            _, _, _, x, info = zgtsv(coupling, diag.ravel(), coupling, rhs.reshape(K * n, 2))
+            x = x.reshape(K, n, 2)
+        r = diag[:, :, None] * x - rhs
+        r[:, :-1] += off[None, :, None] * x[:, 1:]
+        r[:, 1:] += off[None, :, None] * x[:, :-1]
+        resid = np.linalg.norm(r, axis=1)
+    # a zero pivot stops gtsv for the whole stack: no system is solved then
+    ok = np.all(resid <= _RESIDUAL_TOL, axis=1) & (info == 0)
+    corners = [x[:, 0, 0], x[:, 0, 1], x[:, -1, 0], x[:, -1, 1]]
+    if K > 1:
+        for k in np.flatnonzero(~ok):
+            *lone, lone_ok = _corner_green(diag[k : k + 1], off)
+            for c, v in zip(corners, lone):
+                c[k] = v[0]
+            ok[k] = lone_ok[0]
+    return (*corners, ok)
+
+
+def _coupled_corners(sample, n_cells, kappa, E, F_l, F_r):
+    """`_corner_green` of the boundary-self-energy systems at the energies E."""
+    if n_cells < 1:
+        raise DomainError("n_cells must be a positive integer")
+    if kappa == 0.0:
+        raise DomainError("coupling kappa must be nonzero")
+    diag, off = periodized_parameters(sample, n_cells)
+    d = diag.astype(complex) - E[:, None]
+    d[:, 0] -= kappa**2 * F_l
+    d[:, -1] -= kappa**2 * F_r
+    return _corner_green(d, off)
 
 
 def resolvent_green(
@@ -67,18 +90,12 @@ def resolvent_green(
     E: float,
 ) -> GreenMatrix2:
     """Full 2x2 Green matrix between the end sites of the coupled N-cell system."""
-    if n_cells < 1:
-        raise DomainError("n_cells must be a positive integer")
-    if kappa == 0.0:
-        raise DomainError("coupling kappa must be nonzero")
-    diag, off = periodized_parameters(sample, n_cells)
-    F_l = lead_F_values(lead_l, float(E))[0]
-    F_r = lead_F_values(lead_r, float(E))[0]
-    d = diag.astype(complex) - float(E)
-    d[0] -= kappa**2 * F_l
-    d[-1] -= kappa**2 * F_r
-    g_ll, g_lr, g_rl, g_rr = _corner_green(d, off)
-    return GreenMatrix2(g_ll, g_lr, g_rl, g_rr, float(E), n_cells)
+    E_arr = np.array([float(E)])
+    F_l, F_r = lead_F_values(lead_l, E_arr), lead_F_values(lead_r, E_arr)
+    *corners, ok = _coupled_corners(sample, n_cells, kappa, E_arr, F_l, F_r)
+    if not ok[0]:
+        raise SingularEnergyError(f"the solve at E={E} fails the residual gate {_RESIDUAL_TOL:g}")
+    return GreenMatrix2(*(complex(g[0]) for g in corners), float(E), n_cells)
 
 
 def dirichlet_sample_green(sample: SampleSpec, n_cells: int, E: float) -> GreenMatrix2:
@@ -86,14 +103,12 @@ def dirichlet_sample_green(sample: SampleSpec, n_cells: int, E: float) -> GreenM
     if n_cells < 1:
         raise DomainError("n_cells must be a positive integer")
     diag, off = periodized_parameters(sample, n_cells)
-    d = diag.astype(complex) - float(E)
-    try:
-        g_ll, g_lr, g_rl, g_rr = _corner_green(d, off)
-    except SingularEnergyError as exc:
+    *corners, ok = _corner_green((diag.astype(complex) - float(E))[None, :], off)
+    if not ok[0]:
         raise SampleEigenvalueError(
             f"E={E} is (numerically) an eigenvalue of the {n_cells}-cell sample"
-        ) from exc
-    return GreenMatrix2(g_ll, g_lr, g_rl, g_rr, float(E), n_cells)
+        )
+    return GreenMatrix2(*(complex(g[0]) for g in corners), float(E), n_cells)
 
 
 def transmittance_oracle(
@@ -102,12 +117,28 @@ def transmittance_oracle(
     lead_r: LeadModel,
     kappa: float,
     n_cells: int,
-    E: float,
-) -> float:
-    """T_N(E) assembled purely from the dense resolvent path."""
-    F_l = lead_F_values(lead_l, float(E))[0]
-    F_r = lead_F_values(lead_r, float(E))[0]
-    if F_l.imag <= 0.0 or F_r.imag <= 0.0:
-        return 0.0
-    g = resolvent_green(sample, n_cells, lead_l, lead_r, kappa, E)
-    return 4.0 * kappa**4 * abs(g.g_lr) ** 2 * F_l.imag * F_r.imag
+    E,
+):
+    """T_N(E) assembled purely from the dense resolvent path.
+
+    Accepts a scalar or an array of energies.  T_N is 0 where either lead
+    has Im F = 0; the other energies are solved together, and any one that
+    fails the residual gate raises SingularEnergyError.
+    """
+    scalar = np.ndim(E) == 0
+    E_arr = np.atleast_1d(np.asarray(E, dtype=float))
+    F_l, F_r = lead_F_values(lead_l, E_arr), lead_F_values(lead_r, E_arr)
+    live = (F_l.imag > 0.0) & (F_r.imag > 0.0)
+    T = np.zeros(E_arr.shape)
+    if np.any(live):
+        _, g_lr, _, _, ok = _coupled_corners(
+            sample, n_cells, kappa, E_arr[live], F_l[live], F_r[live]
+        )
+        if not np.all(ok):
+            raise SingularEnergyError(
+                f"the solve at E={E_arr[live][~ok][0]} fails the residual gate {_RESIDUAL_TOL:g}"
+            )
+        # hypot is what abs(complex) computes; np.abs rounds differently
+        g_abs = np.hypot(g_lr.real, g_lr.imag)
+        T[live] = 4.0 * kappa**4 * g_abs**2 * F_l[live].imag * F_r[live].imag
+    return float(T[0]) if scalar else T

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .currents import QuadratureConfig, ThermoState, crystalline_currents, thouless_currents
-from .errors import SampleEigenvalueError, SingularEnergyError
+from .errors import SampleEigenvalueError
 from .jacobi import SampleSpec, band_spectrum, periodized_parameters, transfer_step
 from .leads import CrystallineLead, HalfLineLead, _crystal_m_values
 from .oracle import _corner_green, transmittance_oracle
@@ -80,9 +80,7 @@ def check_oracle_equivalence(
         n_cells = int(rng.integers(1, 21))
         grid = band_interior_grid(band_spectrum(sample), grid_points)
         t_closed = transmittance_n(sample, lead_l, lead_r, kappa, n_cells, grid)
-        t_oracle = np.array(
-            [transmittance_oracle(sample, lead_l, lead_r, kappa, n_cells, E) for E in grid]
-        )
+        t_oracle = transmittance_oracle(sample, lead_l, lead_r, kappa, n_cells, grid)
         worst = max(worst, float(np.max(np.abs(t_closed - t_oracle))))
     return CheckResult(
         "oracle_equivalence", worst <= tol, f"max |T_closed - T_oracle| = {worst:.3e}"
@@ -136,9 +134,10 @@ def check_m_identities(
         m_r = [(h_L - E - kappa_s^2 m_r e_L e_L^T)^{-1}]_11,
         m_l = [(h_L - E - kappa_s^2 m_l e_1 e_1^T)^{-1}]_LL,
 
-    each solved by the oracle's banded LU, so no transfer matrix is involved.
-    The residual is |m - m_fixed| / (|m| + 1); energies where the one-period
-    system is singular are skipped.
+    each solved by the oracle's stacked LU: one solve per sample and side
+    over the whole grid, so no transfer matrix is involved.  The residual
+    is |m - m_fixed| / (|m| + 1); energies where either one-period system
+    fails the oracle's residual gate are skipped.
     """
     worst = 0.0
     min_im = math.inf
@@ -149,17 +148,19 @@ def check_m_identities(
         min_im = min(min_im, float(np.min(m_l.imag)), float(np.min(m_r.imag)))
         diag, off = periodized_parameters(sample, 1)
         kS2 = sample.kappa_s**2
-        e_1, e_L = np.eye(sample.length)[[0, -1]]
-        for E, ml, mr in zip(grid, m_l, m_r):
-            try:
-                fixed_r = _corner_green(diag - E - kS2 * mr * e_L, off)[0]
-                fixed_l = _corner_green(diag - E - kS2 * ml * e_1, off)[3]
-            except SingularEnergyError:
-                continue
+        d_r = (diag - grid[:, None]).astype(complex)
+        d_l = d_r.copy()
+        d_r[:, -1] -= kS2 * m_r
+        d_l[:, 0] -= kS2 * m_l
+        fixed_r, _, _, _, ok_r = _corner_green(d_r, off)
+        _, _, _, fixed_l, ok_l = _corner_green(d_l, off)
+        keep = ok_r & ok_l
+        if np.any(keep):
+            m_r, m_l, fixed_r, fixed_l = m_r[keep], m_l[keep], fixed_r[keep], fixed_l[keep]
             worst = max(
                 worst,
-                abs(mr - fixed_r) / (abs(mr) + 1.0),
-                abs(ml - fixed_l) / (abs(ml) + 1.0),
+                float(np.max(np.abs(m_r - fixed_r) / (np.abs(m_r) + 1.0))),
+                float(np.max(np.abs(m_l - fixed_l) / (np.abs(m_l) + 1.0))),
             )
     return CheckResult(
         "m_identities",

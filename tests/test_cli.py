@@ -200,6 +200,34 @@ def test_converge_matched_diffs_vanish(tmp_path):
     np.testing.assert_allclose(rows[:, 3], 0.0, atol=1e-5)
 
 
+def test_converge_json_flags_a_failed_row(tmp_path, monkeypatch):
+    # the N = 2 row's quadrature raises; its JSON row says converged = 0.0
+    from thouless_lab import currents
+    from thouless_lab.currents import QuadratureConfig
+    from thouless_lab.errors import QuadratureError
+
+    panels = currents._adaptive_panels
+
+    def failing_for_n2(spectrum, integrand, quad, breakpoints=()):
+        if quad.panels_per_band == QuadratureConfig().panels_per_band + 2 * 2:
+            raise QuadratureError("forced", value=np.array([0.25]), error_estimate=np.array([1.0]))
+        return panels(spectrum, integrand, quad, breakpoints)
+
+    monkeypatch.setattr(currents, "_adaptive_panels", failing_for_n2)
+    cfg = write_config(tmp_path, MATCHED)
+    out = tmp_path / "conv.json"
+    assert main(
+        ["converge", "--config", cfg, "--out", str(out), "--format", "json",
+         "--N-list", "1,2,4", "--window", "-1.5", "1.5"]
+    ) == 0
+    payload = json.loads(out.read_text())
+    assert payload["columns"] == ["N", "int_TN", "int_Tinf", "abs_diff", "converged"]
+    rows = np.asarray(payload["rows"])
+    np.testing.assert_array_equal(rows[:, 0], [1.0, 2.0, 4.0])
+    np.testing.assert_array_equal(rows[:, 4], [1.0, 0.0, 1.0])
+    assert rows[1, 1] == 0.25
+
+
 def test_selfcheck_passes(tmp_path, capsys):
     cfg = write_config(tmp_path, MATCHED)
     assert main(["selfcheck", "--config", cfg, "--seed", "3", "--ensemble", "6"]) == 0

@@ -9,12 +9,17 @@ import pytest
 from thouless_lab import (
     HalfLineLead,
     SampleEigenvalueError,
+    SampleSpec,
+    SingularEnergyError,
     band_spectrum,
     lead_F,
     resolvent_green,
     transmittance_oracle,
 )
-from thouless_lab.oracle import dirichlet_sample_green
+from thouless_lab import oracle
+from thouless_lab.jacobi import periodized_parameters
+from thouless_lab.leads import lead_F_values
+from thouless_lab.oracle import _corner_green, dirichlet_sample_green
 from thouless_lab.selfcheck import band_interior_grid, random_configuration, random_sample
 from thouless_lab.transport import _full_green_lr_values, _transport_inputs, sample_green
 
@@ -119,3 +124,131 @@ def test_cli_import_leaves_scipy_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import sys, thouless_lab.cli; assert 'scipy' not in sys.modules, sorted(sys.modules)"
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
+def _bits(z):
+    return np.ascontiguousarray(z).view(np.uint64)
+
+
+def _assert_stack_equals_lone_solves(diag, off):
+    """Each system of the stack equals its K = 1 solve and scipy's solve_banded, bit for bit."""
+    from scipy.linalg import solve_banded
+
+    *stacked, ok = _corner_green(diag, off)
+    stacked = np.array(stacked)
+    for k, d in enumerate(diag):
+        *lone, lone_ok = _corner_green(d[None, :], off)
+        assert ok[k] == lone_ok[0]
+        if not ok[k]:
+            continue
+        np.testing.assert_array_equal(_bits(stacked[:, k]), _bits(np.ravel(lone)))
+        ab = np.zeros((3, d.size), dtype=complex)
+        ab[0, 1:], ab[1], ab[2, :-1] = off, d, off
+        rhs = np.zeros((d.size, 2), dtype=complex)
+        rhs[0, 0] = rhs[-1, 1] = 1.0
+        x = solve_banded((1, 1), ab, rhs)
+        np.testing.assert_array_equal(
+            _bits(stacked[:, k]), _bits(np.array([x[0, 0], x[0, 1], x[-1, 0], x[-1, 1]]))
+        )
+    return ok
+
+
+def test_stacked_corners_equal_lone_solves(rng):
+    for _ in range(12):
+        s, lead_l, lead_r, kappa = random_configuration(rng)
+        n = int(rng.integers(1, 9))
+        grid = band_interior_grid(band_spectrum(s), 15)
+        diag, off = periodized_parameters(s, n)
+        d = diag.astype(complex) - grid[:, None]
+        d[:, 0] -= kappa**2 * lead_F_values(lead_l, grid)
+        d[:, -1] -= kappa**2 * lead_F_values(lead_r, grid)
+        assert np.all(_assert_stack_equals_lone_solves(d, off))
+
+
+def test_stacked_corners_of_one_site_systems(rng):
+    # L = 1, N = 1: a stack of 1 x 1 systems, and the single system K n = 1
+    sample = SampleSpec(hop=(), onsite=(0.3,), kappa_s=0.8)
+    lead_l, lead_r = HalfLineLead(1.1, 0.2), HalfLineLead(0.9, -0.1)
+    diag, off = periodized_parameters(sample, 1)
+    grid = rng.uniform(-1.5, 1.5, 40)
+    d = diag.astype(complex) - grid[:, None]
+    d[:, 0] -= 0.7 * lead_F_values(lead_l, grid) + 0.7 * lead_F_values(lead_r, grid)
+    assert off.size == 0 and d.shape == (40, 1)
+    assert np.all(_assert_stack_equals_lone_solves(d, off))
+    assert np.all(_assert_stack_equals_lone_solves(d[4:5], off))
+
+
+@pytest.mark.parametrize("n_cells", [1, 3, 5])
+@pytest.mark.parametrize("where", [0, 2, 4])
+def test_singular_block_flags_only_itself(free_chain, n_cells, where):
+    # the free chain's Dirichlet diagonal is 0, so E = 0 is an eigenvalue at odd N
+    grid = np.array([0.5, -0.7, 1.3, -1.1, 0.9])
+    grid[where] = 0.0
+    diag, off = periodized_parameters(free_chain, n_cells)
+    d = diag.astype(complex) - grid[:, None]
+    ok = _assert_stack_equals_lone_solves(d, off)
+    np.testing.assert_array_equal(ok, grid != 0.0)
+
+
+def test_gate_flags_energies_next_to_an_eigenvalue():
+    # finite but inaccurate solves 1e-9 from a Dirichlet eigenvalue fail the residual gate
+    sample = SampleSpec(hop=(0.7, 1.3), onsite=(0.2, -0.4, 0.5), kappa_s=0.9)
+    diag, off = periodized_parameters(sample, 2)
+    eigs = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    grid = np.concatenate([eigs + 1e-9, 0.5 * (eigs[1:] + eigs[:-1])])
+    *corners, ok = _corner_green(diag.astype(complex) - grid[:, None], off)
+    assert np.all(np.isfinite(corners))
+    np.testing.assert_array_equal(ok, np.arange(grid.size) >= eigs.size)
+    with pytest.raises(SampleEigenvalueError):
+        dirichlet_sample_green(sample, 2, float(grid[0]))
+
+
+def test_array_oracle_equals_scalar_calls(rng, dimer, wide_lead):
+    for _ in range(6):
+        s, lead_l, lead_r, kappa = random_configuration(rng)
+        n = int(rng.integers(1, 17))
+        lo, hi = band_spectrum(s).hull
+        grid = np.linspace(lo - 1.0, hi + 1.0, 23)
+        T = transmittance_oracle(s, lead_l, lead_r, kappa, n, grid)
+        assert type(T) is np.ndarray and T.shape == grid.shape
+        scalar = [transmittance_oracle(s, lead_l, lead_r, kappa, n, float(E)) for E in grid]
+        assert all(type(t) is float for t in scalar)
+        np.testing.assert_array_equal(_bits(T), _bits(np.array(scalar)))
+    T = transmittance_oracle(dimer, wide_lead, wide_lead, 1.0, 3, np.array(0.0))
+    assert type(T) is float
+
+
+def test_off_support_energies_skip_the_solver(monkeypatch, dimer, wide_lead):
+    # wide_lead's support is [-2.4, 2.4]; energies outside it never reach the solve
+    stacks = []
+
+    def recording(diag, off):
+        stacks.append(diag.shape[0])
+        return _corner_green(diag, off)
+
+    monkeypatch.setattr(oracle, "_corner_green", recording)
+    grid = np.array([-3.0, -1.0, 2.5, 0.0, 1.0, 4.0])
+    T = transmittance_oracle(dimer, wide_lead, wide_lead, 1.0, 2, grid)
+    assert stacks == [3]
+    assert np.all(T[[0, 2, 5]] == 0.0) and np.all(T[[1, 3, 4]] > 0.0)
+    stacks.clear()
+    T = transmittance_oracle(dimer, wide_lead, wide_lead, 1.0, 2, np.array([-3.0, 2.5, 4.0]))
+    assert stacks == [] and np.all(T == 0.0)
+
+
+def test_scalar_resolvent_raises_at_a_singular_energy(free_chain, free_lead):
+    # at the band edge E = 2, F = -1 is real and 0 - E - 2 kappa^2 F = 0 exactly
+    with pytest.raises(SingularEnergyError):
+        resolvent_green(free_chain, 1, free_lead, free_lead, 1.0, 2.0)
+    assert transmittance_oracle(free_chain, free_lead, free_lead, 1.0, 1, 2.0) == 0.0
+
+
+def test_array_oracle_raises_on_a_gated_energy(monkeypatch, dimer, wide_lead):
+    def one_fails(diag, off):
+        *corners, ok = _corner_green(diag, off)
+        ok[1] = False
+        return (*corners, ok)
+
+    monkeypatch.setattr(oracle, "_corner_green", one_fails)
+    with pytest.raises(SingularEnergyError, match="E=-0.5"):
+        transmittance_oracle(dimer, wide_lead, wide_lead, 1.0, 2, np.array([-1.0, -0.5, 1.0]))

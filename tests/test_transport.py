@@ -215,8 +215,7 @@ def test_tn_matches_oracle_next_to_band_edges(seed):
         grid = np.concatenate([lo - inset, lo, lo + inset, hi - inset, hi, hi + inset])
         for n_cells in (1, 16):
             t_closed = transmittance_n(sample, lead_l, lead_r, kappa, n_cells, grid)
-            t_oracle = [transmittance_oracle(sample, lead_l, lead_r, kappa, n_cells, E)
-                        for E in grid]
+            t_oracle = transmittance_oracle(sample, lead_l, lead_r, kappa, n_cells, grid)
             worst = max(worst, float(np.max(np.abs(t_closed - t_oracle))))
     assert worst <= 2e-11
 
@@ -427,7 +426,5 @@ def test_transmittance_oracle_agreement_small(rng):
         n = int(rng.integers(1, 15))
         grid = band_interior_grid(band_spectrum(s), 30)
         closed = transmittance_n(s, lead_l, lead_r, kappa, n, grid)
-        dense = np.array(
-            [transmittance_oracle(s, lead_l, lead_r, kappa, n, float(E)) for E in grid]
-        )
+        dense = transmittance_oracle(s, lead_l, lead_r, kappa, n, grid)
         assert np.max(np.abs(closed - dense)) <= 1e-8
