@@ -28,6 +28,7 @@ balance residual.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -200,6 +201,14 @@ def _segments(spectrum: BandSpectrum, edge_margin: float, breakpoints) -> list[t
     return segs
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once per order."""
+    xg, wg = np.polynomial.legendre.leggauss(points)
+    xg.flags.writeable = wg.flags.writeable = False
+    return xg, wg
+
+
 def _adaptive_panels(spectrum, integrand_vec, quad: QuadratureConfig, breakpoints=()):
     """Panel-local adaptive composite Gauss-Legendre for a vector-valued integrand.
 
@@ -220,14 +229,15 @@ def _adaptive_panels(spectrum, integrand_vec, quad: QuadratureConfig, breakpoint
     partial result when panels are still active after _MAX_HALVINGS levels.
     """
     segs = _segments(spectrum, quad.edge_margin, breakpoints)
-    probe = np.atleast_2d(integrand_vec(np.empty(0)))
-    m = probe.shape[0]
     if not segs:
+        m = np.atleast_2d(integrand_vec(np.empty(0))).shape[0]
         return np.zeros(m), np.zeros(m)
-    xg, wg = np.polynomial.legendre.leggauss(quad.points_per_panel)
+    xg, wg = _gauss_legendre(quad.points_per_panel)
     margin_measure = sum(2.0 * quad.edge_margin * (hi - lo) for lo, hi in spectrum.bands)
     budget = quad.abs_tol / sum(s1 - s0 for s0, s1 in segs)
-    fmax = np.zeros(m)
+    # the coarse level always has panels, so reshape can infer m there (-1);
+    # later levels reshape with m, which still works when no panel is active
+    m, fmax = -1, 0.0
 
     def panel_sums(lo, hi):
         nonlocal fmax
@@ -243,6 +253,7 @@ def _adaptive_panels(spectrum, integrand_vec, quad: QuadratureConfig, breakpoint
     lo = np.concatenate([e[:-1] for e in edges])
     hi = np.concatenate([e[1:] for e in edges])
     coarse = panel_sums(lo, hi)
+    m = coarse.shape[0]
     locked_fine, locked_coarse, locked_diff = np.zeros(m), np.zeros(m), np.zeros(m)
     for _ in range(_MAX_HALVINGS):
         mid = (lo + hi) / 2.0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from thouless_lab import (
+    BandSpectrum,
     CrystallineLead,
     DomainError,
     HalfLineLead,
@@ -22,6 +23,7 @@ from thouless_lab import (
     weights,
     zero_temperature_conductance,
 )
+from thouless_lab import currents
 from thouless_lab.currents import _adaptive_panels
 from thouless_lab.selfcheck import random_configuration
 
@@ -170,8 +172,6 @@ def test_integrate_bands_narrow_lorentzian_refines_locally(free_chain):
 
 
 def test_report_error_estimate_and_evaluations(free_chain, monkeypatch):
-    from thouless_lab import currents
-
     seen = []
     weights_orig = currents.weights
 
@@ -187,6 +187,61 @@ def test_report_error_estimate_and_evaluations(free_chain, monkeypatch):
     assert rep.error_estimate >= abs(rep.i_l - exact)
     assert math.isinf(rep.entropy_j) and math.isfinite(rep.error_estimate)
     assert rep.evaluations == sum(seen) > 0
+
+
+def test_quadrature_never_evaluates_an_empty_array(dimer, wide_lead, monkeypatch):
+    # m comes from the coarse level, so no call is spent learning it
+    sizes = []
+    weights_orig = currents.weights
+
+    def recording_weights(thermo, E):
+        sizes.append(int(np.size(E)))
+        return weights_orig(thermo, E)
+
+    monkeypatch.setattr(currents, "weights", recording_weights)
+    th = ThermoState(2.0, 0.3, 3.0, -0.3)
+    rep = lb_currents(dimer, wide_lead, wide_lead, 0.7, 4, th)
+    assert len(sizes) >= 2 and min(sizes) > 0
+    assert sizes[0] == 2 * 8 * 12  # two bands, 8 panels of 12 nodes
+    assert rep.evaluations == sum(sizes)
+
+
+def test_quadrature_without_segments_returns_zeros_of_the_integrand_shape():
+    spectrum = BandSpectrum(((0.3, 0.3),))
+    vals, errs = _adaptive_panels(spectrum, lambda E: np.vstack([E, E, E]), QuadratureConfig())
+    np.testing.assert_array_equal(vals, np.zeros(3))
+    np.testing.assert_array_equal(errs, np.zeros(3))
+
+
+def test_gauss_rule_is_built_once_per_order(free_chain, monkeypatch):
+    built = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting_leggauss(n):
+        built.append(n)
+        return leggauss(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting_leggauss)
+    currents._gauss_legendre.cache_clear()
+    th = ThermoState(2.0, 0.3, 2.0, -0.3)
+    thouless_currents(free_chain, th)
+    thouless_currents(free_chain, th)
+    assert built == [QuadratureConfig().points_per_panel]
+
+
+def test_report_evaluations_are_pinned(free_chain, dimer, wide_lead):
+    # integrand energies per report; a change here is a change in the work done
+    th = ThermoState(2.0, 0.3, 3.0, -0.3)
+    window = ThermoState(math.inf, -0.8, math.inf, 1.1)
+    own_r = CrystallineLead(dimer, "r")
+    reports = [
+        thouless_currents(free_chain, th),
+        thouless_currents(dimer, window),
+        crystalline_currents(dimer, wide_lead, wide_lead, 0.7, th),
+        crystalline_currents(dimer, wide_lead, own_r, 0.7, window),
+        lb_currents(dimer, wide_lead, wide_lead, 0.7, 4, th),
+    ]
+    assert [r.evaluations for r in reports] == [288, 1152, 1152, 1344, 576]
 
 
 def test_lb_n64_converges_with_local_refinement():

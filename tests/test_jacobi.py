@@ -1,8 +1,10 @@
+import mpmath
 import numpy as np
 import pytest
 
 from thouless_lab import (
     DomainError,
+    NumericalError,
     SampleSpec,
     band_spectrum,
     bloch_eigenvalues,
@@ -11,7 +13,8 @@ from thouless_lab import (
     periodized_parameters,
     thouless_conductance,
 )
-from thouless_lab.jacobi import transfer_step
+from thouless_lab import jacobi
+from thouless_lab.jacobi import _bloch_bands, transfer_step
 from thouless_lab.selfcheck import random_sample
 
 
@@ -194,3 +197,109 @@ def test_thouless_conductance_partition_average(dimer, rng):
         if b > a
     )
     assert parts == pytest.approx(total, abs=1e-12)
+
+
+def probe_l32_sample(index: int) -> SampleSpec:
+    """The index-th L=32 sample of the benchmark's band_spectrum defect probe."""
+    rng = np.random.default_rng(20141408)
+    for _ in range(index + 1):
+        hop, onsite = rng.uniform(0.2, 2.0, 31), rng.uniform(-1.0, 1.0, 32)
+        sample = SampleSpec(tuple(hop), tuple(onsite), float(rng.uniform(0.2, 2.0)))
+    return sample
+
+
+GAPPED_L4 = SampleSpec(hop=(1.0, 0.6, 1.3), onsite=(0.3, -0.5, 0.1, 0.8), kappa_s=0.7)
+
+
+@pytest.mark.parametrize(
+    "band, side", [(0, "hi"), (1, "lo"), (3, "lo")], ids=["first", "middle", "last"]
+)
+def test_band_edge_pushed_into_a_gap_is_caught(monkeypatch, band, side):
+    # one edge moved 5 % of its band's width into the neighbouring open gap
+    sample = GAPPED_L4
+    eigenvalues = jacobi.bloch_eigenvalues
+    L = sample.length
+    e0, epi = eigenvalues(sample, 0.0), eigenvalues(sample, np.pi / L)
+    lo, hi = sorted((e0[band], epi[band]))
+    edge, shift = (hi, 0.05 * (hi - lo)) if side == "hi" else (lo, -0.05 * (hi - lo))
+    spectrum = band_spectrum(sample)
+    assert len(spectrum.gaps()) == L - 1 and spectrum.bands[band] == (lo, hi)
+
+    def pushed(s, k):
+        eps = eigenvalues(s, k).copy()
+        eps[eps == edge] += shift
+        return eps
+
+    monkeypatch.setattr(jacobi, "bloch_eigenvalues", pushed)
+    with pytest.raises(NumericalError, match="band interior violates"):
+        band_spectrum(sample)
+
+
+def test_one_call_cross_check_equals_the_per_band_loop(rng):
+    # reference: one linspace and one discriminant call per band of positive width
+    for L in [1, 2, 3, 5, 8, 13, 21, 24, 28, 32] * 4:
+        s = SampleSpec(tuple(rng.uniform(0.2, 2.0, L - 1)), tuple(rng.uniform(-1.0, 1.0, L)),
+                       float(rng.uniform(0.2, 2.0)))
+        grids = [
+            np.linspace(lo + 0.01 * (hi - lo), hi - 0.01 * (hi - lo), 17)
+            for lo, hi in _bloch_bands(s).bands
+            if hi - lo > 0.0
+        ]
+        worst = max(np.max(np.abs(discriminant(s, grid))) for grid in grids)
+        if worst > 2.0 + 1e-9:
+            with pytest.raises(NumericalError) as exc_info:
+                band_spectrum(s)
+            assert f"(worst {worst!r})" in str(exc_info.value)
+        else:
+            assert band_spectrum(s) == _bloch_bands(s)
+
+
+@pytest.mark.parametrize(
+    "sample",
+    [SampleSpec((), (0.2,), 0.9), GAPPED_L4, probe_l32_sample(0)],
+    ids=["L1", "L4", "L32"],
+)
+def test_one_kernel_call_per_band_spectrum(monkeypatch, sample):
+    L = sample.length
+    calls = []
+    kernel = jacobi._one_period_abcd
+
+    def counting_kernel(s, E):
+        calls.append(np.shape(E))
+        return kernel(s, E)
+
+    monkeypatch.setattr(jacobi, "_one_period_abcd", counting_kernel)
+    spectrum = band_spectrum(sample)
+    assert len(spectrum.bands) == L
+    assert calls == [(17, L)]
+
+
+def test_thouless_conductance_uses_eigenvalue_edges_where_the_cross_check_fails():
+    # band_spectrum's trace check is ill-conditioned at L = 32 and rejects this
+    # sample, but g_Th needs only the eigvalsh edges, which are accurate
+    sample = probe_l32_sample(1)
+    with pytest.raises(NumericalError):
+        band_spectrum(sample)
+
+    L = sample.length
+    ref = []
+    with mpmath.workdps(40):
+        for sign in (1.0, -1.0):  # k = 0 and k = pi/L: the corner phase is +-1
+            h = mpmath.zeros(L, L)
+            for i, v in enumerate(sample.onsite):
+                h[i, i] = v
+            for i, J in enumerate(sample.hop):
+                h[i, i + 1] = h[i + 1, i] = J
+            h[0, L - 1] = h[L - 1, 0] = sign * sample.kappa_s
+            ref.append(sorted(mpmath.eigsy(h, eigvals_only=True)))
+        ref_bands = sorted((min(a, b), max(a, b)) for a, b in zip(*ref))
+        ref_measure = sum(b - a for a, b in ref_bands)
+    bands = _bloch_bands(sample).bands
+    assert len(bands) == L
+    edge_err = max(abs(float(r) - e) for rb, b in zip(ref_bands, bands) for r, e in zip(rb, b))
+    assert edge_err <= 1e-14
+
+    lo, hi = bands[0][0], bands[-1][1]
+    with mpmath.workdps(40):
+        g_ref = ref_measure / (2 * mpmath.pi * (mpmath.mpf(hi) - mpmath.mpf(lo)))
+    assert thouless_conductance(sample, (lo, hi)) == pytest.approx(float(g_ref), rel=1e-13)
