@@ -37,7 +37,7 @@ from .currents import (
     thouless_currents,
 )
 from .errors import ConfigError, ThoulessLabError
-from .jacobi import SampleSpec, band_spectrum, bloch_eigenvalues
+from .jacobi import SampleSpec, _bloch_bands, band_spectrum, bloch_eigenvalues
 from .leads import CrystallineLead, HalfLineLead, LeadModel, load_tabulated_csv
 from .selfcheck import run_selfcheck
 from .transport import _diagnostic_columns, transmittance_inf, transmittance_n
@@ -255,7 +255,8 @@ def _parallel_grid(fn, grid: np.ndarray) -> np.ndarray:
 def _energy_grid(config: RunConfig) -> np.ndarray:
     if config.grid_values is not None:
         return np.asarray(config.grid_values, dtype=float)
-    lo, hi = band_spectrum(config.sample).hull
+    # the hull needs only the eigenvalue edges, not band_spectrum's cross-check
+    lo, hi = _bloch_bands(config.sample).hull
     return np.linspace(lo, hi, config.grid_count)
 
 

@@ -289,7 +289,7 @@ def band_spectrum(sample: SampleSpec) -> BandSpectrum:
         worst = np.max(np.abs(discriminant(sample, grid)))
         if worst > 2.0 + 1e-9:
             raise NumericalError(
-                f"band interior violates |tr T_L| <= 2 (worst {worst!r}); "
+                f"band interior violates |tr T_L| <= 2 (worst {float(worst)!r}); "
                 "Bloch eigensolver and transfer matrix disagree"
             )
     return spectrum

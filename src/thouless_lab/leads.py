@@ -106,15 +106,14 @@ def _halfline_F(lead: HalfLineLead, E: np.ndarray) -> np.ndarray:
     t2 = lead.t * lead.t
     x = E - lead.v0
     disc = x * x - 4.0 * t2
-    out = np.empty(E.shape, dtype=complex)
-    inside = disc < 0.0
-    out[inside] = (-x[inside] + 1j * np.sqrt(-disc[inside])) / (2.0 * t2)
-    xo = x[~inside]
-    sq = np.sqrt(disc[~inside])
-    r1 = (-xo + sq) / (2.0 * t2)
-    r2 = (-xo - sq) / (2.0 * t2)
-    # product of roots is 1/t^2: the decaying solution is the root of smaller modulus
-    out[~inside] = np.where(np.abs(r1) <= np.abs(r2), r1, r2)
+    sq = np.sqrt(np.abs(disc))
+    out = (-x + 1j * sq) / (2.0 * t2)
+    outside = ~(disc < 0.0)
+    if outside.any():
+        r1 = (-x + sq) / (2.0 * t2)
+        r2 = (-x - sq) / (2.0 * t2)
+        # product of roots is 1/t^2: the decaying solution is the root of smaller modulus
+        out = np.where(outside, np.where(np.abs(r1) <= np.abs(r2), r1, r2), out)
     return out
 
 
@@ -227,7 +226,10 @@ def lead_F_values(lead: LeadModel, E) -> np.ndarray:
 
 def _clamp_im(F: np.ndarray) -> np.ndarray:
     """Boundary values with Im F in [-1e-12, 0) (rounding below the axis) set to Im 0."""
-    im = np.where((F.imag < 0.0) & (F.imag >= -_IM_FLOOR), 0.0, F.imag)
+    im = F.imag
+    below = (im < 0.0) & (im >= -_IM_FLOOR)
+    if below.any():
+        im = np.where(below, 0.0, im)
     return F.real + 1j * im
 
 

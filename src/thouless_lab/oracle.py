@@ -15,9 +15,18 @@ for one sub- and one super-diagonal).  Each energy's solution passes a
 alone, so a singular energy neither stops nor pollutes the others.  This
 path depends only on the periodized Jacobi parameters and the lead boundary
 values; it shares nothing with the closed-form evaluation it validates.
+
+The N-cell system is built once per (sample, N): a bounded cache keyed on
+the frozen ``SampleSpec`` and N holds its complex diagonal and real
+off-diagonal as read-only arrays.  Only these immutable inputs are cached,
+never a solve or a lead value, so a cached call returns the same bits as a
+fresh one.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 
@@ -26,6 +35,24 @@ from .jacobi import GreenMatrix2, SampleSpec, periodized_parameters
 from .leads import LeadModel, lead_F_values
 
 _RESIDUAL_TOL = 1e-11
+# N-cell systems kept by _n_cell_system; each holds N*L complex and N*L - 1 real entries
+_SYSTEM_CACHE_SIZE = 16
+
+
+def _n_cell_system(sample: SampleSpec, n_cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only complex diagonal and real off-diagonal of the N-cell sample, built once."""
+    # SampleSpec equality takes -0.0 for 0.0, which the diagonal keeps apart
+    zero_signs = tuple(math.copysign(1.0, v) for v in sample.onsite if v == 0.0)
+    return _n_cell_system_cached(sample, n_cells, zero_signs)
+
+
+@functools.lru_cache(maxsize=_SYSTEM_CACHE_SIZE)
+def _n_cell_system_cached(sample, n_cells, zero_signs):
+    diag, off = periodized_parameters(sample, n_cells)
+    diag = diag.astype(complex)
+    diag.flags.writeable = False
+    off.flags.writeable = False
+    return diag, off
 
 
 def _corner_green(diag: np.ndarray, off: np.ndarray):
@@ -55,9 +82,10 @@ def _corner_green(diag: np.ndarray, off: np.ndarray):
         r = diag[:, :, None] * x - rhs
         r[:, :-1] += off[None, :, None] * x[:, 1:]
         r[:, 1:] += off[None, :, None] * x[:, :-1]
-        resid = np.linalg.norm(r, axis=1)
+        # the 2-norm over each column, as np.linalg.norm(r, axis=1) computes it
+        resid = np.sqrt(np.add.reduce((r.conj() * r).real, axis=1))
     # a zero pivot stops gtsv for the whole stack: no system is solved then
-    ok = np.all(resid <= _RESIDUAL_TOL, axis=1) & (info == 0)
+    ok = (resid <= _RESIDUAL_TOL).all(axis=1) & (info == 0)
     corners = [x[:, 0, 0], x[:, 0, 1], x[:, -1, 0], x[:, -1, 1]]
     if K > 1:
         for k in np.flatnonzero(~ok):
@@ -70,12 +98,10 @@ def _corner_green(diag: np.ndarray, off: np.ndarray):
 
 def _coupled_corners(sample, n_cells, kappa, E, F_l, F_r):
     """`_corner_green` of the boundary-self-energy systems at the energies E."""
-    if n_cells < 1:
-        raise DomainError("n_cells must be a positive integer")
+    diag, off = _n_cell_system(sample, n_cells)
     if kappa == 0.0:
         raise DomainError("coupling kappa must be nonzero")
-    diag, off = periodized_parameters(sample, n_cells)
-    d = diag.astype(complex) - E[:, None]
+    d = diag - E[:, None]
     d[:, 0] -= kappa**2 * F_l
     d[:, -1] -= kappa**2 * F_r
     return _corner_green(d, off)
@@ -100,10 +126,8 @@ def resolvent_green(
 
 def dirichlet_sample_green(sample: SampleSpec, n_cells: int, E: float) -> GreenMatrix2:
     """2x2 Green matrix of the decoupled Dirichlet N-cell sample by direct solve."""
-    if n_cells < 1:
-        raise DomainError("n_cells must be a positive integer")
-    diag, off = periodized_parameters(sample, n_cells)
-    *corners, ok = _corner_green((diag.astype(complex) - float(E))[None, :], off)
+    diag, off = _n_cell_system(sample, n_cells)
+    *corners, ok = _corner_green((diag - float(E))[None, :], off)
     if not ok[0]:
         raise SampleEigenvalueError(
             f"E={E} is (numerically) an eigenvalue of the {n_cells}-cell sample"
@@ -130,11 +154,11 @@ def transmittance_oracle(
     F_l, F_r = lead_F_values(lead_l, E_arr), lead_F_values(lead_r, E_arr)
     live = (F_l.imag > 0.0) & (F_r.imag > 0.0)
     T = np.zeros(E_arr.shape)
-    if np.any(live):
+    if live.any():
         _, g_lr, _, _, ok = _coupled_corners(
             sample, n_cells, kappa, E_arr[live], F_l[live], F_r[live]
         )
-        if not np.all(ok):
+        if not ok.all():
             raise SingularEnergyError(
                 f"the solve at E={E_arr[live][~ok][0]} fails the residual gate {_RESIDUAL_TOL:g}"
             )

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from test_jacobi import probe_l32_sample
 from thouless_lab.cli import main
+from thouless_lab.jacobi import bloch_hamiltonian
 
 MATCHED = {
     "sample": {"L": 1, "J": [], "lambda": [0.0], "kappa_S": 1.0},
@@ -122,6 +124,30 @@ def test_transmit_diagnostics_columns(tmp_path):
     assert header == ["E", "T", "r", "theta"]
     mid = rows[np.argmin(np.abs(rows[:, 0]))]
     assert mid[2] == pytest.approx(1.0 / 9.0, abs=1e-6)
+
+
+def test_transmit_default_grid_spans_the_eigvalsh_hull_at_l32(tmp_path):
+    # band_spectrum's cross-check rejects this sample; its eigenvalue edges are accurate
+    sample = probe_l32_sample(1)
+    payload = {
+        "sample": {"J": list(sample.hop), "lambda": list(sample.onsite), "kappa_S": sample.kappa_s},
+        "leads": {
+            "left": {"type": "half_line", "t": 2.0, "v0": 0.0},
+            "right": {"type": "half_line", "t": 2.1, "v0": 0.1},
+        },
+        "kappa": 0.8,
+        "energy_grid": {"count": 64},
+    }
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "t.csv"
+    assert main(["transmit", "--config", cfg, "--out", str(out), "--N", "4"]) == 0
+    _, rows = read_csv(out)
+    eps = np.concatenate(
+        [np.linalg.eigvalsh(bloch_hamiltonian(sample, k)) for k in (0.0, np.pi / sample.length)]
+    )
+    assert rows.shape == (64, 2)
+    assert rows[0, 0] == eps.min() and rows[-1, 0] == eps.max()
+    assert np.all((rows[:, 1] >= 0.0) & (rows[:, 1] <= 1.0))
 
 
 def test_transmit_requires_exactly_one_mode(tmp_path):

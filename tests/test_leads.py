@@ -14,7 +14,7 @@ from thouless_lab import (
     lead_F_values,
     load_tabulated_csv,
 )
-from thouless_lab.leads import SUPPORT_TOL
+from thouless_lab.leads import SUPPORT_TOL, _clamp_im
 from thouless_lab.selfcheck import band_interior_grid, random_sample
 
 
@@ -50,6 +50,50 @@ def test_halfline_resolvent_asymptotics():
     lead = HalfLineLead(t=0.8, v0=0.2)
     for E in (50.0, -50.0):
         assert lead_F(lead, E).real == pytest.approx(-1.0 / (E - lead.v0), rel=1e-2)
+
+
+def _bits(z):
+    return np.ascontiguousarray(z).view(np.uint64)
+
+
+@pytest.mark.parametrize("t, v0", [(1.3, 0.2), (-0.7, -0.4)])
+def test_halfline_array_equals_scalar_calls_across_both_edges(t, v0):
+    lead = HalfLineLead(t, v0)
+    w = 2.0 * abs(t)
+    edges = np.array([v0 - w, v0 + w])
+    E = np.concatenate([
+        np.linspace(v0 - 2.0 * w, v0 + 2.0 * w, 81),
+        edges,
+        np.nextafter(edges, [-np.inf, np.inf]),
+        np.nextafter(edges, [np.inf, -np.inf]),
+    ])
+    F = lead_F_values(lead, E)
+    np.testing.assert_array_equal(_bits(F), _bits(np.array([lead_F(lead, e) for e in E])))
+    # the band interior alone takes the path without an off-band root
+    core = np.linspace(v0 - 0.9 * w, v0 + 0.9 * w, 17)
+    np.testing.assert_array_equal(
+        _bits(lead_F_values(lead, core)), _bits(np.array([lead_F(lead, e) for e in core]))
+    )
+
+    x = np.abs(E - v0)
+    assert np.all(F[x < w - 1e-9].imag > 0.0)
+    assert np.all(F[x > w + 1e-9].imag == 0.0)
+    assert np.all(F.imag >= 0.0)
+    # |F|^2 = 1/t^2 in band; off band the decaying root is the smaller one
+    assert np.all(np.abs(F) <= (1.0 + 1e-12) / abs(t))
+
+
+def test_clamp_im_zeroes_only_rounding_below_the_axis():
+    im = np.array([-1e-12, -5e-13, -5e-324, np.nextafter(-1e-12, -1.0), -1e-3, 0.0, 5e-324, 0.3])
+    F = np.linspace(-1.7, 2.3, im.size) + 1j * im
+    clamp = (im < 0.0) & (im >= -1e-12)
+    assert clamp.tolist() == [True, True, True, False, False, False, False, False]
+    out = _clamp_im(F)
+    assert np.all(out.imag[clamp] == 0.0) and not np.any(np.signbit(out.imag[clamp]))
+    np.testing.assert_array_equal(_bits(out.real), _bits(F.real))
+    np.testing.assert_array_equal(_bits(out[~clamp]), _bits(F[~clamp]))
+    # with nothing to clamp every value keeps its bits
+    np.testing.assert_array_equal(_bits(_clamp_im(F[~clamp])), _bits(F[~clamp]))
 
 
 def test_essential_support_halfline(free_lead):

@@ -252,3 +252,57 @@ def test_array_oracle_raises_on_a_gated_energy(monkeypatch, dimer, wide_lead):
     monkeypatch.setattr(oracle, "_corner_green", one_fails)
     with pytest.raises(SingularEnergyError, match="E=-0.5"):
         transmittance_oracle(dimer, wide_lead, wide_lead, 1.0, 2, np.array([-1.0, -0.5, 1.0]))
+
+
+def test_cached_system_is_read_only_and_periodized_parameters_stay_fresh(dimer):
+    oracle._n_cell_system_cached.cache_clear()
+    diag, off = oracle._n_cell_system(dimer, 3)
+    assert oracle._n_cell_system(dimer, 3)[0] is diag
+    fresh_diag, fresh_off = periodized_parameters(dimer, 3)
+    np.testing.assert_array_equal(diag, fresh_diag.astype(complex))
+    np.testing.assert_array_equal(off, fresh_off)
+    for cached in (diag, off):
+        with pytest.raises(ValueError):
+            cached[0] = 1.0
+    fresh_diag[0] = fresh_off[0] = 7.0
+    again_diag, again_off = periodized_parameters(dimer, 3)
+    assert again_diag[0] == 0.0 and again_off[0] == 1.0
+    maxsize = oracle._n_cell_system_cached.cache_info().maxsize
+    assert maxsize == oracle._SYSTEM_CACHE_SIZE and type(maxsize) is int
+
+
+def _oracle_bits(sample, n_cells, lead_l, lead_r, kappa, grid):
+    """Every oracle entry point at (sample, N), as one bit pattern."""
+    g = resolvent_green(sample, n_cells, lead_l, lead_r, kappa, float(grid[0]))
+    d = dirichlet_sample_green(sample, n_cells, float(grid[1]))
+    values = np.concatenate([
+        transmittance_oracle(sample, lead_l, lead_r, kappa, n_cells, grid),
+        [transmittance_oracle(sample, lead_l, lead_r, kappa, n_cells, float(grid[-1]))],
+        [g.g_ll, g.g_lr, g.g_rl, g.g_rr, d.g_ll, d.g_lr, d.g_rl, d.g_rr],
+    ])
+    return _bits(values.astype(complex))
+
+
+def test_cached_calls_equal_fresh_ones_when_interleaved(rng, free_lead):
+    a, lead_l, lead_r, kappa = random_configuration(rng)
+    b = random_sample(rng)
+    grid = np.linspace(*band_spectrum(a).hull, 9)
+    # SampleSpec equality takes -0.0 for 0.0; at E = 0 the sign of a zero onsite
+    # energy reaches the signs of zero parts of the resolvent
+    plus, minus = SampleSpec((), (0.0,), 0.5), SampleSpec((), (-0.0,), 0.5)
+    matched = (free_lead, free_lead, 1.0, np.array([0.0, 0.3, -0.2]))
+    calls = [
+        (a, 4, lead_l, lead_r, kappa, grid),
+        (b, 4, lead_l, lead_r, kappa, grid),
+        (a, 16, lead_l, lead_r, kappa, grid),
+        (a, 4, lead_l, lead_r, kappa, grid),
+        (plus, 2, *matched),
+        (minus, 2, *matched),
+        (plus, 2, *matched),
+    ]
+    oracle._n_cell_system_cached.cache_clear()
+    cached = [_oracle_bits(*call) for call in calls]
+    assert oracle._n_cell_system_cached.cache_info().hits > 0
+    for call, bits in zip(calls, cached):
+        oracle._n_cell_system_cached.cache_clear()
+        np.testing.assert_array_equal(bits, _oracle_bits(*call))
