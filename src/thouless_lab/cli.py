@@ -70,159 +70,147 @@ class RunConfig:
     seed: int
 
 
-def _reject_unknown(section: dict, allowed: set[str], where: str) -> None:
-    unknown = set(section) - allowed
+def _reject_unknown(section: dict, allowed, where: str) -> None:
+    unknown = set(section).difference(allowed)
     if unknown:
         raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}")
 
 
-def _need(section: dict, key: str, where: str):
-    if key not in section:
-        raise ConfigError(f"{where}: missing required key '{key}'")
-    return section[key]
+class _Section:
+    """Reads one object of the run configuration inside a ``with`` block.
+
+    Entering checks that `raw` is an object (named `what`, default `where`)
+    whose keys lie in `keys`, if given.  A missing key or a _READ_ERRORS error
+    inside the block is raised again as one ConfigError prefixed with `where`;
+    a ConfigError passes unchanged, so nested sections are named once.
+    """
+
+    def __init__(self, where: str, raw, keys=None, what: str | None = None):
+        self.where, self.raw, self.keys, self.what = where, raw, keys, what or where
+
+    def __enter__(self) -> dict:
+        if not isinstance(self.raw, dict):
+            raise ConfigError(f"{self.what}: expected an object")
+        if self.keys is not None:
+            _reject_unknown(self.raw, self.keys, self.where)
+        return self.raw
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if isinstance(exc, KeyError):
+            raise ConfigError(f"{self.where}: missing required key {exc}") from exc
+        if isinstance(exc, _READ_ERRORS) and not isinstance(exc, ConfigError):
+            raise ConfigError(f"{self.where}: {exc}") from exc
 
 
-def _parse_sample(d, where: str = "sample") -> SampleSpec:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where}: expected an object")
-    _reject_unknown(d, {"L", "J", "lambda", "kappa_S"}, where)
-    J = _need(d, "J", where)
-    lam = _need(d, "lambda", where)
-    kappa_s = _need(d, "kappa_S", where)
-    if "L" in d and int(d["L"]) != len(lam):
-        raise ConfigError(f"{where}: L={d['L']} inconsistent with {len(lam)} onsite values")
-    try:
+# float, int or tuple of a bad value; a library check; an unreadable lead file
+_READ_ERRORS = (TypeError, ValueError, OverflowError, OSError, ThoulessLabError)
+
+_ROOT_KEYS = {"sample", "leads", "kappa", "thermo", "quadrature", "energy_grid", "output", "seed"}
+_LEAD_KEYS = {"half_line": {"type", "t", "v0"}, "crystalline": {"type", "sample", "side"},
+              "tabulated": {"type", "path"}}
+_QUADRATURE_KEYS = {"panels_per_band": int, "points_per_panel": int,
+                    "edge_margin": float, "abs_tol": float}
+
+
+def _path(value, where: str):
+    # open() takes an integer for a file descriptor
+    if value is not None and not isinstance(value, str):
+        raise ConfigError(f"{where}: expected a path string, got {value!r}")
+    return value
+
+
+def _parse_sample(raw, where: str = "sample") -> SampleSpec:
+    with _Section(where, raw, {"L", "J", "lambda", "kappa_S"}) as d:
+        J, lam, kappa_s = d["J"], d["lambda"], d["kappa_S"]
+        if "L" in d and int(d["L"]) != len(lam):
+            raise ConfigError(f"{where}: L={d['L']} inconsistent with {len(lam)} onsite values")
         return SampleSpec(hop=tuple(J), onsite=tuple(lam), kappa_s=kappa_s)
-    except ThoulessLabError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _parse_lead(d, sample: SampleSpec, where: str) -> LeadModel:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where}: expected an object")
-    kind = _need(d, "type", where)
-    if kind == "half_line":
-        _reject_unknown(d, {"type", "t", "v0"}, where)
-        try:
-            return HalfLineLead(t=_need(d, "t", where), v0=d.get("v0", 0.0))
-        except ThoulessLabError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
-    if kind == "crystalline":
-        _reject_unknown(d, {"type", "sample", "side"}, where)
+def _parse_lead(raw, sample: SampleSpec, where: str) -> LeadModel:
+    with _Section(where, raw) as d:
+        kind = d["type"]
+        keys = _LEAD_KEYS.get(kind) if isinstance(kind, str) else None
+        if keys is None:
+            raise ConfigError(f"{where}: unknown lead type {kind!r}")
+        _reject_unknown(d, keys, where)
+        if kind == "half_line":
+            return HalfLineLead(t=d["t"], v0=d.get("v0", 0.0))
+        if kind == "tabulated":
+            return load_tabulated_csv(_path(d["path"], f"{where}.path"))
         ref = d.get("sample", "self")
         lead_sample = sample if ref == "self" else _parse_sample(ref, f"{where}.sample")
-        side = _need(d, "side", where)
-        try:
-            return CrystallineLead(lead_sample, side)
-        except ThoulessLabError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
-    if kind == "tabulated":
-        _reject_unknown(d, {"type", "path"}, where)
-        return load_tabulated_csv(_need(d, "path", where))
-    raise ConfigError(f"{where}: unknown lead type {kind!r}")
+        return CrystallineLead(lead_sample, d["side"])
 
 
-def _parse_beta(value, where: str) -> float:
+def _parse_beta(value) -> float:
     if value == "inf":
         return math.inf
     try:
         return float(value)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: expected a number or 'inf'") from exc
+        raise ConfigError("thermo: expected a number or 'inf'") from exc
 
 
-def _parse_thermo(d, where: str = "thermo") -> ThermoState:
-    _reject_unknown(d, {"beta_l", "mu_l", "beta_r", "mu_r"}, where)
-    try:
-        return ThermoState(
-            beta_l=_parse_beta(_need(d, "beta_l", where), where),
-            mu_l=float(_need(d, "mu_l", where)),
-            beta_r=_parse_beta(_need(d, "beta_r", where), where),
-            mu_r=float(_need(d, "mu_r", where)),
-        )
-    except ThoulessLabError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _parse_quadrature(d, where: str = "quadrature") -> QuadratureConfig:
-    _reject_unknown(
-        d, {"panels_per_band", "points_per_panel", "edge_margin", "abs_tol"}, where
-    )
-    defaults = QuadratureConfig()
-    try:
-        return QuadratureConfig(
-            panels_per_band=int(d.get("panels_per_band", defaults.panels_per_band)),
-            points_per_panel=int(d.get("points_per_panel", defaults.points_per_panel)),
-            edge_margin=float(d.get("edge_margin", defaults.edge_margin)),
-            abs_tol=float(d.get("abs_tol", defaults.abs_tol)),
-        )
-    except ThoulessLabError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def parse_config(data: dict) -> RunConfig:
+def parse_config(data) -> RunConfig:
     """Validate a parsed JSON run configuration (fail-closed on unknown keys)."""
-    if not isinstance(data, dict):
-        raise ConfigError("config root: expected an object")
-    _reject_unknown(
-        data,
-        {"sample", "leads", "kappa", "thermo", "quadrature", "energy_grid", "output", "seed"},
-        "config",
-    )
-    sample = _parse_sample(_need(data, "sample", "config"))
+    with _Section("config", data, _ROOT_KEYS, what="config root") as root:
+        sample = _parse_sample(root["sample"])
 
-    lead_l = lead_r = None
-    if "leads" in data:
-        leads = data["leads"]
-        _reject_unknown(leads, {"left", "right"}, "leads")
-        lead_l = _parse_lead(_need(leads, "left", "leads"), sample, "leads.left")
-        lead_r = _parse_lead(_need(leads, "right", "leads"), sample, "leads.right")
+        lead_l = lead_r = None
+        if "leads" in root:
+            with _Section("leads", root["leads"], {"left", "right"}) as leads:
+                lead_l = _parse_lead(leads["left"], sample, "leads.left")
+                lead_r = _parse_lead(leads["right"], sample, "leads.right")
 
-    kappa = None
-    if "kappa" in data:
-        kappa = float(data["kappa"])
-        if kappa == 0.0:
-            raise ConfigError("kappa: must be nonzero")
+        kappa = None
+        if "kappa" in root:
+            with _Section("kappa", root):
+                kappa = float(root["kappa"])
+            if kappa == 0.0:
+                raise ConfigError("kappa: must be nonzero")
 
-    thermo = _parse_thermo(data["thermo"]) if "thermo" in data else None
-    quad = _parse_quadrature(data.get("quadrature", {}))
+        thermo = None
+        if "thermo" in root:
+            with _Section("thermo", root["thermo"], {"beta_l", "mu_l", "beta_r", "mu_r"}) as d:
+                thermo = ThermoState(
+                    _parse_beta(d["beta_l"]), d["mu_l"], _parse_beta(d["beta_r"]), d["mu_r"]
+                )
 
-    grid_count, grid_values = 400, None
-    if "energy_grid" in data:
-        eg = data["energy_grid"]
-        _reject_unknown(eg, {"count", "values"}, "energy_grid")
-        if "values" in eg:
-            grid_values = tuple(float(v) for v in eg["values"])
-            if not grid_values:
-                raise ConfigError("energy_grid.values: must be nonempty")
-        elif "count" in eg:
-            grid_count = int(eg["count"])
-            if grid_count < 2:
-                raise ConfigError("energy_grid.count: must be >= 2")
-        else:
-            raise ConfigError("energy_grid: needs 'count' or 'values'")
+        with _Section("quadrature", root.get("quadrature", {}), _QUADRATURE_KEYS) as d:
+            quad = QuadratureConfig(**{k: _QUADRATURE_KEYS[k](v) for k, v in d.items()})
 
-    out_path, out_format = None, "csv"
-    if "output" in data:
-        out = data["output"]
-        _reject_unknown(out, {"path", "format"}, "output")
-        out_path = out.get("path")
-        out_format = out.get("format", "csv")
-        if out_format not in ("csv", "json"):
-            raise ConfigError(f"output.format: expected csv|json, got {out_format!r}")
+        grid_count, grid_values = 400, None
+        if "energy_grid" in root:
+            with _Section("energy_grid", root["energy_grid"], {"count", "values"}) as d:
+                if "values" in d:
+                    grid_values = tuple(float(v) for v in d["values"])
+                    if not grid_values:
+                        raise ConfigError("energy_grid.values: must be nonempty")
+                elif "count" in d:
+                    grid_count = int(d["count"])
+                    if grid_count < 2:
+                        raise ConfigError("energy_grid.count: must be >= 2")
+                else:
+                    raise ConfigError("energy_grid: needs 'count' or 'values'")
+
+        out_path, out_format = None, "csv"
+        if "output" in root:
+            with _Section("output", root["output"], {"path", "format"}) as d:
+                out_path = _path(d.get("path"), "output.path")
+                out_format = d.get("format", "csv")
+            if out_format not in ("csv", "json"):
+                raise ConfigError(f"output.format: expected csv|json, got {out_format!r}")
+
+        with _Section("seed", root):
+            seed = int(root.get("seed", 0))
+        if seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {seed}")
 
     return RunConfig(
-        sample=sample,
-        lead_l=lead_l,
-        lead_r=lead_r,
-        kappa=kappa,
-        thermo=thermo,
-        quadrature=quad,
-        grid_count=grid_count,
-        grid_values=grid_values,
-        out_path=out_path,
-        out_format=out_format,
-        seed=int(data.get("seed", 0)),
+        sample=sample, lead_l=lead_l, lead_r=lead_r, kappa=kappa, thermo=thermo,
+        quadrature=quad, grid_count=grid_count, grid_values=grid_values,
+        out_path=out_path, out_format=out_format, seed=seed,
     )
 
 
@@ -230,7 +218,7 @@ def load_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
@@ -391,7 +379,25 @@ def _parse_n_list(raw: str) -> list[int]:
         raise ConfigError(f"--N-list: expected comma-separated integers, got {raw!r}") from exc
     if not values or min(values) < 1:
         raise ConfigError(f"--N-list: needs one or more entries, each must be >= 1, got {raw!r}")
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ConfigError(f"--N-list: must be strictly increasing, got {raw!r}")
     return values
+
+
+def _check_flags(args: argparse.Namespace) -> None:
+    """Raise a ConfigError naming the first bad flag; parses --N-list in place."""
+    for flag, least in (("N", 1), ("dispersion", 1), ("ensemble", 1), ("seed", 0)):
+        value = getattr(args, flag, None)
+        if value is not None and value < least:
+            raise ConfigError(f"--{flag}: must be >= {least}, got {value}")
+    if args.command == "converge":
+        args.N_list = _parse_n_list(args.N_list)
+        if args.weight == "indicator" and not args.window[1] > args.window[0]:
+            raise ConfigError("--window: needs lo < hi")
+        if args.weight == "gaussian" and not args.width > 0:
+            raise ConfigError("--width: must be positive")
+        if args.weight == "gaussian" and not math.isfinite(args.center):
+            raise ConfigError(f"--center: must be finite, got {args.center}")
 
 
 def cmd_converge(config: RunConfig, n_list: list[int], weight_kind: str,
@@ -399,21 +405,15 @@ def cmd_converge(config: RunConfig, n_list: list[int], weight_kind: str,
     _require(config, "lead_l", "lead_r", "kappa")
     if weight_kind == "indicator":
         lo, hi = window
-        if not hi > lo:
-            raise ConfigError("--window: needs lo < hi")
+        breakpoints = (lo, hi)
 
         def weight(E):
             return ((E >= lo) & (E <= hi)).astype(float)
-
-        breakpoints = (lo, hi)
     else:
-        if not width > 0:
-            raise ConfigError("--width: must be positive")
+        breakpoints = ()
 
         def weight(E):
             return np.exp(-((E - center) ** 2) / (2.0 * width**2))
-
-        breakpoints = ()
     rows = convergence_study(
         config.sample, config.lead_l, config.lead_r, config.kappa,
         weight, n_list, config.quadrature, breakpoints,
@@ -493,8 +493,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "N", None) is not None and args.N < 1:
-            raise ConfigError(f"--N: must be >= 1, got {args.N}")
+        _check_flags(args)
         config = load_config(args.config)
         if args.format is not None:
             config = dataclasses.replace(config, out_format=args.format)
@@ -510,8 +509,7 @@ def main(argv=None) -> int:
             text = cmd_currents(config, "thouless", None)
         elif args.command == "converge":
             text = cmd_converge(
-                config, _parse_n_list(args.N_list), args.weight,
-                tuple(args.window), args.center, args.width,
+                config, args.N_list, args.weight, tuple(args.window), args.center, args.width
             )
         elif args.command == "selfcheck":
             text, passed = cmd_selfcheck(config, args.seed, args.ensemble)

@@ -96,11 +96,16 @@ def _corner_green(diag: np.ndarray, off: np.ndarray):
     return (*corners, ok)
 
 
+def _lead_values(lead_l, lead_r, kappa, E):
+    """(F_l, F_r) at the energies E; kappa = 0 decouples the leads and is refused first."""
+    if kappa == 0.0:
+        raise DomainError("coupling kappa must be nonzero")
+    return lead_F_values(lead_l, E), lead_F_values(lead_r, E)
+
+
 def _coupled_corners(sample, n_cells, kappa, E, F_l, F_r):
     """`_corner_green` of the boundary-self-energy systems at the energies E."""
     diag, off = _n_cell_system(sample, n_cells)
-    if kappa == 0.0:
-        raise DomainError("coupling kappa must be nonzero")
     d = diag - E[:, None]
     d[:, 0] -= kappa**2 * F_l
     d[:, -1] -= kappa**2 * F_r
@@ -117,7 +122,7 @@ def resolvent_green(
 ) -> GreenMatrix2:
     """Full 2x2 Green matrix between the end sites of the coupled N-cell system."""
     E_arr = np.array([float(E)])
-    F_l, F_r = lead_F_values(lead_l, E_arr), lead_F_values(lead_r, E_arr)
+    F_l, F_r = _lead_values(lead_l, lead_r, kappa, E_arr)
     *corners, ok = _coupled_corners(sample, n_cells, kappa, E_arr, F_l, F_r)
     if not ok[0]:
         raise SingularEnergyError(f"the solve at E={E} fails the residual gate {_RESIDUAL_TOL:g}")
@@ -151,7 +156,7 @@ def transmittance_oracle(
     """
     scalar = np.ndim(E) == 0
     E_arr = np.atleast_1d(np.asarray(E, dtype=float))
-    F_l, F_r = lead_F_values(lead_l, E_arr), lead_F_values(lead_r, E_arr)
+    F_l, F_r = _lead_values(lead_l, lead_r, kappa, E_arr)
     live = (F_l.imag > 0.0) & (F_r.imag > 0.0)
     T = np.zeros(E_arr.shape)
     if live.any():

@@ -15,9 +15,9 @@ import numpy as np
 
 from .currents import QuadratureConfig, ThermoState, crystalline_currents, thouless_currents
 from .errors import SampleEigenvalueError
-from .jacobi import SampleSpec, band_spectrum, periodized_parameters, transfer_step
+from .jacobi import SampleSpec, band_spectrum, transfer_step
 from .leads import CrystallineLead, HalfLineLead, _crystal_m_values
-from .oracle import _corner_green, transmittance_oracle
+from .oracle import _coupled_corners, transmittance_oracle
 from .transport import sample_green, transmittance_n
 
 
@@ -146,14 +146,9 @@ def check_m_identities(
         grid = band_interior_grid(band_spectrum(sample), 30)
         m_l, m_r, _ = _crystal_m_values(sample, grid)
         min_im = min(min_im, float(np.min(m_l.imag)), float(np.min(m_r.imag)))
-        diag, off = periodized_parameters(sample, 1)
-        kS2 = sample.kappa_s**2
-        d_r = (diag - grid[:, None]).astype(complex)
-        d_l = d_r.copy()
-        d_r[:, -1] -= kS2 * m_r
-        d_l[:, 0] -= kS2 * m_l
-        fixed_r, _, _, _, ok_r = _corner_green(d_r, off)
-        _, _, _, fixed_l, ok_l = _corner_green(d_l, off)
+        # kappa_s^2 m on an end site is that half-line's boundary self-energy
+        fixed_r, _, _, _, ok_r = _coupled_corners(sample, 1, sample.kappa_s, grid, 0.0, m_r)
+        _, _, _, fixed_l, ok_l = _coupled_corners(sample, 1, sample.kappa_s, grid, m_l, 0.0)
         keep = ok_r & ok_l
         if np.any(keep):
             m_r, m_l, fixed_r, fixed_l = m_r[keep], m_l[keep], fixed_r[keep], fixed_l[keep]

@@ -182,11 +182,15 @@ def sample_green(sample: SampleSpec, n_cells: int, E: float) -> GreenMatrix2:
     )
 
 
-def _transport_inputs(sample, lead_l, lead_r, E: np.ndarray):
+def _transport_inputs(sample, lead_l, lead_r, kappa, E: np.ndarray):
     """(eigendata, F_l, F_r) from one eigendata evaluation of the energy array.
 
     A CrystallineLead on a sample equal to this one takes F from its m_l or m_r.
+    Every transport quantity passes its coupling kappa through here first:
+    kappa = 0 decouples the leads, and is refused before any energy is evaluated.
     """
+    if kappa == 0.0:
+        raise DomainError("coupling kappa must be nonzero")
     ed = _eigendata_values(sample, E)
 
     def boundary_values(lead):
@@ -262,7 +266,8 @@ def transmittance_n(
         raise DomainError(f"n_cells must be a positive integer, got {n_cells}")
     scalar = np.ndim(E) == 0
     E_arr = np.atleast_1d(np.asarray(E, dtype=float))
-    T = _tn_values(sample, kappa, n_cells, *_transport_inputs(sample, lead_l, lead_r, E_arr))
+    inputs = _transport_inputs(sample, lead_l, lead_r, kappa, E_arr)
+    T = _tn_values(sample, kappa, n_cells, *inputs)
     return float(T[0]) if scalar else T
 
 
@@ -299,7 +304,7 @@ def transmittance_inf(
     """
     scalar = np.ndim(E) == 0
     E_arr = np.atleast_1d(np.asarray(E, dtype=float))
-    T = _tinf_values(sample, kappa, *_transport_inputs(sample, lead_l, lead_r, E_arr))
+    T = _tinf_values(sample, kappa, *_transport_inputs(sample, lead_l, lead_r, kappa, E_arr))
     return float(T[0]) if scalar else T
 
 
@@ -326,12 +331,12 @@ def _r_theta_from(sample, kappa, ed, F_l, F_r):
 
 def _r_theta_values(sample, lead_l, lead_r, kappa, E: np.ndarray):
     """Vectorized (r, vartheta, theta, live) of the oscillation polar decomposition."""
-    return _r_theta_from(sample, kappa, *_transport_inputs(sample, lead_l, lead_r, E))
+    return _r_theta_from(sample, kappa, *_transport_inputs(sample, lead_l, lead_r, kappa, E))
 
 
 def _diagnostic_columns(sample, lead_l, lead_r, kappa, n_cells, E: np.ndarray):
     """Columns (T, r, theta) of `transmit --diagnostics`; T is T_infty if n_cells is None."""
-    inputs = _transport_inputs(sample, lead_l, lead_r, E)
+    inputs = _transport_inputs(sample, lead_l, lead_r, kappa, E)
     T = (_tinf_values(sample, kappa, *inputs) if n_cells is None
          else _tn_values(sample, kappa, n_cells, *inputs))
     r, _, theta, _ = _r_theta_from(sample, kappa, *inputs)

@@ -348,3 +348,85 @@ def test_tabulated_lead_config(tmp_path):
     assert main(["transmit", "--config", cfg, "--out", str(out), "--N", "2"]) == 0
     _, rows = read_csv(out)
     assert np.all(rows[:, 1] >= 0.0) and np.all(rows[:, 1] <= 1.0)
+
+
+def _edited(base, path, value):
+    """A deep copy of base with the key at the dotted path set, or deleted if value is DELETE."""
+    payload = json.loads(json.dumps(base))
+    *parents, key = path.split(".")
+    section = payload
+    for part in parents:
+        section = section[part]
+    if value is DELETE:
+        del section[key]
+    else:
+        section[key] = value
+    return payload
+
+
+DELETE = object()
+HALF_LINE = "leads.left"
+
+# (a config edit, the raw config file or None; extra CLI args; how the one stderr
+# line starts after "config error: ")
+MALFORMED = {
+    "file_not_utf8": (b'{"sample": "\xff"}', [], "cannot read config "),
+    "kappa_string": (("kappa", "abc"), [], "kappa: "),
+    "kappa_null": (("kappa", None), [], "kappa: "),
+    "abs_tol_string": (("quadrature", {"abs_tol": "x"}), [], "quadrature: "),
+    "onsite_string": (
+        ("sample", {"J": [1.0], "lambda": [0.0, "a"], "kappa_S": 1.0}), [], "sample: "
+    ),
+    "hoppings_scalar": (("sample.J", 1.0), [], "sample: "),
+    "length_string": (("sample.L", "two"), [], "sample: "),
+    "count_string": (("energy_grid", {"count": "ten"}), [], "energy_grid: "),
+    "values_string": (("energy_grid", {"values": ["a"]}), [], "energy_grid: "),
+    "count_infinite": (("energy_grid", {"count": float("inf")}), [], "energy_grid: "),
+    "mu_string": (("thermo.mu_l", "zero"), [], "thermo: "),
+    "thermo_number": (("thermo", 5), [], "thermo: expected an object"),
+    "hopping_string": ((f"{HALF_LINE}.t", "big"), [], f"{HALF_LINE}: "),
+    "tabulated_missing": (
+        (HALF_LINE, {"type": "tabulated", "path": "absent.csv"}), [], f"{HALF_LINE}: "
+    ),
+    "tabulated_path_number": (
+        (HALF_LINE, {"type": "tabulated", "path": 0}), [], f"{HALF_LINE}.path: "
+    ),
+    "output_path_number": (("output", {"path": 7}), [], "output.path: "),
+    "seed_string": (("seed", "s"), [], "seed: "),
+    "seed_negative": (("seed", -1), [], "seed: "),
+    "thermo_missing_key": (("thermo.mu_l", DELETE), [], "thermo: missing required key 'mu_l'"),
+    "thermo_bad_beta": (("thermo.beta_l", "hot"), [], "thermo: expected a number or 'inf'"),
+    "half_line_missing_t": (
+        (f"{HALF_LINE}.t", DELETE), [], f"{HALF_LINE}: missing required key 't'"
+    ),
+    "leads_string": (("leads", "x"), [], "leads: expected an object"),
+    "quadrature_list": (("quadrature", [1]), [], "quadrature: expected an object"),
+    "dispersion_negative": (None, ["--dispersion", "-3"], "--dispersion: "),
+    "dispersion_zero": (None, ["--dispersion", "0"], "--dispersion: "),
+    "ensemble_zero": (None, ["selfcheck", "--ensemble", "0"], "--ensemble: "),
+    "ensemble_negative": (None, ["selfcheck", "--ensemble", "-5"], "--ensemble: "),
+    "seed_flag_negative": (None, ["selfcheck", "--ensemble", "1", "--seed", "-2"], "--seed: "),
+    "n_list_repeated": (None, ["converge", "--N-list", "1,1"], "--N-list: "),
+    "center_nan": (None, ["converge", "--weight", "gaussian", "--center", "nan"], "--center: "),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_config_or_flag_is_one_config_error(tmp_path, monkeypatch, capsys, case):
+    edit, args, start = case
+    monkeypatch.chdir(tmp_path)  # a relative tabulated path resolves here
+    if isinstance(edit, bytes):
+        (tmp_path / "run.json").write_bytes(edit)
+        cfg = str(tmp_path / "run.json")
+    else:
+        cfg = write_config(tmp_path, MATCHED if edit is None else _edited(MATCHED, *edit))
+    if not args or args[0].startswith("--"):
+        args = ["bands", *args]
+    out = tmp_path / "never.csv"
+    assert main([*args, "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"config error: {start}"), lines
+    # the section or flag is named once
+    where, rest = lines[0].removeprefix("config error: ").split(": ", 1)
+    assert not rest.startswith(f"{where}:"), lines

@@ -7,8 +7,10 @@ from thouless_lab import (
     DomainError,
     HalfLineLead,
     SampleEigenvalueError,
+    ThermoState,
     band_spectrum,
     crystal_m_functions,
+    crystalline_currents,
     lead_F,
     lead_F_values,
     one_period_transfer,
@@ -16,6 +18,7 @@ from thouless_lab import (
     transfer_eigendata,
     transmittance_inf,
     transmittance_n,
+    transmittance_oracle,
 )
 from thouless_lab.selfcheck import band_interior_grid, random_configuration, random_sample
 from thouless_lab.leads import _eigendata_values
@@ -200,6 +203,24 @@ def test_repetition_count_below_one_raises(dimer, wide_lead, n_cells):
         convergence_study(dimer, wide_lead, wide_lead, 0.7, np.ones_like, [n_cells, 1])
 
 
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda s, lead: transmittance_n(s, lead, lead, 0.0, 3, np.linspace(-1.5, 1.5, 9)),
+        lambda s, lead: transmittance_inf(s, lead, lead, 0.0, np.linspace(-1.5, 1.5, 9)),
+        lambda s, lead: r_theta_diagnostic(s, lead, lead, 0.0, 1.0),
+        lambda s, lead: crystalline_currents(s, lead, lead, 0.0, ThermoState(1.0, -1.0, 1.0, 1.0)),
+        lambda s, lead: transmittance_oracle(s, lead, lead, 0.0, 3, np.array([-1.0, 1.0])),
+        # no energy on the leads' support: the oracle solves nothing, and still refuses
+        lambda s, lead: transmittance_oracle(s, lead, lead, 0.0, 3, np.array([-9.0, 9.0])),
+    ],
+    ids=["T_N", "T_inf", "r_theta", "crystalline_currents", "oracle", "oracle_off_support"],
+)
+def test_zero_coupling_is_refused(dimer, wide_lead, evaluate):
+    with pytest.raises(DomainError, match="coupling kappa must be nonzero"):
+        evaluate(dimer, wide_lead)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_tn_matches_oracle_next_to_band_edges(seed):
     # at the band edges and 1e-7 band widths inside and outside each edge
@@ -290,7 +311,7 @@ def test_full_green_reduces_to_greenfull_small_at_n1(rng):
         F = np.diag([lead_F(lead_l, E), lead_F(lead_r, E)])
         det = np.linalg.det(np.eye(2) - kappa**2 * gs.as_array() @ F)
         expected = gs.g_lr / det
-        inputs = _transport_inputs(s, lead_l, lead_r, np.array([E]))
+        inputs = _transport_inputs(s, lead_l, lead_r, kappa, np.array([E]))
         (got,) = _full_green_lr_values(s, kappa, 1, *inputs)
         assert got == pytest.approx(expected, rel=1e-9)
 
@@ -301,7 +322,7 @@ def test_full_green_decoupling_limit(rng):
     grid = band_interior_grid(band_spectrum(s), 8)
     E = float(grid[2])
     gs = sample_green(s, 3, E)
-    inputs = _transport_inputs(s, lead_l, lead_r, np.array([E]))
+    inputs = _transport_inputs(s, lead_l, lead_r, 1e-9, np.array([E]))
     (got,) = _full_green_lr_values(s, 1e-9, 3, *inputs)
     assert got == pytest.approx(gs.g_lr, rel=1e-6)
 
