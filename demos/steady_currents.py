@@ -56,11 +56,11 @@ print(f"  J_Th - J_mismatched = {bound.entropy_j - mismatched.entropy_j:+.2e}")
 
 window = (-1.2, 1.4)
 g, g_th = zero_temperature_conductance(
-    sample, wide, wide, 1.0, *window, QuadratureConfig(edge_margin=1e-5)
+    sample, wide, wide, 1.0, *window
 )
 g_matched, _ = zero_temperature_conductance(
     sample, CrystallineLead(sample, "l"), CrystallineLead(sample, "r"),
-    sample.kappa_s, *window, QuadratureConfig(edge_margin=1e-5),
+    sample.kappa_s, *window,
 )
 print(f"\nzero-temperature conductance over [{window[0]}, {window[1]}]:")
 print(f"  g (mismatched leads) = {g:.6f}")
@@ -72,5 +72,5 @@ print("\nzero-temperature entropy note: at beta = inf with a bias the")
 print("entropy current is genuinely infinite; finite-beta drives keep the")
 print("balance identity J = -sum beta (Phi - mu I) to quadrature accuracy.")
 inf_drive = ThermoState(math.inf, -1.0, math.inf, 1.0)
-rep = thouless_currents(sample, inf_drive, QuadratureConfig(edge_margin=1e-5))
+rep = thouless_currents(sample, inf_drive)
 print(f"  beta = inf, mu = (-1, 1):  I_r = {rep.i_r:.6f},  J = {rep.entropy_j}")

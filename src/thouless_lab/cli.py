@@ -12,8 +12,6 @@ selfcheck  seeded property battery; exit 1 on any failure
 Exit codes: 0 success, 1 check failure, 2 usage/config error, 3 numerical
 failure.  CSV output carries a ``# schema=1`` line and 17-significant-digit
 fields; identical config + seed reproduce byte-identical output.
-``transmit`` evaluates its grid serially in GRID_CHUNK-energy chunks through
-``_parallel_grid``, a name kept because bench/tracer.py times that call.
 """
 
 from __future__ import annotations
@@ -22,6 +20,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -108,8 +107,7 @@ _READ_ERRORS = (TypeError, ValueError, OverflowError, OSError, ThoulessLabError)
 _ROOT_KEYS = {"sample", "leads", "kappa", "thermo", "quadrature", "energy_grid", "output", "seed"}
 _LEAD_KEYS = {"half_line": {"type", "t", "v0"}, "crystalline": {"type", "sample", "side"},
               "tabulated": {"type", "path"}}
-_QUADRATURE_KEYS = {"panels_per_band": int, "points_per_panel": int,
-                    "edge_margin": float, "abs_tol": float}
+_QUADRATURE_KEYS = {"panels_per_band": int, "points_per_panel": int, "abs_tol": float}
 
 
 def _path(value, where: str):
@@ -167,8 +165,8 @@ def parse_config(data) -> RunConfig:
         if "kappa" in root:
             with _Section("kappa", root):
                 kappa = float(root["kappa"])
-            if kappa == 0.0:
-                raise ConfigError("kappa: must be nonzero")
+            if kappa == 0.0 or not math.isfinite(kappa):
+                raise ConfigError(f"kappa: must be nonzero and finite, got {kappa}")
 
         thermo = None
         if "thermo" in root:
@@ -187,6 +185,8 @@ def parse_config(data) -> RunConfig:
                     grid_values = tuple(float(v) for v in d["values"])
                     if not grid_values:
                         raise ConfigError("energy_grid.values: must be nonempty")
+                    if not all(map(math.isfinite, grid_values)):
+                        raise ConfigError("energy_grid.values: must be finite")
                 elif "count" in d:
                     grid_count = int(d["count"])
                     if grid_count < 2:
@@ -248,12 +248,22 @@ def _energy_grid(config: RunConfig) -> np.ndarray:
     return np.linspace(lo, hi, config.grid_count)
 
 
+def _check_out_dir(out_path: str | None) -> None:
+    """Refuse an output path in a missing or unwritable directory, before any work."""
+    folder = out_path and os.path.dirname(os.path.abspath(out_path))
+    if folder and not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise ConfigError(f"output path {out_path}: no writable directory {folder}")
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {out_path}: {exc}") from exc
 
 
 def _as_table(rows, width: int) -> np.ndarray:
@@ -498,7 +508,9 @@ def main(argv=None) -> int:
         if args.format is not None:
             config = dataclasses.replace(config, out_format=args.format)
         out_path = args.out if args.out is not None else config.out_path
+        _check_out_dir(out_path)
 
+        passed = True
         if args.command == "bands":
             text = cmd_bands(config, args.dispersion)
         elif args.command == "transmit":
@@ -513,18 +525,16 @@ def main(argv=None) -> int:
             )
         elif args.command == "selfcheck":
             text, passed = cmd_selfcheck(config, args.seed, args.ensemble)
-            _emit(text, out_path)
-            return EXIT_OK if passed else EXIT_CHECK_FAILURE
         else:  # pragma: no cover
             raise ConfigError(f"unknown command {args.command}")
+        _emit(text, out_path)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ThoulessLabError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    _emit(text, out_path)
-    return EXIT_OK
+    return EXIT_OK if passed else EXIT_CHECK_FAILURE
 
 
 if __name__ == "__main__":

@@ -9,16 +9,10 @@ periodized sample,
 
 with T = T_N, T_infty, or identically 1 (Thouless).  Delta and varsigma
 are built from Fermi-Dirac occupations of the two reservoirs; the spin
-degeneracy factor 2 is deliberately not included.  Quadrature is composite
-Gauss-Legendre over each band shrunk by a small edge margin (the
-integrands are only a.e.-defined at band edges), refined panel by panel:
-each level halves only the panels whose two halves still disagree with
-their parent by more than their share abs_tol * width / (total width) of
-the error budget, so refinement concentrates on the sharp T_N resonances
-near band edges.  Refinement stops once the summed absolute panel
-differences of every finite component are below abs_tol.  Where a lead's
-support edge falls inside a band, T has a square-root kink there, and the
-band is split at it.
+degeneracy factor 2 is deliberately not included.  The quadrature,
+``_adaptive_panels``, refines Gauss-Legendre panels locally over each band
+to its edges; bands are split where a lead's support edge puts a
+square-root kink in T.
 
 At beta = inf the occupations are exact indicators: panels are split at the
 chemical potentials, and an off-equilibrium entropy current is genuinely
@@ -57,43 +51,38 @@ class ThermoState:
     mu_r: float
 
     def __post_init__(self):
-        for name in ("beta_l", "beta_r"):
-            b = float(getattr(self, name))
-            object.__setattr__(self, name, b)
-            if not b > 0.0:
+        for name in ("beta_l", "mu_l", "beta_r", "mu_r"):
+            v = float(getattr(self, name))
+            object.__setattr__(self, name, v)
+            if name.startswith("beta") and not v > 0.0:
                 raise DomainError(f"{name} must be positive (math.inf allowed)")
-        object.__setattr__(self, "mu_l", float(self.mu_l))
-        object.__setattr__(self, "mu_r", float(self.mu_r))
+            if name.startswith("mu") and not math.isfinite(v):
+                raise DomainError(f"{name} must be finite, got {v}")
 
     @property
     def is_equilibrium(self) -> bool:
         return self.beta_l == self.beta_r and self.mu_l == self.mu_r
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class QuadratureConfig:
     """Composite Gauss-Legendre settings for band integrals.
 
-    panels_per_band is the initial number of panels per segment (a band, or
+    panels_per_band is the initial number of panels per piece (a band, or
     a part of one between breakpoints: lead support edges and zero-temperature
-    chemical potentials); panels are then
-    halved locally until the error budget abs_tol is met.  edge_margin is
-    the fraction of each band's width excluded at both edges; the reported
-    error estimate includes a bound for the excluded mass.
+    chemical potentials); panels are then halved locally until the error
+    budget abs_tol is met.  Each piece is integrated to its edges.
     """
 
     panels_per_band: int = 8
     points_per_panel: int = 12
-    edge_margin: float = 1e-4
     abs_tol: float = 1e-8
 
     def __post_init__(self):
         if self.panels_per_band < 1 or self.points_per_panel < 1:
             raise DomainError("panel and point counts must be positive")
-        if not 0.0 < self.edge_margin < 0.5:
-            raise DomainError("edge_margin must lie in (0, 0.5)")
-        if not self.abs_tol > 0.0:
-            raise DomainError("abs_tol must be positive")
+        if not 0.0 < self.abs_tol < math.inf:
+            raise DomainError("abs_tol must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -106,8 +95,8 @@ class CurrentReport:
     either beta is infinite (the balance identity involves
     beta * (phi - mu i), ill-defined there).
     error_estimate is the largest quadrature error estimate among the finite
-    currents (in the currents' units, margin bound included; inf if none is
-    finite), and evaluations the number of integrand energies used.
+    currents (in the currents' units: the summed panel differences; inf if
+    none is finite), and evaluations the number of integrand energies used.
     """
 
     phi_l: float
@@ -188,17 +177,11 @@ def sign_change_energy(thermo: ThermoState) -> float:
     return (br * thermo.mu_r - bl * thermo.mu_l) / (br - bl)
 
 
-def _segments(spectrum: BandSpectrum, edge_margin: float, breakpoints) -> list[tuple[float, float]]:
-    """Band intervals shrunk by the edge margin and split at distinct interior breakpoints."""
-    segs: list[tuple[float, float]] = []
-    for lo, hi in spectrum.bands:
-        w = hi - lo
-        s0, s1 = lo + edge_margin * w, hi - edge_margin * w
-        if s1 <= s0:
-            continue
-        cuts = [s0] + sorted({b for b in breakpoints if s0 < b < s1}) + [s1]
-        segs.extend(zip(cuts[:-1], cuts[1:]))
-    return segs
+def _pieces(spectrum: BandSpectrum, breakpoints) -> np.ndarray:
+    """(k, 2) array of the nonempty bands split at their distinct interior breakpoints."""
+    cuts = [[lo, *sorted({b for b in breakpoints if lo < b < hi}), hi]
+            for lo, hi in spectrum.bands if hi > lo]
+    return np.array([p for band in cuts for p in zip(band[:-1], band[1:])]).reshape(-1, 2)
 
 
 @functools.lru_cache(maxsize=None)
@@ -213,53 +196,52 @@ def _adaptive_panels(spectrum, integrand_vec, quad: QuadratureConfig, breakpoint
     """Panel-local adaptive composite Gauss-Legendre for a vector-valued integrand.
 
     integrand_vec maps an energy array of length n to an (m, n) array.  Each
-    segment starts with quad.panels_per_band panels whose coarse sums are
-    computed once.  Every level halves all active panels and evaluates the
-    nodes of all halves in one integrand_vec call; a panel's two half-sums
-    give its fine sum and become the coarse sums of its halves, so no node is
-    evaluated twice.  A panel is locked once every finite component satisfies
-    |fine - coarse| < abs_tol * width / (total segment width).  Refinement
-    stops when, for every finite component, sum |fine - coarse| over locked
-    and active panels is below abs_tol (no cancellation between panels).
-    Components that come out non-finite (infinite entropy weights) are
-    skipped while coarse and fine agree on which components are finite, and
-    are returned with an inf error estimate.  The error estimate is
-    sum |fine - coarse| plus a bound on the margin-excluded mass.  Returns
-    (values (m,), error_estimates (m,)); raises QuadratureError carrying the
-    partial result when panels are still active after _MAX_HALVINGS levels.
+    piece [s0, s1] of a band split at the breakpoints is integrated over phi
+    in [0, pi] with E = c - h cos(phi), c = (s0 + s1)/2, h = (s1 - s0)/2 and
+    Jacobian h sin(phi), so a square-root end sqrt(E - s0) = sqrt(2h) sin(phi/2)
+    is analytic and no node touches an edge.  A piece starts with
+    quad.panels_per_band panels in phi; every level halves the active panels
+    (each carrying its piece's c and h) in one integrand_vec call, and their
+    half-sums become the next level's coarse sums.  A panel is locked once
+    every finite component has |fine - coarse| < abs_tol * (its energy width)
+    / (total width).  The integral stops when every finite component's
+    sum |fine - coarse| over all panels, its error estimate, is below abs_tol.
+    Non-finite components (infinite entropy weights) are skipped while coarse
+    and fine agree on which are finite, and get an inf error estimate.
+    Returns (values (m,), error_estimates (m,)); raises QuadratureError with
+    the partial result if panels are still active after _MAX_HALVINGS levels.
     """
-    segs = _segments(spectrum, quad.edge_margin, breakpoints)
-    if not segs:
+    pieces = _pieces(spectrum, breakpoints)
+    if not pieces.size:
         m = np.atleast_2d(integrand_vec(np.empty(0))).shape[0]
         return np.zeros(m), np.zeros(m)
     xg, wg = _gauss_legendre(quad.points_per_panel)
-    margin_measure = sum(2.0 * quad.edge_margin * (hi - lo) for lo, hi in spectrum.bands)
-    budget = quad.abs_tol / sum(s1 - s0 for s0, s1 in segs)
+    centre, half_width = pieces.mean(axis=1), (pieces[:, 1] - pieces[:, 0]) / 2.0
+    budget = quad.abs_tol / (2.0 * half_width.sum())
     # the coarse level always has panels, so reshape can infer m there (-1);
     # later levels reshape with m, which still works when no panel is active
-    m, fmax = -1, 0.0
+    m = -1
 
-    def panel_sums(lo, hi):
-        nonlocal fmax
+    def panel_sums(lo, hi, c, h):
         half = (hi - lo) / 2.0
-        nodes = ((lo + half)[:, None] + half[:, None] * xg).ravel()
-        vals = np.atleast_2d(integrand_vec(nodes)).reshape(m, lo.size, xg.size)
-        if vals.size:
-            fmax = np.maximum(fmax, np.where(np.isfinite(vals), np.abs(vals), 0.0).max(axis=(1, 2)))
+        phi = (lo + half)[:, None] + half[:, None] * xg
+        vals = np.atleast_2d(integrand_vec((c[:, None] - h[:, None] * np.cos(phi)).ravel()))
         with np.errstate(invalid="ignore"):
-            return (vals @ wg) * half
+            return (vals.reshape(m, lo.size, xg.size) * ((h * half)[:, None] * np.sin(phi))) @ wg
 
-    edges = [np.linspace(s0, s1, quad.panels_per_band + 1) for s0, s1 in segs]
-    lo = np.concatenate([e[:-1] for e in edges])
-    hi = np.concatenate([e[1:] for e in edges])
-    coarse = panel_sums(lo, hi)
+    n = quad.panels_per_band
+    edges = np.linspace(0.0, np.pi, n + 1)
+    lo, hi = np.tile(edges[:-1], len(pieces)), np.tile(edges[1:], len(pieces))
+    c, h = np.repeat(centre, n), np.repeat(half_width, n)
+    coarse = panel_sums(lo, hi, c, h)
     m = coarse.shape[0]
     locked_fine, locked_coarse, locked_diff = np.zeros(m), np.zeros(m), np.zeros(m)
     for _ in range(_MAX_HALVINGS):
         mid = (lo + hi) / 2.0
         child_lo = np.column_stack([lo, mid]).ravel()
         child_hi = np.column_stack([mid, hi]).ravel()
-        halves = panel_sums(child_lo, child_hi)
+        c, h = np.repeat(c, 2), np.repeat(h, 2)
+        halves = panel_sums(child_lo, child_hi, c, h)
         fine = halves.reshape(m, lo.size, 2).sum(axis=2)
         with np.errstate(invalid="ignore"):
             diff = np.abs(fine - coarse)
@@ -268,28 +250,25 @@ def _adaptive_panels(spectrum, integrand_vec, quad: QuadratureConfig, breakpoint
             finite = np.isfinite(total)
             same_mask = np.array_equal(finite, np.isfinite(locked_coarse + coarse.sum(axis=1)))
             if same_mask and np.all(err[finite] < quad.abs_tol):
-                return total, np.where(finite, err + fmax * margin_measure, np.inf)
-            ok = (diff < budget * (hi - lo)) | ~(np.isfinite(fine) | np.isfinite(coarse))
+                return total, np.where(finite, err, np.inf)
+            width = h[::2] * (np.cos(lo) - np.cos(hi))
+            ok = (diff < budget * width) | ~(np.isfinite(fine) | np.isfinite(coarse))
             lock = ok.all(axis=0)
             locked_fine += fine[:, lock].sum(axis=1)
             locked_coarse += coarse[:, lock].sum(axis=1)
             locked_diff += diff[:, lock].sum(axis=1)
         split = np.repeat(~lock, 2)
-        lo, hi, coarse = child_lo[split], child_hi[split], halves[:, split]
+        lo, hi, c, h, coarse = child_lo[split], child_hi[split], c[split], h[split], halves[:, split]
     raise QuadratureError(
         f"quadrature did not converge to {quad.abs_tol} after {_MAX_HALVINGS} panel halvings",
         value=total,
-        error_estimate=np.where(finite, err + fmax * margin_measure, np.inf),
+        error_estimate=np.where(finite, err, np.inf),
     )
 
 
 def _mu_breakpoints(thermo: ThermoState) -> list[float]:
-    cuts = []
-    if math.isinf(thermo.beta_l):
-        cuts.append(thermo.mu_l)
-    if math.isinf(thermo.beta_r):
-        cuts.append(thermo.mu_r)
-    return cuts
+    pairs = ((thermo.beta_l, thermo.mu_l), (thermo.beta_r, thermo.mu_r))
+    return [mu for beta, mu in pairs if math.isinf(beta)]
 
 
 def _lead_breakpoints(sample: SampleSpec, lead_l: LeadModel, lead_r: LeadModel) -> list[float]:

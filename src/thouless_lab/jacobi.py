@@ -305,7 +305,7 @@ def thouless_conductance(sample: SampleSpec, window: tuple[float, float]) -> flo
     whose eigenvalue edges are accurate.
     """
     lo, hi = float(window[0]), float(window[1])
-    if not hi > lo:
-        raise DomainError("window must have positive length")
+    if not (hi > lo and np.isfinite(hi - lo)):
+        raise DomainError("window must be finite with positive length")
     spectrum = _bloch_bands(sample)
     return spectrum.intersection_measure(lo, hi) / (2.0 * np.pi * (hi - lo))

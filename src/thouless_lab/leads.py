@@ -23,6 +23,7 @@ sample from that data, through ``_clamp_im``, the Im-floor clamp of
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -49,8 +50,8 @@ class HalfLineLead:
     def __post_init__(self):
         object.__setattr__(self, "t", float(self.t))
         object.__setattr__(self, "v0", float(self.v0))
-        if self.t == 0.0:
-            raise DomainError("half-line hopping t must be nonzero")
+        if self.t == 0.0 or not (math.isfinite(self.t) and math.isfinite(self.v0)):
+            raise DomainError(f"half-line t must be nonzero, t and v0 finite: ({self.t}, {self.v0})")
 
 
 @dataclass(frozen=True)
@@ -82,6 +83,8 @@ class TabulatedLead:
         F = np.asarray(self.values, dtype=complex)
         if E.ndim != 1 or F.shape != E.shape or E.size < 2:
             raise DomainError("tabulated lead needs matching 1-d grids with >= 2 points")
+        if not (np.isfinite(E).all() and np.isfinite(F).all()):
+            raise DomainError("tabulated energies and values must be finite")
         if not np.all(np.diff(E) > 0):
             raise DomainError("tabulated energies must be strictly increasing")
         if np.min(F.imag) < -_IM_FLOOR:
@@ -99,6 +102,14 @@ class TabulatedLead:
 
 
 LeadModel = HalfLineLead | CrystallineLead | TabulatedLead
+
+
+def _check_coupled_inputs(kappa: float, E: np.ndarray) -> None:
+    """Refuse a zero (decoupling) or non-finite kappa and non-finite energies."""
+    if kappa == 0.0 or not math.isfinite(kappa):
+        raise DomainError(f"coupling kappa must be nonzero and finite, got {kappa}")
+    if not np.isfinite(E).all():
+        raise DomainError("energies must be finite")
 
 
 def _halfline_F(lead: HalfLineLead, E: np.ndarray) -> np.ndarray:

@@ -30,9 +30,9 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, SampleEigenvalueError, SingularEnergyError
+from .errors import SampleEigenvalueError, SingularEnergyError
 from .jacobi import GreenMatrix2, SampleSpec, periodized_parameters
-from .leads import LeadModel, lead_F_values
+from .leads import LeadModel, _check_coupled_inputs, lead_F_values
 
 _RESIDUAL_TOL = 1e-11
 # N-cell systems kept by _n_cell_system; each holds N*L complex and N*L - 1 real entries
@@ -97,9 +97,8 @@ def _corner_green(diag: np.ndarray, off: np.ndarray):
 
 
 def _lead_values(lead_l, lead_r, kappa, E):
-    """(F_l, F_r) at the energies E; kappa = 0 decouples the leads and is refused first."""
-    if kappa == 0.0:
-        raise DomainError("coupling kappa must be nonzero")
+    """(F_l, F_r) at the energies E; a zero or non-finite kappa or E is refused first."""
+    _check_coupled_inputs(kappa, E)
     return lead_F_values(lead_l, E), lead_F_values(lead_r, E)
 
 

@@ -84,18 +84,16 @@ def test_criterion_3_analytic_spot_values():
     ok_g = abs(g_th - 1.0 / (2.0 * math.pi)) <= 1e-12
 
     thermo = ThermoState(math.inf, -2.0, math.inf, 2.0)
-    report = thouless_currents(
-        FREE_CHAIN, thermo, QuadratureConfig(edge_margin=1e-5)
-    )
+    report = thouless_currents(FREE_CHAIN, thermo)
     target = 4.0 / (2.0 * math.pi)
-    ok_i = abs(report.i_r - target) <= 1e-4
+    ok_i = abs(report.i_r - target) <= 1e-12
 
     _report(
         "criterion 3 (analytic spot values)",
         ok_t and ok_g and ok_i,
         f"T_inf(0) = {t_inf:.12f} (0.8 ± 1e-10); "
         f"g_Th = {g_th:.15f} (1/2pi ± 1e-12); "
-        f"<I_r>_Th = {report.i_r:.6f} ({target:.6f} ± 1e-4)",
+        f"<I_r>_Th = {report.i_r:.15f} ({target:.15f} ± 1e-12)",
     )
 
 

@@ -27,7 +27,6 @@ DIMER = {
     },
     "kappa": 0.5,
     "thermo": {"beta_l": "inf", "mu_l": -2.0, "beta_r": "inf", "mu_r": 2.0},
-    "quadrature": {"edge_margin": 1e-5},
     "energy_grid": {"count": 31},
 }
 
@@ -188,12 +187,11 @@ def test_currents_equilibrium_zero_report(tmp_path):
 def test_thouless_mode_free_chain_value(tmp_path):
     payload = dict(MATCHED)
     payload["thermo"] = {"beta_l": "inf", "mu_l": -2.0, "beta_r": "inf", "mu_r": 2.0}
-    payload["quadrature"] = {"edge_margin": 1e-5}
     cfg = write_config(tmp_path, payload)
     out = tmp_path / "th.json"
     assert main(["thouless", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
     report = json.loads(out.read_text())
-    assert report["i_r"] == pytest.approx(4.0 / (2.0 * np.pi), abs=1e-4)
+    assert report["i_r"] == pytest.approx(4.0 / (2.0 * np.pi), abs=1e-12)
 
 
 def test_finite_mode_requires_n(tmp_path):
@@ -430,3 +428,54 @@ def test_malformed_config_or_flag_is_one_config_error(tmp_path, monkeypatch, cap
     # the section or flag is named once
     where, rest = lines[0].removeprefix("config error: ").split(": ", 1)
     assert not rest.startswith(f"{where}:"), lines
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("kappa",), float("nan")),
+        (("energy_grid", "values"), [0.0, float("inf")]),
+        (("thermo", "mu_l"), float("nan")),
+        (("leads", "left", "t"), float("inf")),
+    ],
+    ids=["kappa", "energy_grid_values", "mu_l", "half_line_t"],
+)
+def test_non_finite_config_value_is_config_error(tmp_path, capsys, path, value):
+    payload = json.loads(json.dumps(MATCHED))
+    section = payload
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    cfg = write_config(tmp_path, payload)
+    assert main(["transmit", "--config", cfg, "--N", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "finite" in err and err.count("\n") == 1
+
+
+def test_edge_margin_key_is_config_error(tmp_path, capsys):
+    payload = json.loads(json.dumps(MATCHED))
+    payload["quadrature"] = {"edge_margin": 1e-4}
+    cfg = write_config(tmp_path, payload)
+    assert main(["bands", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "edge_margin" in err
+
+
+def test_out_in_missing_directory_exits_before_computing(tmp_path, capsys, monkeypatch):
+    from thouless_lab import cli
+
+    called = []
+    monkeypatch.setattr(cli, "cmd_bands", lambda *args: called.append(args) or "")
+    cfg = write_config(tmp_path, MATCHED)
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["bands", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not out.parent.exists() and called == []
+
+
+def test_unwritable_out_path_is_one_config_error_line(tmp_path, capsys):
+    cfg = write_config(tmp_path, MATCHED)
+    assert main(["bands", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write output") and err.count("\n") == 1

@@ -28,7 +28,8 @@ from thouless_lab.currents import _adaptive_panels
 from thouless_lab.selfcheck import random_configuration
 
 SQRT2 = np.sqrt(2.0)
-TIGHT = QuadratureConfig(edge_margin=1e-5)
+# the error estimate holds no rounding term, so a bound check allows a few ulps
+ROUNDING = 8 * np.finfo(float).eps
 
 
 def test_fermi_midpoint_and_limits():
@@ -101,10 +102,9 @@ def test_weights_infinite_beta_entropy():
 
 def test_integrate_bands_constant(free_chain):
     spectrum = band_spectrum(free_chain)
-    quad = QuadratureConfig(edge_margin=1e-3)
-    (value,), (err,) = _adaptive_panels(spectrum, lambda E: np.ones_like(E), quad)
-    assert value == pytest.approx(4.0 * (1.0 - 2.0 * quad.edge_margin), abs=quad.abs_tol)
-    assert err >= abs(value - 4.0 * (1.0 - 2.0 * quad.edge_margin))
+    (value,), (err,) = _adaptive_panels(spectrum, lambda E: np.ones_like(E), QuadratureConfig())
+    assert value == pytest.approx(4.0, abs=1e-12)
+    assert err >= abs(value - 4.0) - ROUNDING * 4.0
 
 
 def test_integrate_bands_odd_function(free_chain):
@@ -119,11 +119,11 @@ def test_integrate_bands_indicator_measures_thouless(dimer):
     (value,), _ = _adaptive_panels(
         spectrum,
         lambda E: ((E >= lo) & (E <= hi)).astype(float),
-        QuadratureConfig(edge_margin=1e-6),
+        QuadratureConfig(),
         breakpoints=(lo, hi),
     )
     expected = thouless_conductance(dimer, (lo, hi)) * 2.0 * np.pi * (hi - lo)
-    assert value == pytest.approx(expected, abs=1e-4)
+    assert value == pytest.approx(expected, abs=1e-12)
 
 
 def test_repeated_breakpoint_splits_once(free_chain):
@@ -154,7 +154,6 @@ def test_integrate_bands_narrow_lorentzian_refines_locally(free_chain):
     # a peak of half-width 1e-4 needs ~12 halvings around it and none elsewhere
     quad = QuadratureConfig()
     gamma, e0 = 1e-4, 0.3137
-    s0, s1 = -2.0 + 4.0 * quad.edge_margin, 2.0 - 4.0 * quad.edge_margin
     sizes = []
 
     def lorentzian(E):
@@ -162,9 +161,9 @@ def test_integrate_bands_narrow_lorentzian_refines_locally(free_chain):
         return gamma / ((E - e0) ** 2 + gamma**2)
 
     (value,), (err,) = _adaptive_panels(band_spectrum(free_chain), lorentzian, quad)
-    exact = math.atan((s1 - e0) / gamma) - math.atan((s0 - e0) / gamma)
+    exact = math.atan((2.0 - e0) / gamma) - math.atan((-2.0 - e0) / gamma)
     assert value == pytest.approx(exact, abs=quad.abs_tol)
-    assert err >= abs(value - exact)
+    assert err >= abs(value - exact) - ROUNDING * exact
     levels = sum(1 for n in sizes if n) - 1
     uniform_last_level = quad.points_per_panel * quad.panels_per_band * 2**levels
     assert levels >= 10
@@ -183,8 +182,8 @@ def test_report_error_estimate_and_evaluations(free_chain, monkeypatch):
     th = ThermoState(math.inf, 2.5, math.inf, -2.5)  # bias window covers the band
     rep = thouless_currents(free_chain, th)
     exact = 4.0 / (2.0 * np.pi)
-    assert rep.i_l == pytest.approx(exact, rel=1e-3)
-    assert rep.error_estimate >= abs(rep.i_l - exact)
+    assert rep.i_l == pytest.approx(exact, abs=1e-12)
+    assert rep.error_estimate >= abs(rep.i_l - exact) - ROUNDING * exact
     assert math.isinf(rep.entropy_j) and math.isfinite(rep.error_estimate)
     assert rep.evaluations == sum(seen) > 0
 
@@ -241,7 +240,7 @@ def test_report_evaluations_are_pinned(free_chain, dimer, wide_lead):
         crystalline_currents(dimer, wide_lead, own_r, 0.7, window),
         lb_currents(dimer, wide_lead, wide_lead, 0.7, 4, th),
     ]
-    assert [r.evaluations for r in reports] == [288, 1152, 1152, 1344, 576]
+    assert [r.evaluations for r in reports] == [288, 1152, 576, 1152, 576]
 
 
 def test_lb_n64_converges_with_local_refinement():
@@ -288,8 +287,8 @@ def test_lb_equilibrium_all_zero(free_chain, free_lead):
 def test_lb_matched_zero_temperature_charge(free_chain, free_lead):
     # T == 1 on [-2, 2]: I_r = (mu_r - mu_l)/(2 pi) = 4/(2 pi)
     th = ThermoState(math.inf, -2.0, math.inf, 2.0)
-    rep = lb_currents(free_chain, free_lead, free_lead, 1.0, 3, th, TIGHT)
-    assert rep.i_r == pytest.approx(4.0 / (2.0 * np.pi), abs=1e-4)
+    rep = lb_currents(free_chain, free_lead, free_lead, 1.0, 3, th)
+    assert rep.i_r == pytest.approx(4.0 / (2.0 * np.pi), abs=1e-12)
     assert rep.i_l == pytest.approx(-rep.i_r, abs=1e-12)
 
 
@@ -309,22 +308,22 @@ def test_crystalline_matched_equals_thouless(dimer):
     lead_l, lead_r = CrystallineLead(dimer, "l"), CrystallineLead(dimer, "r")
     rep_c = crystalline_currents(dimer, lead_l, lead_r, dimer.kappa_s, th)
     rep_t = thouless_currents(dimer, th)
-    assert rep_c.phi_r == pytest.approx(rep_t.phi_r, abs=1e-7)
-    assert rep_c.i_r == pytest.approx(rep_t.i_r, abs=1e-7)
-    assert rep_c.entropy_j == pytest.approx(rep_t.entropy_j, abs=1e-7)
+    assert rep_c.phi_r == pytest.approx(rep_t.phi_r, abs=1e-12)
+    assert rep_c.i_r == pytest.approx(rep_t.i_r, abs=1e-12)
+    assert rep_c.entropy_j == pytest.approx(rep_t.entropy_j, abs=1e-12)
 
 
 def test_crystalline_mismatch_below_thouless(free_chain, free_lead):
     th = ThermoState(math.inf, -2.0, math.inf, 2.0)
-    rep_c = crystalline_currents(free_chain, free_lead, free_lead, SQRT2, th, TIGHT)
-    rep_t = thouless_currents(free_chain, th, TIGHT)
+    rep_c = crystalline_currents(free_chain, free_lead, free_lead, SQRT2, th)
+    rep_t = thouless_currents(free_chain, th)
     assert rep_c.i_r < rep_t.i_r
-    assert rep_t.i_r == pytest.approx(4.0 / (2.0 * np.pi), abs=1e-4)
+    assert rep_t.i_r == pytest.approx(4.0 / (2.0 * np.pi), abs=1e-12)
 
 
 def test_entropy_infinite_at_zero_temperature_bias(free_chain, free_lead):
     th = ThermoState(math.inf, -1.0, math.inf, 1.0)
-    rep = thouless_currents(free_chain, th, TIGHT)
+    rep = thouless_currents(free_chain, th)
     assert math.isinf(rep.entropy_j) and rep.entropy_j > 0
     assert math.isnan(rep.entropy_balance_residual)
 
@@ -350,17 +349,13 @@ def test_thouless_conductance_gap_only_enlargement(dimer):
 
 def test_zero_temperature_conductance_matched(dimer):
     lead_l, lead_r = CrystallineLead(dimer, "l"), CrystallineLead(dimer, "r")
-    g, g_th = zero_temperature_conductance(
-        dimer, lead_l, lead_r, dimer.kappa_s, -1.6, 1.6, TIGHT
-    )
+    g, g_th = zero_temperature_conductance(dimer, lead_l, lead_r, dimer.kappa_s, -1.6, 1.6)
     assert g_th == pytest.approx(thouless_conductance(dimer, (-1.6, 1.6)), abs=1e-15)
-    assert g == pytest.approx(g_th, abs=1e-4)
+    assert g == pytest.approx(g_th, abs=1e-12)
 
 
 def test_zero_temperature_conductance_mismatch_strict(free_chain, free_lead):
-    g, g_th = zero_temperature_conductance(
-        free_chain, free_lead, free_lead, SQRT2, -2.0, 2.0, TIGHT
-    )
+    g, g_th = zero_temperature_conductance(free_chain, free_lead, free_lead, SQRT2, -2.0, 2.0)
     assert g < g_th - 1e-3
 
 
@@ -448,3 +443,44 @@ def test_convergence_rows_match_series_oracle(free_chain, free_lead):
             breakpoints=window,
         )
         assert row.integral_n == pytest.approx(oracle, abs=1e-6)
+
+
+def test_thouless_finite_temperature_matches_scipy_quad(dimer):
+    from scipy.integrate import quad
+
+    th = ThermoState(2.0, 0.3, 3.0, -0.3)
+    rep = thouless_currents(dimer, th)
+    rows = [lambda E: E * weights(th, E)[2], lambda E: weights(th, E)[2],
+            lambda E: weights(th, E)[4]]
+    ref = [
+        sum(quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            for lo, hi in band_spectrum(dimer).bands) / (2.0 * np.pi)
+        for f in rows
+    ]
+    assert rep.phi_l == pytest.approx(ref[0], rel=1e-12)
+    assert rep.i_l == pytest.approx(ref[1], rel=1e-12)
+    assert rep.entropy_j == pytest.approx(ref[2], rel=1e-12)
+
+
+def test_lb_n64_band_edge_probe_converges():
+    # the L = 8 probe on which the edge-margin driver ran out of halvings at N = 64
+    sample = SampleSpec(
+        (1.1320224729156383, 1.4123263478025152, 1.0032652071732209, 1.673556947311417,
+         1.0162391549186656, 1.2761439946502247, 0.6968736013020769),
+        (-0.19609675242641722, 0.9166603521258949, 0.2898221804398242, 0.9901787539306031,
+         -0.4896841337851334, -0.22050933527879368, 0.18475348854240203, 0.3646900515396776),
+        1.2398023375682425,
+    )
+    lead_l = HalfLineLead(2.3532867372326614, 0.19273018229650382)
+    lead_r = HalfLineLead(2.2471114810132335, 0.2390490204143807)
+    quad = QuadratureConfig()
+    rep = lb_currents(sample, lead_l, lead_r, 0.4984770366341971, 64,
+                      ThermoState(2.0, 0.3, 2.0, -0.3), quad)
+    assert rep.error_estimate < quad.abs_tol / (2.0 * np.pi)
+    assert rep.entropy_balance_residual <= 3 * quad.abs_tol
+
+
+def test_quadrature_config_is_keyword_only():
+    # an old positional edge_margin must not silently become abs_tol
+    with pytest.raises(TypeError):
+        QuadratureConfig(8, 12, 1e-4)

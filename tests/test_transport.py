@@ -6,7 +6,9 @@ from thouless_lab import (
     CrystallineLead,
     DomainError,
     HalfLineLead,
+    QuadratureConfig,
     SampleEigenvalueError,
+    TabulatedLead,
     ThermoState,
     band_spectrum,
     crystal_m_functions,
@@ -15,6 +17,7 @@ from thouless_lab import (
     lead_F_values,
     one_period_transfer,
     r_theta_diagnostic,
+    thouless_conductance,
     transfer_eigendata,
     transmittance_inf,
     transmittance_n,
@@ -219,6 +222,41 @@ def test_repetition_count_below_one_raises(dimer, wide_lead, n_cells):
 def test_zero_coupling_is_refused(dimer, wide_lead, evaluate):
     with pytest.raises(DomainError, match="coupling kappa must be nonzero"):
         evaluate(dimer, wide_lead)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda s, lead: transmittance_n(s, lead, lead, NAN, 2, 1.0),
+        lambda s, lead: transmittance_inf(s, lead, lead, INF, 1.0),
+        lambda s, lead: transmittance_n(s, lead, lead, 0.7, 2, np.array([1.0, NAN])),
+        lambda s, lead: transmittance_inf(s, lead, lead, 0.7, np.array([-INF, 1.0])),
+        lambda s, lead: transmittance_oracle(s, lead, lead, NAN, 3, 1.0),
+        lambda s, lead: transmittance_oracle(s, lead, lead, 0.7, 3, np.array([1.0, NAN])),
+        lambda s, lead: HalfLineLead(t=INF),
+        lambda s, lead: HalfLineLead(t=1.0, v0=NAN),
+        lambda s, lead: ThermoState(1.0, NAN, 1.0, 0.0),
+        lambda s, lead: ThermoState(1.0, 0.0, INF, -INF),
+        lambda s, lead: TabulatedLead(np.array([-1.0, 0.0, 1.0]), np.array([1j, NAN, 1j])),
+        lambda s, lead: thouless_conductance(s, (-INF, 1.0)),
+        lambda s, lead: QuadratureConfig(abs_tol=INF),
+    ],
+    ids=["T_N_kappa_nan", "T_inf_kappa_inf", "T_N_energy_nan", "T_inf_energy_inf",
+         "oracle_kappa_nan", "oracle_energy_nan", "half_line_t_inf", "half_line_v0_nan",
+         "thermo_mu_nan", "thermo_mu_inf", "tabulated_value_nan", "thouless_window_inf",
+         "abs_tol_inf"],
+)
+def test_non_finite_input_is_refused(dimer, wide_lead, evaluate):
+    with pytest.raises(DomainError, match="finite"):
+        evaluate(dimer, wide_lead)
+
+
+def test_infinite_beta_stays_valid(dimer):
+    th = ThermoState(INF, -1.0, INF, 1.0)
+    assert th.beta_l == th.beta_r == INF
 
 
 @pytest.mark.parametrize("seed", range(4))
