@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -499,9 +500,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser; parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand on `argv` (default sys.argv[1:]) and return its exit code.
+
+    May be called repeatedly in one process: the argument parser is built on
+    the first call and reused, so a later call pays only for its own work.
+    """
+    args = _parser().parse_args(argv)
     try:
         _check_flags(args)
         config = load_config(args.config)

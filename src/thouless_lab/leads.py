@@ -104,12 +104,17 @@ class TabulatedLead:
 LeadModel = HalfLineLead | CrystallineLead | TabulatedLead
 
 
+def _check_finite_energies(E) -> None:
+    """Refuse a non-finite energy, scalar or array."""
+    if not np.isfinite(E).all():
+        raise DomainError("energies must be finite")
+
+
 def _check_coupled_inputs(kappa: float, E: np.ndarray) -> None:
     """Refuse a zero (decoupling) or non-finite kappa and non-finite energies."""
     if kappa == 0.0 or not math.isfinite(kappa):
         raise DomainError(f"coupling kappa must be nonzero and finite, got {kappa}")
-    if not np.isfinite(E).all():
-        raise DomainError("energies must be finite")
+    _check_finite_energies(E)
 
 
 def _halfline_F(lead: HalfLineLead, E: np.ndarray) -> np.ndarray:
@@ -202,9 +207,12 @@ def crystal_m_functions(sample: SampleSpec, E: float) -> tuple[complex, complex]
 
     Raises OffSpectrumError off the spectrum or when |tr T_L(E)| is within
     1e-9 of 2 (band-edge exclusion zone, where the values are near-singular
-    in derivative and all downstream quantities are only a.e.-defined).
+    in derivative and all downstream quantities are only a.e.-defined), and
+    DomainError at a non-finite E.
     """
-    m_l, m_r, ed = _crystal_m_values(sample, np.asarray([float(E)]))
+    E_arr = np.asarray([float(E)])
+    _check_finite_energies(E_arr)
+    m_l, m_r, ed = _crystal_m_values(sample, E_arr)
     tr = float(ed["a"][0] + ed["d"][0])
     if abs(tr) >= 2.0 - EDGE_TOL:
         raise OffSpectrumError(
@@ -238,15 +246,18 @@ def lead_F_values(lead: LeadModel, E) -> np.ndarray:
 def _clamp_im(F: np.ndarray) -> np.ndarray:
     """Boundary values with Im F in [-1e-12, 0) (rounding below the axis) set to Im 0."""
     im = F.imag
-    below = (im < 0.0) & (im >= -_IM_FLOOR)
-    if below.any():
-        im = np.where(below, 0.0, im)
+    # one NaN-skipping minimum (inf when empty) decides whether any entry needs the mask
+    if np.fmin.reduce(im, initial=np.inf) < 0.0:
+        im = np.where((im < 0.0) & (im >= -_IM_FLOOR), 0.0, im)
+    # rebuilt even when nothing is clamped: the sum fixes the signs of zeros
     return F.real + 1j * im
 
 
 def lead_F(lead: LeadModel, E: float) -> complex:
-    """Boundary value F(E) of a lead at a single energy; Im F >= 0."""
-    return complex(lead_F_values(lead, float(E))[0])
+    """Boundary value F(E) of a lead at a single finite energy; Im F >= 0."""
+    E = float(E)
+    _check_finite_energies(E)
+    return complex(lead_F_values(lead, E)[0])
 
 
 def load_tabulated_csv(path) -> TabulatedLead:

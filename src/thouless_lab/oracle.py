@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import SampleEigenvalueError, SingularEnergyError
 from .jacobi import GreenMatrix2, SampleSpec, periodized_parameters
-from .leads import LeadModel, _check_coupled_inputs, lead_F_values
+from .leads import LeadModel, _check_coupled_inputs, _check_finite_energies, lead_F_values
 
 _RESIDUAL_TOL = 1e-11
 # N-cell systems kept by _n_cell_system; each holds N*L complex and N*L - 1 real entries
@@ -55,6 +55,14 @@ def _n_cell_system_cached(sample, n_cells, zero_signs):
     return diag, off
 
 
+@functools.cache
+def _zgtsv():
+    """LAPACK's complex gtsv, imported on first use: scipy costs ~0.3 s of every cold start."""
+    from scipy.linalg.lapack import zgtsv
+
+    return zgtsv
+
+
 def _corner_green(diag: np.ndarray, off: np.ndarray):
     """Corner entries of the inverses of K tridiagonal matrices.
 
@@ -63,8 +71,6 @@ def _corner_green(diag: np.ndarray, off: np.ndarray):
     g_nn, ok), each of length K; ok[k] is False where system k failed the
     residual gate, and its corners are then meaningless.
     """
-    from scipy.linalg.lapack import zgtsv  # imported here: scipy costs ~0.3 s of every cold start
-
     K, n = diag.shape
     rhs = np.zeros((K, n, 2), dtype=complex)
     rhs[:, 0, 0] = 1.0
@@ -77,7 +83,7 @@ def _corner_green(diag: np.ndarray, off: np.ndarray):
             coupling = np.zeros((K, n), dtype=complex)
             coupling[:, :-1] = off
             coupling = coupling.ravel()[:-1]
-            _, _, _, x, info = zgtsv(coupling, diag.ravel(), coupling, rhs.reshape(K * n, 2))
+            _, _, _, x, info = _zgtsv()(coupling, diag.ravel(), coupling, rhs.reshape(K * n, 2))
             x = x.reshape(K, n, 2)
         r = diag[:, :, None] * x - rhs
         r[:, :-1] += off[None, :, None] * x[:, 1:]
@@ -87,7 +93,7 @@ def _corner_green(diag: np.ndarray, off: np.ndarray):
     # a zero pivot stops gtsv for the whole stack: no system is solved then
     ok = (resid <= _RESIDUAL_TOL).all(axis=1) & (info == 0)
     corners = [x[:, 0, 0], x[:, 0, 1], x[:, -1, 0], x[:, -1, 1]]
-    if K > 1:
+    if K > 1 and not ok.all():
         for k in np.flatnonzero(~ok):
             *lone, lone_ok = _corner_green(diag[k : k + 1], off)
             for c, v in zip(corners, lone):
@@ -129,7 +135,12 @@ def resolvent_green(
 
 
 def dirichlet_sample_green(sample: SampleSpec, n_cells: int, E: float) -> GreenMatrix2:
-    """2x2 Green matrix of the decoupled Dirichlet N-cell sample by direct solve."""
+    """2x2 Green matrix of the decoupled Dirichlet N-cell sample by direct solve.
+
+    Raises SampleEigenvalueError at an eigenvalue and DomainError at a
+    non-finite E.
+    """
+    _check_finite_energies(float(E))
     diag, off = _n_cell_system(sample, n_cells)
     *corners, ok = _corner_green((diag - float(E))[None, :], off)
     if not ok[0]:
@@ -153,20 +164,32 @@ def transmittance_oracle(
     has Im F = 0; the other energies are solved together, and any one that
     fails the residual gate raises SingularEnergyError.
     """
-    scalar = np.ndim(E) == 0
-    E_arr = np.atleast_1d(np.asarray(E, dtype=float))
+    E_arr = np.asarray(E, dtype=float)
+    scalar = E_arr.ndim == 0
+    if scalar:
+        E_arr = E_arr.reshape(1)
     F_l, F_r = _lead_values(lead_l, lead_r, kappa, E_arr)
     live = (F_l.imag > 0.0) & (F_r.imag > 0.0)
-    T = np.zeros(E_arr.shape)
-    if live.any():
-        _, g_lr, _, _, ok = _coupled_corners(
-            sample, n_cells, kappa, E_arr[live], F_l[live], F_r[live]
-        )
-        if not ok.all():
-            raise SingularEnergyError(
-                f"the solve at E={E_arr[live][~ok][0]} fails the residual gate {_RESIDUAL_TOL:g}"
+    if E_arr.size and live.all():  # no re-indexing and no scatter
+        T = _live_transmittance(
+            sample, n_cells, kappa, E_arr.ravel(), F_l.ravel(), F_r.ravel()
+        ).reshape(E_arr.shape)
+    else:
+        T = np.zeros(E_arr.shape)
+        if live.any():
+            T[live] = _live_transmittance(
+                sample, n_cells, kappa, E_arr[live], F_l[live], F_r[live]
             )
-        # hypot is what abs(complex) computes; np.abs rounds differently
-        g_abs = np.hypot(g_lr.real, g_lr.imag)
-        T[live] = 4.0 * kappa**4 * g_abs**2 * F_l[live].imag * F_r[live].imag
     return float(T[0]) if scalar else T
+
+
+def _live_transmittance(sample, n_cells, kappa, E, F_l, F_r) -> np.ndarray:
+    """T_N at 1-d energies E where both leads have Im F > 0; a gate failure raises."""
+    _, g_lr, _, _, ok = _coupled_corners(sample, n_cells, kappa, E, F_l, F_r)
+    if not ok.all():
+        raise SingularEnergyError(
+            f"the solve at E={E[~ok][0]} fails the residual gate {_RESIDUAL_TOL:g}"
+        )
+    # hypot is what abs(complex) computes; np.abs rounds differently
+    g_abs = np.hypot(g_lr.real, g_lr.imag)
+    return 4.0 * kappa**4 * g_abs**2 * F_l.imag * F_r.imag

@@ -37,7 +37,7 @@ from .jacobi import GreenMatrix2, SampleSpec, _real_eigvec2
 # Not called here; kept importable because bench/tracer.py wraps this name.
 from .jacobi import _one_period_abcd  # noqa: F401
 from .leads import EDGE_TOL, SUPPORT_TOL, CrystallineLead, LeadModel, lead_F_values
-from .leads import _check_coupled_inputs, _clamp_im, _eigendata_values
+from .leads import _check_coupled_inputs, _check_finite_energies, _clamp_im, _eigendata_values
 # Not called here; kept importable because bench/tracer.py wraps this name.
 from .leads import _crystal_m_values  # noqa: F401
 
@@ -73,9 +73,10 @@ def transfer_eigendata(sample: SampleSpec, E: float) -> TransferEigenData:
     Raises BandEdgeError within the |tr T_L| ~ 2 exclusion zone and
     DegeneratePivotError if b(E) degenerates inside a band (the latter
     cannot occur strictly inside a band, where b*c < 0; the guard protects
-    against rounding at the zone boundary).
+    against rounding at the zone boundary).  A non-finite E raises DomainError.
     """
     E_arr = np.asarray([float(E)])
+    _check_finite_energies(E_arr)
     ed = _eigendata_values(sample, E_arr)
     if ed["edge"][0]:
         raise BandEdgeError(
@@ -158,11 +159,14 @@ def sample_green(sample: SampleSpec, n_cells: int, E: float) -> GreenMatrix2:
         G_ll = B/A,   G_lr = G_rl = -w/(kappa_s A),   G_rr = -C/(kappa_s^2 A).
 
     Raises SampleEigenvalueError when E sits at an eigenvalue of the N-cell
-    sample, where A vanishes and the resolvent has a pole.
+    sample, where A vanishes and the resolvent has a pole, and DomainError at
+    a non-finite E.
     """
     if n_cells < 1:
         raise DomainError("n_cells must be a positive integer")
-    ed = _eigendata_values(sample, np.asarray([float(E)]))
+    E_arr = np.asarray([float(E)])
+    _check_finite_energies(E_arr)
+    ed = _eigendata_values(sample, E_arr)
     p, q, w = (float(v[0]) for v in _chebyshev_factors(ed, n_cells))
     a, b, c = (float(ed[k][0]) for k in "abc")
     A = p * a - q

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from test_jacobi import probe_l32_sample
+from thouless_lab import cli
 from thouless_lab.cli import main
 from thouless_lab.jacobi import bloch_hamiltonian
 
@@ -479,3 +483,66 @@ def test_unwritable_out_path_is_one_config_error_line(tmp_path, capsys):
     assert main(["bands", "--config", cfg, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: cannot write output") and err.count("\n") == 1
+
+
+def _fresh_process_output(args, out):
+    """The --out bytes of `thouless-lab args` run in a new interpreter."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    subprocess.run(
+        [sys.executable, "-m", "thouless_lab.cli", *args, "--out", str(out)],
+        env=env, check=True, timeout=120,
+    )
+    return out.read_bytes()
+
+
+def test_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):
+    cli._parser.cache_clear()
+    calls = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
+    cfg = write_config(tmp_path, DIMER)
+    out = str(tmp_path / "out.csv")
+    commands = (["bands"], ["transmit", "--N", "2"], ["currents"], ["converge", "--N-list", "1,2"])
+    for args in commands:
+        assert main([*args, "--config", cfg, "--out", out]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["transmit"])
+    assert exc.value.code == 2
+    assert len(calls) == 1
+
+
+def test_reused_parser_reads_the_default_n_list_again(tmp_path):
+    # _check_flags rewrites args.N_list into a list; the next parse must not see it
+    cli._parser.cache_clear()
+    cfg = write_config(tmp_path, MATCHED)
+    short, default = tmp_path / "short.csv", tmp_path / "default.csv"
+    assert main(["converge", "--config", cfg, "--out", str(short), "--N-list", "1,2"]) == 0
+    assert main(["converge", "--config", cfg, "--out", str(default)]) == 0
+    fresh = _fresh_process_output(["converge", "--config", cfg], tmp_path / "fresh.csv")
+    assert default.read_bytes() == fresh
+
+
+def test_usage_error_leaves_the_parser_reusable(tmp_path, capsys):
+    cli._parser.cache_clear()
+    cfg = write_config(tmp_path, DIMER)
+    with pytest.raises(SystemExit) as exc:
+        main(["transmit"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --config" in capsys.readouterr().err
+    args = ["transmit", "--config", cfg, "--N", "4"]
+    out = tmp_path / "t.csv"
+    assert main([*args, "--out", str(out)]) == 0
+    assert out.read_bytes() == _fresh_process_output(args, tmp_path / "fresh.csv")
+
+
+def test_format_flag_does_not_carry_over_to_the_next_call(tmp_path):
+    cli._parser.cache_clear()
+    cfg = write_config(tmp_path, DIMER)
+    as_json, as_default = tmp_path / "t.json", tmp_path / "t.csv"
+    args = ["transmit", "--config", cfg, "--N", "4"]
+    assert main([*args, "--out", str(as_json), "--format", "json"]) == 0
+    assert main([*args, "--out", str(as_default)]) == 0
+    assert json.loads(as_json.read_text())["schema"] == 1
+    assert as_default.read_text().startswith("# schema=1\nE,T\n")

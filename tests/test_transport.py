@@ -25,6 +25,7 @@ from thouless_lab import (
 )
 from thouless_lab.selfcheck import band_interior_grid, random_configuration, random_sample
 from thouless_lab.leads import _eigendata_values
+from thouless_lab.oracle import dirichlet_sample_green
 from thouless_lab.transport import (
     _chebyshev_factors,
     _full_green_lr_values,
@@ -252,6 +253,25 @@ NAN, INF = float("nan"), float("inf")
 def test_non_finite_input_is_refused(dimer, wide_lead, evaluate):
     with pytest.raises(DomainError, match="finite"):
         evaluate(dimer, wide_lead)
+
+
+@pytest.mark.parametrize("energy", [NAN, INF, -INF], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda s, lead, E: transfer_eigendata(s, E),
+        lambda s, lead, E: crystal_m_functions(s, E),
+        lambda s, lead, E: lead_F(lead, E),
+        lambda s, lead, E: lead_F(CrystallineLead(s, "r"), E),
+        lambda s, lead, E: sample_green(s, 2, E),
+        lambda s, lead, E: dirichlet_sample_green(s, 2, E),
+    ],
+    ids=["transfer_eigendata", "crystal_m_functions", "lead_F_half_line", "lead_F_crystalline",
+         "sample_green", "dirichlet_sample_green"],
+)
+def test_scalar_helper_refuses_non_finite_energy(dimer, wide_lead, evaluate, energy):
+    with pytest.raises(DomainError, match="energies must be finite"):
+        evaluate(dimer, wide_lead, energy)
 
 
 def test_infinite_beta_stays_valid(dimer):
