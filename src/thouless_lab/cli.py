@@ -46,7 +46,8 @@ from .transport import _r_theta_values  # noqa: F401
 
 SCHEMA_LINE = "# schema=1"
 
-# Energies per _parallel_grid chunk; bounds the per-call temporaries.
+# Energies per _parallel_grid chunk and rows per formatted table chunk; bounds
+# the temporaries of the grid evaluation and of the table text.
 GRID_CHUNK = 2**14
 
 EXIT_OK = 0
@@ -271,12 +272,32 @@ def _as_table(rows, width: int) -> np.ndarray:
     return np.asarray(rows, dtype=float).reshape(-1, width)
 
 
+def _chunks(arr: np.ndarray):
+    """The table's rows in GRID_CHUNK-row slices."""
+    return (arr[i : i + GRID_CHUNK] for i in range(0, arr.shape[0], GRID_CHUNK))
+
+
 def _csv_table(header: list[str], rows) -> str:
-    """CSV text of a 2-D float array-like; each field is f"{x:.17g}"."""
+    """CSV text of a 2-D float array-like; each field is f"{x:.17g}".
+
+    Rows are formatted GRID_CHUNK at a time, so only one chunk's float objects
+    are alive at once, and the parts are joined once.
+    """
     arr = _as_table(rows, len(header))
-    head = f"{SCHEMA_LINE}\n{','.join(header)}\n"
     row = ",".join(["%.17g"] * arr.shape[1]) + "\n"
-    return head + (row * arr.shape[0]) % tuple(arr.ravel().tolist())
+    parts = [f"{SCHEMA_LINE}\n{','.join(header)}\n"]
+    parts += [(row * len(chunk)) % tuple(chunk.ravel().tolist()) for chunk in _chunks(arr)]
+    return "".join(parts)
+
+
+def _json_values(flat: np.ndarray) -> tuple:
+    """Python floats of `flat`, with the json encoder's NaN/Infinity tokens for non-finite values."""
+    values = flat.astype(object)
+    if not np.isfinite(flat).all():
+        values[np.isnan(flat)] = "NaN"
+        values[flat == np.inf] = "Infinity"
+        values[flat == -np.inf] = "-Infinity"
+    return tuple(values.tolist())
 
 
 def _json_table(header: list[str], rows) -> str:
@@ -284,19 +305,18 @@ def _json_table(header: list[str], rows) -> str:
 
     Row values go through %s, which for a float is float.__repr__, the json
     encoder's own float form; non-finite values become its NaN/Infinity tokens.
+    Rows are formatted GRID_CHUNK at a time, as in _csv_table.
     """
     arr = _as_table(rows, len(header))
     head = json.dumps({"schema": 1, "columns": header, "rows": []}, indent=2)
     if arr.shape[0] == 0:
         return head + "\n"
-    flat = arr.ravel()
-    values = flat.astype(object)
-    values[np.isnan(flat)] = "NaN"
-    values[flat == np.inf] = "Infinity"
-    values[flat == -np.inf] = "-Infinity"
     row = "    [\n      " + ",\n      ".join(["%s"] * arr.shape[1]) + "\n    ]"
-    body = ",\n".join([row] * arr.shape[0]) % tuple(values)
-    return head[: -len("[]\n}")] + "[\n" + body + "\n  ]\n}\n"
+    parts = [head[: -len("[]\n}")] + "[\n"]
+    for chunk in _chunks(arr):
+        parts += [",\n".join([row] * len(chunk)) % _json_values(chunk.ravel()), ",\n"]
+    parts[-1] = "\n  ]\n}\n"  # the last chunk's separator closes the rows
+    return "".join(parts)
 
 
 def _table(config: RunConfig, header: list[str], rows) -> str:

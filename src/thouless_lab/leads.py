@@ -12,8 +12,9 @@ absolutely continuous spectrum.  Three lead families are supported:
 * ``TabulatedLead`` -- linear interpolation of user-supplied boundary data.
 
 ``_eigendata_values`` is the one source of one-period transfer data: from a
-single evaluation of T_L(E) it returns the entries of T_L, the eigenvalue
-and in-band phase, and the m-functions that ``transport`` builds on.  Inside
+single evaluation of T_L(E) it returns the entries of T_L and the growing
+off-band eigenvalue, and, computed on their first read, the eigenvalue,
+in-band phase and m-functions that ``transport`` builds on.  Inside
 the bands the Herglotz root m_r is computed first and m_l follows from it,
 m_l = 1/(kappa_s^2 conj(m_r)); outside them both are read from the real
 eigenvectors.  ``transport`` reads the F of a ``CrystallineLead`` on its own
@@ -133,13 +134,35 @@ def _halfline_F(lead: HalfLineLead, E: np.ndarray) -> np.ndarray:
     return out
 
 
+class _StagedData(dict):
+    """A dict whose deferred keys are filled by one call of `stage` on the first read of any.
+
+    Item access (``d[key]``) runs the stage; ``in``, ``get`` and iteration see
+    only the keys filled so far.
+    """
+
+    def __init__(self, eager: dict, stage):
+        super().__init__(eager)
+        self._stage = stage
+
+    def __missing__(self, key):
+        stage, self._stage = self._stage, None
+        if stage is None:
+            raise KeyError(key)
+        self.update(stage())
+        return self[key]
+
+
 def _eigendata_values(sample: SampleSpec, E: np.ndarray):
     """Vectorized transfer eigendata and Weyl m-functions, one T_L(E) evaluation.
 
-    Returns a dict of arrays: a, b, c, d (entries of T_L), alpha (the
-    eigenvalue e^{i theta} in band, the growing real one off band), m_l, m_r,
-    theta (nan off band), in_band, edge (within the band-edge exclusion
-    zone).  No errors are raised; callers decide how to treat flagged entries.
+    Returns a dict of arrays: a, b, c, d (entries of T_L), in_band, edge
+    (within the band-edge exclusion zone), alpha_off (the growing real
+    eigenvalue at the off-band entries, in order), and the deferred alpha (the
+    eigenvalue e^{i theta} in band, alpha_off off band), m_l, m_r and theta
+    (nan off band).  The deferred four are computed together on the first read
+    of any of them, so T_N, which reads only the eager keys, never pays for
+    them.  No errors are raised; callers decide how to treat flagged entries.
 
     Inside the bands m_r is the root with Im > 0 of c z^2 + (a - d) z - b and
     m_l = 1/(kappa_s^2 conj(m_r)).  Outside the bands (or exactly at an edge)
@@ -151,49 +174,43 @@ def _eigendata_values(sample: SampleSpec, E: np.ndarray):
     disc = tr * tr - 4.0
     in_band = disc < 0.0
     edge = np.abs(np.abs(tr) - 2.0) < EDGE_TOL
-    kS2 = sample.kappa_s**2
-
-    alpha = np.empty(E.shape, dtype=complex)
-    m_l = np.empty(E.shape, dtype=complex)
-    m_r = np.empty(E.shape, dtype=complex)
-    theta = np.full(E.shape, np.nan)
-
-    # in band: cos theta = tr/2, sign(theta) = sign(b); b*c < 0 there, so b, c != 0.
-    # theta takes the same sine as m_r, so phase and m-functions agree at the edges.
-    sign_b = np.where(b[in_band] >= 0.0, 1.0, -1.0)
-    sin_th = sign_b * np.sqrt(-disc[in_band]) / 2.0
-    th = np.arctan2(sin_th, tr[in_band] / 2.0)
-    theta[in_band] = th
-    alpha[in_band] = np.exp(1j * th)
-    mr_in = ((d[in_band] - a[in_band]) / 2.0 - 1j * sin_th) / c[in_band]
-    m_r[in_band] = mr_in
-    m_l[in_band] = mr_in / (kS2 * np.abs(mr_in) ** 2)
-
     off = ~in_band
-    if np.any(off):
-        ao, bo, co, do, tro = a[off], b[off], c[off], d[off], tr[off]
-        sq = np.sqrt(np.maximum(disc[off], 0.0))
-        al = (tro + np.sign(tro) * sq) / 2.0  # growing eigenvalue, |alpha| >= 1
-        ph_p, w_p = _real_eigvec2(ao, bo, co, do, al)
-        ph_m, w_m = _real_eigvec2(ao, bo, co, do, 1.0 / al)
-        alpha[off] = al
-        # the quadratic root of eigenvector (phi, w) is -phi/w: the decaying
-        # one gives m_r, the growing one 1/(kappa_s^2 m_l)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            m_r[off] = -ph_m / w_m
-            m_l[off] = -w_p / (kS2 * ph_p)
-    return {
-        "a": a,
-        "b": b,
-        "c": c,
-        "d": d,
-        "alpha": alpha,
-        "m_l": m_l,
-        "m_r": m_r,
-        "theta": theta,
-        "in_band": in_band,
-        "edge": edge,
-    }
+    tro = tr[off]
+    # the growing eigenvalue, |alpha| >= 1
+    al = (tro + np.sign(tro) * np.sqrt(np.maximum(disc[off], 0.0))) / 2.0
+
+    def m_stage():
+        kS2 = sample.kappa_s**2
+        alpha = np.empty(E.shape, dtype=complex)
+        m_l = np.empty(E.shape, dtype=complex)
+        m_r = np.empty(E.shape, dtype=complex)
+        theta = np.full(E.shape, np.nan)
+
+        # in band: cos theta = tr/2, sign(theta) = sign(b); b*c < 0 there, so b, c != 0.
+        # theta takes the same sine as m_r, so phase and m-functions agree at the edges.
+        sign_b = np.where(b[in_band] >= 0.0, 1.0, -1.0)
+        sin_th = sign_b * np.sqrt(-disc[in_band]) / 2.0
+        th = np.arctan2(sin_th, tr[in_band] / 2.0)
+        theta[in_band] = th
+        alpha[in_band] = np.exp(1j * th)
+        mr_in = ((d[in_band] - a[in_band]) / 2.0 - 1j * sin_th) / c[in_band]
+        m_r[in_band] = mr_in
+        m_l[in_band] = mr_in / (kS2 * np.abs(mr_in) ** 2)
+
+        if al.size:
+            ao, bo, co, do = a[off], b[off], c[off], d[off]
+            ph_p, w_p = _real_eigvec2(ao, bo, co, do, al)
+            ph_m, w_m = _real_eigvec2(ao, bo, co, do, 1.0 / al)
+            alpha[off] = al
+            # the quadratic root of eigenvector (phi, w) is -phi/w: the decaying
+            # one gives m_r, the growing one 1/(kappa_s^2 m_l)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                m_r[off] = -ph_m / w_m
+                m_l[off] = -w_p / (kS2 * ph_p)
+        return {"alpha": alpha, "m_l": m_l, "m_r": m_r, "theta": theta}
+
+    eager = {"a": a, "b": b, "c": c, "d": d, "in_band": in_band, "edge": edge, "alpha_off": al}
+    return _StagedData(eager, m_stage)
 
 
 def _crystal_m_values(sample: SampleSpec, E: np.ndarray):
@@ -260,39 +277,54 @@ def lead_F(lead: LeadModel, E: float) -> complex:
     return complex(lead_F_values(lead, E)[0])
 
 
+def _parse_rows(path, lines) -> np.ndarray:
+    """(rows, 3) table of the data lines, numbered from 2, one float() per field.
+
+    Blank lines are skipped; a malformed row raises a ConfigError naming its line.
+    """
+    rows: list[tuple[float, float, float]] = []
+    for lineno, line in enumerate(lines, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise ConfigError(f"{path}:{lineno}: expected 3 comma-separated fields")
+        try:
+            rows.append(tuple(float(p) for p in parts))
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+    return np.array(rows, dtype=float).reshape(-1, 3)
+
+
 def load_tabulated_csv(path) -> TabulatedLead:
     """Parse a tabulated lead from a CSV file with header ``E,ReF,ImF``.
 
-    Malformed rows are reported with their line number.
+    Malformed rows are reported with their line number.  The rows are parsed
+    in one np.loadtxt call; a file it refuses, or warns about, goes through
+    the per-line float() parse, which accepts what float() accepts (such as
+    ``1_0``) and names the first malformed line.
     """
-    energies: list[float] = []
-    re_f: list[float] = []
-    im_f: list[float] = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header.replace(" ", "") != "E,ReF,ImF":
             raise ConfigError(f"{path}:1: expected header 'E,ReF,ImF', got {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ConfigError(f"{path}:{lineno}: expected 3 comma-separated fields")
-            try:
-                e, re_v, im_v = (float(p) for p in parts)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-            energies.append(e)
-            re_f.append(re_v)
-            im_f.append(im_v)
-    if len(energies) < 2:
+        lines = fh.readlines()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(lines, dtype=float, delimiter=",", comments=None, ndmin=2)
+    except (ValueError, Warning):
+        table = None
+    if table is None or table.shape[1] != 3:
+        table = _parse_rows(path, lines)
+    if len(table) < 2:
         raise ConfigError(f"{path}: need at least 2 data rows")
-    E = np.asarray(energies)
+    E, re_f, im_f = np.ascontiguousarray(table.T)
     if not np.all(np.diff(E) > 0):
         bad = int(np.argmin(np.diff(E))) + 3  # +2 header/1-base, +1 second row of the pair
         raise ConfigError(f"{path}:{bad}: energies must be strictly increasing")
     try:
-        return TabulatedLead(E, np.asarray(re_f) + 1j * np.asarray(im_f))
+        return TabulatedLead(E, re_f + 1j * im_f)
     except DomainError as exc:
         raise ConfigError(f"{path}: {exc}") from exc

@@ -137,7 +137,7 @@ def _chebyshev_factors(ed, n_cells: int):
 
     off = ~in_band
     if np.any(off):
-        al = ed["alpha"][off].real
+        al = ed["alpha_off"]
         gamma = np.log(np.abs(al))
         with np.errstate(divide="ignore", invalid="ignore"):
             den = np.expm1(-2.0 * gamma)

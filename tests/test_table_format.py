@@ -5,6 +5,7 @@ f"{x:.17g}" per CSV field, and json.dumps(indent=2, allow_nan=True) for JSON.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,14 +39,21 @@ def ref_json(header, rows):
 
 
 def table_values(n_rows, n_cols, seed):
-    """Special values first, then doubles from random bit patterns (any exponent)."""
+    """Special values first, then doubles from random bit patterns (any exponent).
+
+    A table longer than GRID_CHUNK rows repeats the special values across the
+    first chunk boundary of the formatters.
+    """
     rng = np.random.default_rng(seed)
     flat = rng.integers(0, 2**64, size=n_rows * n_cols, dtype=np.uint64).view(np.float64)
     flat[: min(len(SPECIAL), flat.size)] = SPECIAL[: flat.size]
+    if n_rows > GRID_CHUNK:
+        start = min(GRID_CHUNK * n_cols - len(SPECIAL) // 2, flat.size - len(SPECIAL))
+        flat[start : start + len(SPECIAL)] = SPECIAL
     return flat.reshape(n_rows, n_cols)
 
 
-@pytest.mark.parametrize("n_rows", [0, 1, 3000])
+@pytest.mark.parametrize("n_rows", [0, 1, 3000, GRID_CHUNK + 1])
 @pytest.mark.parametrize("n_cols", [1, 2, 3, 4])
 def test_formatters_match_reference(n_rows, n_cols):
     arr = table_values(n_rows, n_cols, seed=100 * n_rows + n_cols)
@@ -56,6 +64,22 @@ def test_formatters_match_reference(n_rows, n_cols):
     # list input, as `bands` and `converge` pass it
     assert _csv_table(header, arr.tolist()) == ref_csv(header, arr.tolist())
     assert _json_table(header, arr.tolist()) == ref_json(header, arr.tolist())
+
+
+@pytest.mark.parametrize("formatter", [_csv_table, _json_table])
+def test_formatter_memory_is_about_twice_the_text(formatter):
+    # rows are formatted a chunk at a time: the chunk texts and their one join
+    rng = np.random.default_rng(5)
+    arr = rng.standard_normal((4 * GRID_CHUNK, 4))
+    arr[::7, 2] = np.nan
+    arr[::11, 3] = np.inf
+    tracemalloc.start()
+    try:
+        text = formatter(["E", "T", "r", "theta"], arr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(text), f"peak {peak} bytes for {len(text)} characters"
 
 
 DIMER = SampleSpec((1.0,), (0.0, 0.0), 0.5)

@@ -195,6 +195,33 @@ def test_one_kernel_call_per_evaluator_call(monkeypatch, dimer, wide_lead):
         assert len(calls) == 1, (evaluate.__name__, args[1])
 
 
+def test_m_functions_are_computed_only_when_read(monkeypatch, dimer, wide_lead):
+    # T_N on half-line leads reads only T_L's entries and the growing off-band
+    # eigenvalue; the m-functions and in-band phase are computed on first read
+    from thouless_lab import leads
+
+    calls = []
+    eigvec = leads._real_eigvec2
+
+    def counting_eigvec(*args):
+        calls.append(1)
+        return eigvec(*args)
+
+    monkeypatch.setattr(leads, "_real_eigvec2", counting_eigvec)
+    grid = np.linspace(-2.0, 2.0, 41)  # in both bands, the gap and outside
+    transmittance_n(dimer, wide_lead, wide_lead, 0.7, 5, grid)
+    sample_green(dimer, 3, 0.0)
+    assert calls == []
+    ed = _eigendata_values(dimer, grid)
+    assert {"m_l", "m_r", "alpha", "theta"}.isdisjoint(ed)
+    m_r = ed["m_r"]
+    assert len(calls) == 2 and ed["m_r"] is m_r and {"m_l", "alpha", "theta"} <= set(ed)
+    with pytest.raises(KeyError):
+        ed["no_such_key"]
+    transmittance_inf(dimer, wide_lead, wide_lead, 0.7, grid)
+    assert len(calls) == 4
+
+
 @pytest.mark.parametrize("n_cells", [0, -1, -3])
 def test_repetition_count_below_one_raises(dimer, wide_lead, n_cells):
     from thouless_lab import ThermoState, convergence_study, lb_currents
