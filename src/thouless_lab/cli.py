@@ -9,9 +9,9 @@ thouless   shorthand for currents --mode thouless
 converge   ∫T_N f vs ∫T_infty f table over an N list
 selfcheck  seeded property battery; exit 1 on any failure
 
-Exit codes: 0 success, 1 check failure, 2 usage/config error, 3 numerical
-failure.  CSV output carries a ``# schema=1`` line and 17-significant-digit
-fields; identical config + seed reproduce byte-identical output.
+Exit codes: 0 success, 1 check failure, 2 usage/config error or refused
+input, 3 numerical failure.  CSV output carries a ``# schema=1`` line and
+17-significant-digit fields; identical config + seed reproduce identical bytes.
 """
 
 from __future__ import annotations
@@ -36,9 +36,10 @@ from .currents import (
     lb_currents,
     thouless_currents,
 )
-from .errors import ConfigError, ThoulessLabError
+from .errors import ConfigError, DomainError, ThoulessLabError
 from .jacobi import SampleSpec, _bloch_bands, band_spectrum, bloch_eigenvalues
 from .leads import CrystallineLead, HalfLineLead, LeadModel, load_tabulated_csv
+from .leads import _check_coupled_inputs, _check_finite_energies
 from .selfcheck import run_selfcheck
 from .transport import _diagnostic_columns, transmittance_inf, transmittance_n
 # Not called here; kept importable because bench/tracer.py wraps this name.
@@ -167,8 +168,7 @@ def parse_config(data) -> RunConfig:
         if "kappa" in root:
             with _Section("kappa", root):
                 kappa = float(root["kappa"])
-            if kappa == 0.0 or not math.isfinite(kappa):
-                raise ConfigError(f"kappa: must be nonzero and finite, got {kappa}")
+                _check_coupled_inputs(kappa, ())  # no energies yet: kappa alone
 
         thermo = None
         if "thermo" in root:
@@ -187,8 +187,7 @@ def parse_config(data) -> RunConfig:
                     grid_values = tuple(float(v) for v in d["values"])
                     if not grid_values:
                         raise ConfigError("energy_grid.values: must be nonempty")
-                    if not all(map(math.isfinite, grid_values)):
-                        raise ConfigError("energy_grid.values: must be finite")
+                    _check_finite_energies(grid_values)
                 elif "count" in d:
                     grid_count = int(d["count"])
                     if grid_count < 2:
@@ -559,7 +558,7 @@ def main(argv=None) -> int:
         else:  # pragma: no cover
             raise ConfigError(f"unknown command {args.command}")
         _emit(text, out_path)
-    except ConfigError as exc:
+    except (ConfigError, DomainError) as exc:  # a library DomainError is a refused input too
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ThoulessLabError as exc:

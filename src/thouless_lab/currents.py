@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, NumericalError, QuadratureError
-from .jacobi import BandSpectrum, SampleSpec, band_spectrum, thouless_conductance
+from .jacobi import BandSpectrum, SampleSpec, _repetition_count, band_spectrum, thouless_conductance
 from .leads import CrystallineLead, HalfLineLead, LeadModel
 from .transport import transmittance_inf, transmittance_n
 
@@ -445,7 +445,7 @@ def convergence_study(
     discontinuities in `breakpoints`.  The leads' support edges are added to
     them.
     """
-    n_list = [int(n) for n in n_list]
+    n_list = [_repetition_count(n) for n in n_list]
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise DomainError("n_list must be strictly increasing")
     spectrum = band_spectrum(sample)

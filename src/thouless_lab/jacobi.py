@@ -13,6 +13,7 @@ periodization, and the Thouless conductance of an energy window.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,10 +78,20 @@ class SampleSpec:
         return self.onsite[(x - 1) % self.length]
 
 
+def _repetition_count(n_cells) -> int:
+    """N as an int >= 1 that operator.index takes (numpy integers, not 2.0 or "3")."""
+    try:
+        n = operator.index(n_cells)
+    except TypeError:
+        n = 0
+    if n < 1:
+        raise DomainError(f"n_cells must be a positive integer, got {n_cells!r}")
+    return n
+
+
 def periodized_parameters(sample: SampleSpec, n_cells: int) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal (length N*L) and off-diagonal (length N*L-1) of the N-cell sample h_S^(N)."""
-    if n_cells < 1:
-        raise DomainError("n_cells must be a positive integer")
+    n_cells = _repetition_count(n_cells)
     L = sample.length
     diag = np.tile(np.asarray(sample.onsite, dtype=float), n_cells)
     period = np.asarray(sample.hop + (sample.kappa_s,), dtype=float)

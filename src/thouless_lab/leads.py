@@ -98,7 +98,7 @@ class TabulatedLead:
             warnings.warn(
                 f"tabulated lead: trapezoid estimate of Im F mass is {norm:.4f}, "
                 "expected 1 for a normalized spectral measure",
-                stacklevel=2,
+                stacklevel=3,  # past the generated __init__ to its caller
             )
 
 
@@ -264,7 +264,7 @@ def _clamp_im(F: np.ndarray) -> np.ndarray:
     """Boundary values with Im F in [-1e-12, 0) (rounding below the axis) set to Im 0."""
     im = F.imag
     # one NaN-skipping minimum (inf when empty) decides whether any entry needs the mask
-    if np.fmin.reduce(im, initial=np.inf) < 0.0:
+    if np.fmin.reduce(im, axis=None, initial=np.inf) < 0.0:
         im = np.where((im < 0.0) & (im >= -_IM_FLOOR), 0.0, im)
     # rebuilt even when nothing is clamped: the sum fixes the signs of zeros
     return F.real + 1j * im
@@ -322,7 +322,8 @@ def load_tabulated_csv(path) -> TabulatedLead:
         raise ConfigError(f"{path}: need at least 2 data rows")
     E, re_f, im_f = np.ascontiguousarray(table.T)
     if not np.all(np.diff(E) > 0):
-        bad = int(np.argmin(np.diff(E))) + 3  # +2 header/1-base, +1 second row of the pair
+        rows = [n for n, line in enumerate(lines, start=2) if line.strip()]  # file lines
+        bad = rows[int(np.argmin(np.diff(E))) + 1]  # the second row of the pair
         raise ConfigError(f"{path}:{bad}: energies must be strictly increasing")
     try:
         return TabulatedLead(E, re_f + 1j * im_f)

@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from .errors import SampleEigenvalueError, SingularEnergyError
-from .jacobi import GreenMatrix2, SampleSpec, periodized_parameters
+from .jacobi import GreenMatrix2, SampleSpec, _repetition_count, periodized_parameters
 from .leads import LeadModel, _check_coupled_inputs, _check_finite_energies, lead_F_values
 
 _RESIDUAL_TOL = 1e-11
@@ -41,6 +41,7 @@ _SYSTEM_CACHE_SIZE = 16
 
 def _n_cell_system(sample: SampleSpec, n_cells: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only complex diagonal and real off-diagonal of the N-cell sample, built once."""
+    n_cells = _repetition_count(n_cells)  # before the lookup: a key 2.0 would find 2
     # SampleSpec equality takes -0.0 for 0.0, which the diagonal keeps apart
     zero_signs = tuple(math.copysign(1.0, v) for v in sample.onsite if v == 0.0)
     return _n_cell_system_cached(sample, n_cells, zero_signs)
@@ -108,9 +109,9 @@ def _lead_values(lead_l, lead_r, kappa, E):
     return lead_F_values(lead_l, E), lead_F_values(lead_r, E)
 
 
-def _coupled_corners(sample, n_cells, kappa, E, F_l, F_r):
-    """`_corner_green` of the boundary-self-energy systems at the energies E."""
-    diag, off = _n_cell_system(sample, n_cells)
+def _coupled_corners(system, kappa, E, F_l, F_r):
+    """`_corner_green` of the boundary-self-energy systems of the N-cell `system` at E."""
+    diag, off = system
     d = diag - E[:, None]
     d[:, 0] -= kappa**2 * F_l
     d[:, -1] -= kappa**2 * F_r
@@ -128,7 +129,7 @@ def resolvent_green(
     """Full 2x2 Green matrix between the end sites of the coupled N-cell system."""
     E_arr = np.array([float(E)])
     F_l, F_r = _lead_values(lead_l, lead_r, kappa, E_arr)
-    *corners, ok = _coupled_corners(sample, n_cells, kappa, E_arr, F_l, F_r)
+    *corners, ok = _coupled_corners(_n_cell_system(sample, n_cells), kappa, E_arr, F_l, F_r)
     if not ok[0]:
         raise SingularEnergyError(f"the solve at E={E} fails the residual gate {_RESIDUAL_TOL:g}")
     return GreenMatrix2(*(complex(g[0]) for g in corners), float(E), n_cells)
@@ -166,30 +167,19 @@ def transmittance_oracle(
     """
     E_arr = np.asarray(E, dtype=float)
     scalar = E_arr.ndim == 0
-    if scalar:
-        E_arr = E_arr.reshape(1)
+    E_arr = E_arr.reshape(1) if scalar else E_arr
+    system = _n_cell_system(sample, n_cells)
     F_l, F_r = _lead_values(lead_l, lead_r, kappa, E_arr)
     live = (F_l.imag > 0.0) & (F_r.imag > 0.0)
-    if E_arr.size and live.all():  # no re-indexing and no scatter
-        T = _live_transmittance(
-            sample, n_cells, kappa, E_arr.ravel(), F_l.ravel(), F_r.ravel()
-        ).reshape(E_arr.shape)
-    else:
-        T = np.zeros(E_arr.shape)
-        if live.any():
-            T[live] = _live_transmittance(
-                sample, n_cells, kappa, E_arr[live], F_l[live], F_r[live]
+    T = np.zeros(E_arr.shape)
+    if live.any():
+        E_live, F_l, F_r = E_arr[live], F_l[live], F_r[live]
+        _, g_lr, _, _, ok = _coupled_corners(system, kappa, E_live, F_l, F_r)
+        if not ok.all():
+            raise SingularEnergyError(
+                f"the solve at E={E_live[~ok][0]} fails the residual gate {_RESIDUAL_TOL:g}"
             )
+        # hypot is what abs(complex) computes; np.abs rounds differently
+        g_abs = np.hypot(g_lr.real, g_lr.imag)
+        T[live] = 4.0 * kappa**4 * g_abs**2 * F_l.imag * F_r.imag
     return float(T[0]) if scalar else T
-
-
-def _live_transmittance(sample, n_cells, kappa, E, F_l, F_r) -> np.ndarray:
-    """T_N at 1-d energies E where both leads have Im F > 0; a gate failure raises."""
-    _, g_lr, _, _, ok = _coupled_corners(sample, n_cells, kappa, E, F_l, F_r)
-    if not ok.all():
-        raise SingularEnergyError(
-            f"the solve at E={E[~ok][0]} fails the residual gate {_RESIDUAL_TOL:g}"
-        )
-    # hypot is what abs(complex) computes; np.abs rounds differently
-    g_abs = np.hypot(g_lr.real, g_lr.imag)
-    return 4.0 * kappa**4 * g_abs**2 * F_l.imag * F_r.imag

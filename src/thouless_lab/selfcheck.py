@@ -17,7 +17,7 @@ from .currents import QuadratureConfig, ThermoState, crystalline_currents, thoul
 from .errors import SampleEigenvalueError
 from .jacobi import SampleSpec, band_spectrum, transfer_step
 from .leads import CrystallineLead, HalfLineLead, _crystal_m_values
-from .oracle import _coupled_corners, transmittance_oracle
+from .oracle import _coupled_corners, _n_cell_system, transmittance_oracle
 from .transport import sample_green, transmittance_n
 
 
@@ -147,8 +147,9 @@ def check_m_identities(
         m_l, m_r, _ = _crystal_m_values(sample, grid)
         min_im = min(min_im, float(np.min(m_l.imag)), float(np.min(m_r.imag)))
         # kappa_s^2 m on an end site is that half-line's boundary self-energy
-        fixed_r, _, _, _, ok_r = _coupled_corners(sample, 1, sample.kappa_s, grid, 0.0, m_r)
-        _, _, _, fixed_l, ok_l = _coupled_corners(sample, 1, sample.kappa_s, grid, m_l, 0.0)
+        period = _n_cell_system(sample, 1)
+        fixed_r, _, _, _, ok_r = _coupled_corners(period, sample.kappa_s, grid, 0.0, m_r)
+        _, _, _, fixed_l, ok_l = _coupled_corners(period, sample.kappa_s, grid, m_l, 0.0)
         keep = ok_r & ok_l
         if np.any(keep):
             m_r, m_l, fixed_r, fixed_l = m_r[keep], m_l[keep], fixed_r[keep], fixed_l[keep]

@@ -33,7 +33,7 @@ from .errors import (
     NumericalError,
     SampleEigenvalueError,
 )
-from .jacobi import GreenMatrix2, SampleSpec, _real_eigvec2
+from .jacobi import GreenMatrix2, SampleSpec, _real_eigvec2, _repetition_count
 # Not called here; kept importable because bench/tracer.py wraps this name.
 from .jacobi import _one_period_abcd  # noqa: F401
 from .leads import EDGE_TOL, SUPPORT_TOL, CrystallineLead, LeadModel, lead_F_values
@@ -160,10 +160,9 @@ def sample_green(sample: SampleSpec, n_cells: int, E: float) -> GreenMatrix2:
 
     Raises SampleEigenvalueError when E sits at an eigenvalue of the N-cell
     sample, where A vanishes and the resolvent has a pole, and DomainError at
-    a non-finite E.
+    a non-finite E or an n_cells that is not an integer >= 1.
     """
-    if n_cells < 1:
-        raise DomainError("n_cells must be a positive integer")
+    n_cells = _repetition_count(n_cells)
     E_arr = np.asarray([float(E)])
     _check_finite_energies(E_arr)
     ed = _eigendata_values(sample, E_arr)
@@ -263,10 +262,9 @@ def transmittance_n(
     Accepts a scalar or an array of energies.  T_N is 0 outside the common
     essential support of the leads; energies where the Green denominator
     degenerates (a measure-zero set) are returned as 0 and logged.  Raises
-    DomainError for n_cells < 1.
+    DomainError unless n_cells is an integer >= 1.
     """
-    if n_cells < 1:
-        raise DomainError(f"n_cells must be a positive integer, got {n_cells}")
+    n_cells = _repetition_count(n_cells)
     scalar = np.ndim(E) == 0
     E_arr = np.atleast_1d(np.asarray(E, dtype=float))
     inputs = _transport_inputs(sample, lead_l, lead_r, kappa, E_arr)

@@ -352,6 +352,20 @@ def test_tabulated_lead_config(tmp_path):
     assert np.all(rows[:, 1] >= 0.0) and np.all(rows[:, 1] <= 1.0)
 
 
+def test_tabulated_lead_short_of_the_grid_is_config_error(tmp_path, capsys):
+    # a library DomainError raised mid-run is a refused input: exit 2, not 3
+    csv = tmp_path / "lead.csv"
+    csv.write_text("E,ReF,ImF\n-0.5,0.0,3.141592653589793\n0.5,0.0,3.141592653589793\n")
+    payload = json.loads(json.dumps(DIMER))
+    payload["leads"]["left"] = {"type": "tabulated", "path": str(csv)}
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "never.csv"
+    assert main(["transmit", "--config", cfg, "--out", str(out), "--N", "2"]) == 2
+    assert not out.exists()
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: tabulated lead"), lines
+
+
 def _edited(base, path, value):
     """A deep copy of base with the key at the dotted path set, or deleted if value is DELETE."""
     payload = json.loads(json.dumps(base))

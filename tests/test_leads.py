@@ -195,8 +195,10 @@ def test_tabulated_normalization_warning():
     import warnings
 
     grid = np.linspace(-2.0, 2.0, 200)
-    with pytest.warns(UserWarning, match="normalized spectral measure"):
+    with pytest.warns(UserWarning, match="normalized spectral measure") as caught:
         TabulatedLead(grid, np.full(grid.size, 5.0j))
+    # the warning names the line that built the lead, not the generated __init__
+    assert caught[0].filename == __file__
     # a properly normalized semicircle stays silent
     im = np.sqrt(np.maximum(4.0 - grid**2, 0.0)) / 2.0
     with warnings.catch_warnings():

@@ -16,7 +16,7 @@ from thouless_lab.leads import TabulatedLead, load_tabulated_csv
 
 def per_field_load(path) -> TabulatedLead:
     """The former loader: one float() per field, line by line."""
-    energies, re_f, im_f = [], [], []
+    energies, re_f, im_f, row_lines = [], [], [], []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header.replace(" ", "") != "E,ReF,ImF":
@@ -33,13 +33,14 @@ def per_field_load(path) -> TabulatedLead:
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from exc
             energies.append(e)
+            row_lines.append(lineno)
             re_f.append(re_v)
             im_f.append(im_v)
     if len(energies) < 2:
         raise ConfigError(f"{path}: need at least 2 data rows")
     E = np.asarray(energies)
     if not np.all(np.diff(E) > 0):
-        bad = int(np.argmin(np.diff(E))) + 3
+        bad = row_lines[int(np.argmin(np.diff(E))) + 1]
         raise ConfigError(f"{path}:{bad}: energies must be strictly increasing")
     try:
         return TabulatedLead(E, np.asarray(re_f) + 1j * np.asarray(im_f))
@@ -102,6 +103,14 @@ CASES = {
 @pytest.mark.parametrize("text", CASES.values(), ids=CASES.keys())
 def test_matches_per_field_loader(tmp_path, text):
     assert_same(tmp_path, text)
+
+
+def test_non_increasing_energy_names_its_file_line(tmp_path):
+    # blank lines count: the pair 0.5, 0.0 sits on lines 4 and 5 of the file
+    path = tmp_path / "lead.csv"
+    path.write_text(CASES["decreasing_after_blank"])
+    with pytest.raises(ConfigError, match=":5: energies must be strictly increasing"):
+        load_tabulated_csv(path)
 
 
 def test_matches_per_field_loader_on_many_digits(tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -222,16 +224,69 @@ def test_m_functions_are_computed_only_when_read(monkeypatch, dimer, wide_lead):
     assert len(calls) == 4
 
 
-@pytest.mark.parametrize("n_cells", [0, -1, -3])
-def test_repetition_count_below_one_raises(dimer, wide_lead, n_cells):
-    from thouless_lab import ThermoState, convergence_study, lb_currents
+def _repetition_count_calls(dimer, lead):
+    """Every entry point taking a repetition count N, as functions of N."""
+    from thouless_lab import convergence_study, lb_currents, periodized_parameters
+    from thouless_lab.oracle import resolvent_green
 
-    with pytest.raises(DomainError):
-        transmittance_n(dimer, wide_lead, wide_lead, 0.7, n_cells, 1.0)
-    with pytest.raises(DomainError):
-        lb_currents(dimer, wide_lead, wide_lead, 0.7, n_cells, ThermoState(1.0, -1.0, 1.0, 1.0))
-    with pytest.raises(DomainError):
-        convergence_study(dimer, wide_lead, wide_lead, 0.7, np.ones_like, [n_cells, 1])
+    thermo = ThermoState(1.0, -1.0, 1.0, 1.0)
+    return {
+        "transmittance_n": lambda n: transmittance_n(dimer, lead, lead, 0.7, n, 1.0),
+        "sample_green": lambda n: sample_green(dimer, n, 1.0),
+        "lb_currents": lambda n: lb_currents(dimer, lead, lead, 0.7, n, thermo),
+        "convergence_study": lambda n: convergence_study(
+            dimer, lead, lead, 0.7, np.ones_like, [n]
+        ),
+        "periodized_parameters": lambda n: periodized_parameters(dimer, n),
+        "resolvent_green": lambda n: resolvent_green(dimer, n, lead, lead, 0.7, 1.0),
+        "dirichlet_sample_green": lambda n: dirichlet_sample_green(dimer, n, 1.0),
+        "transmittance_oracle": lambda n: transmittance_oracle(dimer, lead, lead, 0.7, n, 1.0),
+    }
+
+
+# N below one, or not an integer at all: a float equal to an integer and a
+# numeric string are refused too, never truncated or silently zero
+@pytest.mark.parametrize("n_cells", [0, -1, -3, 2.5, 2.0, "3", None])
+def test_repetition_count_below_one_raises(dimer, wide_lead, n_cells):
+    from thouless_lab import oracle
+
+    message = f"n_cells must be a positive integer, got {re.escape(repr(n_cells))}$"
+    for call in _repetition_count_calls(dimer, wide_lead).values():
+        oracle._n_cell_system_cached.cache_clear()
+        with pytest.raises(DomainError, match=message):
+            call(n_cells)
+    # a cache filled at N = 2 answers no other key: 2.0 hashes equal to 2
+    transmittance_oracle(dimer, wide_lead, wide_lead, 0.7, 2, 1.0)
+    with pytest.raises(DomainError, match=message):
+        transmittance_oracle(dimer, wide_lead, wide_lead, 0.7, n_cells, 1.0)
+    # no energy on the leads' support: the oracle solves nothing, and still refuses
+    with pytest.raises(DomainError, match=message):
+        transmittance_oracle(dimer, wide_lead, wide_lead, 0.7, n_cells, 9.0)
+
+
+def test_numpy_integer_repetition_count_is_accepted(dimer, wide_lead):
+    for name, call in _repetition_count_calls(dimer, wide_lead).items():
+        np.testing.assert_equal(call(np.int64(3)), call(3), err_msg=name)
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda s, lead, E: transmittance_n(s, lead, lead, 0.7, 4, E),
+        lambda s, lead, E: transmittance_n(s, CrystallineLead(s, "l"), lead, 0.7, 4, E),
+        lambda s, lead, E: transmittance_inf(s, lead, lead, 0.7, E),
+        lambda s, lead, E: transmittance_oracle(s, lead, lead, 0.7, 4, E),
+        lambda s, lead, E: lead_F_values(lead, E),
+    ],
+    ids=["T_N", "T_N_crystalline", "T_inf", "oracle", "lead_F_values"],
+)
+def test_energy_array_of_any_shape(dimer, wide_lead, evaluate):
+    # gap, band and off-support energies in a (2, 3) grid
+    E = np.array([[-3.0, -1.2, -0.2], [0.0, 0.9, 1.4]])
+    flat = evaluate(dimer, wide_lead, E.ravel())
+    grid = evaluate(dimer, wide_lead, E)
+    assert grid.shape == E.shape
+    assert grid.tobytes() == flat.reshape(E.shape).tobytes()
 
 
 @pytest.mark.parametrize(
