@@ -200,9 +200,11 @@ def _adaptive_panels(spectrum, integrand_vec, quad: QuadratureConfig, breakpoint
     in [0, pi] with E = c - h cos(phi), c = (s0 + s1)/2, h = (s1 - s0)/2 and
     Jacobian h sin(phi), so a square-root end sqrt(E - s0) = sqrt(2h) sin(phi/2)
     is analytic and no node touches an edge.  A piece starts with
-    quad.panels_per_band panels in phi; every level halves the active panels
-    (each carrying its piece's c and h) in one integrand_vec call, and their
-    half-sums become the next level's coarse sums.  A panel is locked once
+    quad.panels_per_band panels in phi.  The first integrand_vec call carries
+    the nodes of these coarse panels and of their halves, since the first
+    halving is never skipped; every later level halves the active panels
+    (each carrying its piece's c and h) in one call, and their half-sums
+    become the next level's coarse sums.  A panel is locked once
     every finite component has |fine - coarse| < abs_tol * (its energy width)
     / (total width).  The integral stops when every finite component's
     sum |fine - coarse| over all panels, its error estimate, is below abs_tol.
@@ -218,7 +220,7 @@ def _adaptive_panels(spectrum, integrand_vec, quad: QuadratureConfig, breakpoint
     xg, wg = _gauss_legendre(quad.points_per_panel)
     centre, half_width = pieces.mean(axis=1), (pieces[:, 1] - pieces[:, 0]) / 2.0
     budget = quad.abs_tol / (2.0 * half_width.sum())
-    # the coarse level always has panels, so reshape can infer m there (-1);
+    # the first call always has panels, so reshape can infer m there (-1);
     # later levels reshape with m, which still works when no panel is active
     m = -1
 
@@ -229,19 +231,26 @@ def _adaptive_panels(spectrum, integrand_vec, quad: QuadratureConfig, breakpoint
         with np.errstate(invalid="ignore"):
             return (vals.reshape(m, lo.size, xg.size) * ((h * half)[:, None] * np.sin(phi))) @ wg
 
+    def halve(lo, hi, c, h):
+        mid = (lo + hi) / 2.0
+        return (np.column_stack([lo, mid]).ravel(), np.column_stack([mid, hi]).ravel(),
+                np.repeat(c, 2), np.repeat(h, 2))
+
     n = quad.panels_per_band
     edges = np.linspace(0.0, np.pi, n + 1)
     lo, hi = np.tile(edges[:-1], len(pieces)), np.tile(edges[1:], len(pieces))
     c, h = np.repeat(centre, n), np.repeat(half_width, n)
-    coarse = panel_sums(lo, hi, c, h)
+    children = halve(lo, hi, c, h)
+    # the first halving is never skipped: one call sums the coarse panels and their halves
+    sums = panel_sums(*(np.concatenate(pair) for pair in zip((lo, hi, c, h), children)))
+    coarse, halves = sums[:, : lo.size], sums[:, lo.size :]
     m = coarse.shape[0]
     locked_fine, locked_coarse, locked_diff = np.zeros(m), np.zeros(m), np.zeros(m)
-    for _ in range(_MAX_HALVINGS):
-        mid = (lo + hi) / 2.0
-        child_lo = np.column_stack([lo, mid]).ravel()
-        child_hi = np.column_stack([mid, hi]).ravel()
-        c, h = np.repeat(c, 2), np.repeat(h, 2)
-        halves = panel_sums(child_lo, child_hi, c, h)
+    for level in range(_MAX_HALVINGS):
+        if level:
+            children = halve(lo, hi, c, h)
+            halves = panel_sums(*children)
+        child_lo, child_hi, c, h = children
         fine = halves.reshape(m, lo.size, 2).sum(axis=2)
         with np.errstate(invalid="ignore"):
             diff = np.abs(fine - coarse)

@@ -13,6 +13,8 @@ periodization, and the Thouless conductance of an energy window.
 
 from __future__ import annotations
 
+import functools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -22,6 +24,8 @@ from .errors import DomainError, NumericalError
 
 # Touching band endpoints closer than this are merged into one interval.
 _BAND_MERGE_TOL = 1e-12
+# Band spectra kept by band_spectrum; each holds L band edge pairs and its key
+_SPECTRUM_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -76,6 +80,14 @@ class SampleSpec:
     def onsite_at(self, x: int) -> float:
         """Periodized onsite lambda_x for any site index x >= 1."""
         return self.onsite[(x - 1) % self.length]
+
+
+def _sample_key(sample: SampleSpec) -> tuple:
+    """Cache key of a per-sample result: `sample` plus the signs of its zero onsite values.
+
+    SampleSpec equality takes -0.0 for 0.0, which arrays built from it keep apart.
+    """
+    return sample, tuple(math.copysign(1.0, v) for v in sample.onsite if v == 0.0)
 
 
 def _repetition_count(n_cells) -> int:
@@ -289,7 +301,16 @@ def band_spectrum(sample: SampleSpec) -> BandSpectrum:
     reporting the worst |tr T_L| over all bands.  The trace is
     ill-conditioned for long samples, so from about L = 32 on the check
     also rejects spectra whose eigenvalue edges are accurate.
+
+    Results are cached per sample (the key tells -0.0 from 0.0 onsite
+    values), for the 64 samples used last; a NumericalError is not cached.
     """
+    return _band_spectrum_cached(_sample_key(sample))
+
+
+@functools.lru_cache(maxsize=_SPECTRUM_CACHE_SIZE)
+def _band_spectrum_cached(key) -> BandSpectrum:
+    sample, _ = key
     spectrum = _bloch_bands(sample)
     wide = [band for band in spectrum.bands if band[1] > band[0]]
     if wide:

@@ -17,8 +17,9 @@ path depends only on the periodized Jacobi parameters and the lead boundary
 values; it shares nothing with the closed-form evaluation it validates.
 
 The N-cell system is built once per (sample, N): a bounded cache keyed on
-the frozen ``SampleSpec`` and N holds its complex diagonal and real
-off-diagonal as read-only arrays.  Only these immutable inputs are cached,
+``jacobi._sample_key`` (the frozen ``SampleSpec`` and the signs of its zero
+onsite values) and N holds its complex diagonal and real off-diagonal as
+read-only arrays.  Only these immutable inputs are cached,
 never a solve or a lead value, so a cached call returns the same bits as a
 fresh one.
 """
@@ -26,12 +27,11 @@ fresh one.
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
 from .errors import SampleEigenvalueError, SingularEnergyError
-from .jacobi import GreenMatrix2, SampleSpec, _repetition_count, periodized_parameters
+from .jacobi import GreenMatrix2, SampleSpec, _repetition_count, _sample_key, periodized_parameters
 from .leads import LeadModel, _check_coupled_inputs, _check_finite_energies, lead_F_values
 
 _RESIDUAL_TOL = 1e-11
@@ -42,14 +42,12 @@ _SYSTEM_CACHE_SIZE = 16
 def _n_cell_system(sample: SampleSpec, n_cells: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only complex diagonal and real off-diagonal of the N-cell sample, built once."""
     n_cells = _repetition_count(n_cells)  # before the lookup: a key 2.0 would find 2
-    # SampleSpec equality takes -0.0 for 0.0, which the diagonal keeps apart
-    zero_signs = tuple(math.copysign(1.0, v) for v in sample.onsite if v == 0.0)
-    return _n_cell_system_cached(sample, n_cells, zero_signs)
+    return _n_cell_system_cached(_sample_key(sample), n_cells)
 
 
 @functools.lru_cache(maxsize=_SYSTEM_CACHE_SIZE)
-def _n_cell_system_cached(sample, n_cells, zero_signs):
-    diag, off = periodized_parameters(sample, n_cells)
+def _n_cell_system_cached(key, n_cells):
+    diag, off = periodized_parameters(key[0], n_cells)
     diag = diag.astype(complex)
     diag.flags.writeable = False
     off.flags.writeable = False
@@ -127,6 +125,7 @@ def resolvent_green(
     E: float,
 ) -> GreenMatrix2:
     """Full 2x2 Green matrix between the end sites of the coupled N-cell system."""
+    n_cells = _repetition_count(n_cells)
     E_arr = np.array([float(E)])
     F_l, F_r = _lead_values(lead_l, lead_r, kappa, E_arr)
     *corners, ok = _coupled_corners(_n_cell_system(sample, n_cells), kappa, E_arr, F_l, F_r)
@@ -141,6 +140,7 @@ def dirichlet_sample_green(sample: SampleSpec, n_cells: int, E: float) -> GreenM
     Raises SampleEigenvalueError at an eigenvalue and DomainError at a
     non-finite E.
     """
+    n_cells = _repetition_count(n_cells)
     _check_finite_energies(float(E))
     diag, off = _n_cell_system(sample, n_cells)
     *corners, ok = _corner_green((diag - float(E))[None, :], off)

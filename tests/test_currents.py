@@ -25,7 +25,7 @@ from thouless_lab import (
 )
 from thouless_lab import currents
 from thouless_lab.currents import _adaptive_panels
-from thouless_lab.selfcheck import random_configuration
+from thouless_lab.selfcheck import _CHECK_STATES, random_configuration
 
 SQRT2 = np.sqrt(2.0)
 # the error estimate holds no rounding term, so a bound check allows a few ulps
@@ -164,7 +164,8 @@ def test_integrate_bands_narrow_lorentzian_refines_locally(free_chain):
     exact = math.atan((2.0 - e0) / gamma) - math.atan((-2.0 - e0) / gamma)
     assert value == pytest.approx(exact, abs=quad.abs_tol)
     assert err >= abs(value - exact) - ROUNDING * exact
-    levels = sum(1 for n in sizes if n) - 1
+    # the first call holds the coarse level and the first halving
+    levels = sum(1 for n in sizes if n)
     uniform_last_level = quad.points_per_panel * quad.panels_per_band * 2**levels
     assert levels >= 10
     assert sum(sizes) < uniform_last_level / 4
@@ -199,9 +200,14 @@ def test_quadrature_never_evaluates_an_empty_array(dimer, wide_lead, monkeypatch
 
     monkeypatch.setattr(currents, "weights", recording_weights)
     th = ThermoState(2.0, 0.3, 3.0, -0.3)
+    # two bands, 8 coarse panels and their 16 halves of 12 nodes each
+    first_call = 2 * (8 + 16) * 12
     rep = lb_currents(dimer, wide_lead, wide_lead, 0.7, 4, th)
+    assert sizes == [first_call] and rep.evaluations == first_call
+    sizes.clear()
+    rep = lb_currents(dimer, wide_lead, wide_lead, 0.7, 16, th)  # refines past the first call
     assert len(sizes) >= 2 and min(sizes) > 0
-    assert sizes[0] == 2 * 8 * 12  # two bands, 8 panels of 12 nodes
+    assert sizes[0] == first_call
     assert rep.evaluations == sum(sizes)
 
 
@@ -241,6 +247,49 @@ def test_report_evaluations_are_pinned(free_chain, dimer, wide_lead):
         lb_currents(dimer, wide_lead, wide_lead, 0.7, 4, th),
     ]
     assert [r.evaluations for r in reports] == [288, 1152, 576, 1152, 576]
+
+
+def test_report_integrand_calls_are_pinned(free_chain, dimer, wide_lead, monkeypatch):
+    # the coarse level and the first halving share one call, one call fewer
+    # than evaluating them apart ([2, 2, 2, 2, 2, 5])
+    calls = []
+    weights_orig = currents.weights
+
+    def counting_weights(thermo, E):
+        calls[-1] += 1
+        return weights_orig(thermo, E)
+
+    monkeypatch.setattr(currents, "weights", counting_weights)
+    th = ThermoState(2.0, 0.3, 3.0, -0.3)
+    window = ThermoState(math.inf, -0.8, math.inf, 1.1)
+    own_r = CrystallineLead(dimer, "r")
+    reports = [
+        lambda: thouless_currents(free_chain, th),
+        lambda: thouless_currents(dimer, window),
+        lambda: crystalline_currents(dimer, wide_lead, wide_lead, 0.7, th),
+        lambda: crystalline_currents(dimer, wide_lead, own_r, 0.7, window),
+        lambda: lb_currents(dimer, wide_lead, wide_lead, 0.7, 4, th),
+        lambda: lb_currents(dimer, wide_lead, wide_lead, 0.7, 16, th),
+    ]
+    for report in reports:
+        calls.append(0)
+        report()
+    assert calls == [1, 1, 1, 1, 1, 4]
+
+
+def test_lb_currents_on_a_resonant_narrow_band_case_meet_abs_tol():
+    # the 6th selfcheck configuration of seed 11: L = 7, bands as narrow as 3e-3;
+    # reference from QuadratureConfig(abs_tol=1e-12, points_per_panel=24,
+    # panels_per_band=64)
+    rng = np.random.default_rng(11)
+    for _ in range(6):
+        sample, lead_l, lead_r, kappa = random_configuration(rng)
+    assert sample.length == 7
+    quad = QuadratureConfig()
+    rep = lb_currents(sample, lead_l, lead_r, kappa, 16, _CHECK_STATES[2], quad)
+    assert rep.phi_l == pytest.approx(-5.3494399394251775e-05, abs=quad.abs_tol)
+    assert rep.i_l == pytest.approx(0.000546130161146834, abs=quad.abs_tol)
+    assert rep.entropy_j == pytest.approx(0.0006308462271199382, abs=quad.abs_tol)
 
 
 def test_lb_n64_converges_with_local_refinement():

@@ -231,6 +231,7 @@ def test_band_edge_pushed_into_a_gap_is_caught(monkeypatch, band, side):
         return eps
 
     monkeypatch.setattr(jacobi, "bloch_eigenvalues", pushed)
+    jacobi._band_spectrum_cached.cache_clear()  # the spectrum above is cached
     with pytest.raises(NumericalError, match="band interior violates"):
         band_spectrum(sample)
 
@@ -269,9 +270,58 @@ def test_one_kernel_call_per_band_spectrum(monkeypatch, sample):
         return kernel(s, E)
 
     monkeypatch.setattr(jacobi, "_one_period_abcd", counting_kernel)
+    jacobi._band_spectrum_cached.cache_clear()  # another test may have cached this sample
     spectrum = band_spectrum(sample)
     assert len(spectrum.bands) == L
     assert calls == [(17, L)]
+
+
+def test_band_spectrum_is_cached_per_sample(monkeypatch):
+    calls = []
+    kernel = jacobi._one_period_abcd
+
+    def counting_kernel(s, E):
+        calls.append(np.shape(E))
+        return kernel(s, E)
+
+    monkeypatch.setattr(jacobi, "_one_period_abcd", counting_kernel)
+    jacobi._band_spectrum_cached.cache_clear()
+    first = band_spectrum(GAPPED_L4)
+    assert len(calls) == 1
+    # an equal but distinct SampleSpec finds the same entry
+    equal = SampleSpec(GAPPED_L4.hop, GAPPED_L4.onsite, GAPPED_L4.kappa_s)
+    assert band_spectrum(equal) is first and len(calls) == 1
+
+
+def test_band_spectrum_cache_keeps_signed_zero_onsite_values_apart():
+    # SampleSpec equality takes -0.0 for 0.0; the cache key does not
+    plus, minus = SampleSpec((1.0,), (0.0, 0.3), 0.5), SampleSpec((1.0,), (-0.0, 0.3), 0.5)
+    assert plus == minus and jacobi._sample_key(plus) != jacobi._sample_key(minus)
+    jacobi._band_spectrum_cached.cache_clear()
+    for sample in (plus, minus, plus, minus):
+        band_spectrum(sample)
+    info = jacobi._band_spectrum_cached.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
+
+
+def test_failing_cross_check_is_not_cached():
+    sample = probe_l32_sample(1)
+    jacobi._band_spectrum_cached.cache_clear()
+    for _ in range(3):
+        with pytest.raises(NumericalError, match="band interior violates"):
+            band_spectrum(sample)
+    info = jacobi._band_spectrum_cached.cache_info()
+    assert (info.misses, info.currsize) == (3, 0)
+
+
+def test_band_spectrum_cache_is_bounded(rng):
+    maxsize = jacobi._band_spectrum_cached.cache_info().maxsize
+    assert maxsize == jacobi._SPECTRUM_CACHE_SIZE >= 64
+    jacobi._band_spectrum_cached.cache_clear()
+    for _ in range(maxsize + 10):
+        band_spectrum(random_sample(rng, max_sites=3))
+    info = jacobi._band_spectrum_cached.cache_info()
+    assert (info.misses, info.currsize) == (maxsize + 10, maxsize)
 
 
 def test_thouless_conductance_uses_eigenvalue_edges_where_the_cross_check_fails():

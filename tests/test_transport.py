@@ -269,6 +269,12 @@ def test_numpy_integer_repetition_count_is_accepted(dimer, wide_lead):
         np.testing.assert_equal(call(np.int64(3)), call(3), err_msg=name)
 
 
+@pytest.mark.parametrize("name", ["sample_green", "resolvent_green", "dirichlet_sample_green"])
+def test_green_matrix_stores_repetition_count_as_int(dimer, wide_lead, name):
+    g = _repetition_count_calls(dimer, wide_lead)[name](np.int64(3))
+    assert type(g.n_cells) is int and g.n_cells == 3
+
+
 @pytest.mark.parametrize(
     "evaluate",
     [
