@@ -37,7 +37,7 @@ from .currents import (
     thouless_currents,
 )
 from .errors import ConfigError, DomainError, ThoulessLabError
-from .jacobi import SampleSpec, _bloch_bands, band_spectrum, bloch_eigenvalues
+from .jacobi import SampleSpec, _bloch_bands, _integer, band_spectrum, bloch_eigenvalues
 from .leads import CrystallineLead, HalfLineLead, LeadModel, load_tabulated_csv
 from .leads import _check_coupled_inputs, _check_finite_energies
 from .selfcheck import run_selfcheck
@@ -104,13 +104,13 @@ class _Section:
             raise ConfigError(f"{self.where}: {exc}") from exc
 
 
-# float, int or tuple of a bad value; a library check; an unreadable lead file
+# float or tuple of a bad value; a library check (_integer too); an unreadable lead file
 _READ_ERRORS = (TypeError, ValueError, OverflowError, OSError, ThoulessLabError)
 
 _ROOT_KEYS = {"sample", "leads", "kappa", "thermo", "quadrature", "energy_grid", "output", "seed"}
 _LEAD_KEYS = {"half_line": {"type", "t", "v0"}, "crystalline": {"type", "sample", "side"},
               "tabulated": {"type", "path"}}
-_QUADRATURE_KEYS = {"panels_per_band": int, "points_per_panel": int, "abs_tol": float}
+_QUADRATURE_KEYS = {"panels_per_band": _integer, "points_per_panel": _integer, "abs_tol": float}
 
 
 def _path(value, where: str):
@@ -123,7 +123,7 @@ def _path(value, where: str):
 def _parse_sample(raw, where: str = "sample") -> SampleSpec:
     with _Section(where, raw, {"L", "J", "lambda", "kappa_S"}) as d:
         J, lam, kappa_s = d["J"], d["lambda"], d["kappa_S"]
-        if "L" in d and int(d["L"]) != len(lam):
+        if "L" in d and _integer(d["L"]) != len(lam):
             raise ConfigError(f"{where}: L={d['L']} inconsistent with {len(lam)} onsite values")
         return SampleSpec(hop=tuple(J), onsite=tuple(lam), kappa_s=kappa_s)
 
@@ -189,7 +189,7 @@ def parse_config(data) -> RunConfig:
                         raise ConfigError("energy_grid.values: must be nonempty")
                     _check_finite_energies(grid_values)
                 elif "count" in d:
-                    grid_count = int(d["count"])
+                    grid_count = _integer(d["count"])
                     if grid_count < 2:
                         raise ConfigError("energy_grid.count: must be >= 2")
                 else:
@@ -204,7 +204,7 @@ def parse_config(data) -> RunConfig:
                 raise ConfigError(f"output.format: expected csv|json, got {out_format!r}")
 
         with _Section("seed", root):
-            seed = int(root.get("seed", 0))
+            seed = _integer(root.get("seed", 0))
         if seed < 0:
             raise ConfigError(f"seed: must be >= 0, got {seed}")
 

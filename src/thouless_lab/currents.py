@@ -30,7 +30,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, NumericalError, QuadratureError
-from .jacobi import BandSpectrum, SampleSpec, _repetition_count, band_spectrum, thouless_conductance
+from .jacobi import BandSpectrum, SampleSpec, _energies, _integer, _repetition_count
+from .jacobi import _window_conductance, band_spectrum
 from .leads import CrystallineLead, HalfLineLead, LeadModel
 from .transport import transmittance_inf, transmittance_n
 
@@ -79,7 +80,7 @@ class QuadratureConfig:
     abs_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.panels_per_band < 1 or self.points_per_panel < 1:
+        if min(_integer(self.panels_per_band), _integer(self.points_per_panel)) < 1:
             raise DomainError("panel and point counts must be positive")
         if not 0.0 < self.abs_tol < math.inf:
             raise DomainError("abs_tol must be positive and finite")
@@ -116,8 +117,7 @@ def fermi_dirac(beta: float, mu: float, E):
     beta = math.inf yields the indicator of E < mu with value 1/2 at E = mu.
     Accepts scalars or arrays.
     """
-    scalar = np.ndim(E) == 0
-    E_arr = np.atleast_1d(np.asarray(E, dtype=float))
+    E_arr, scalar = _energies(E)
     if math.isinf(beta):
         out = np.where(E_arr < mu, 1.0, np.where(E_arr > mu, 0.0, 0.5))
     else:
@@ -144,10 +144,9 @@ def weights(thermo: ThermoState, E):
     equilibrium.  With an infinite beta off equilibrium varsigma is +inf on
     the bias window.  Accepts scalars or arrays.
     """
-    scalar = np.ndim(E) == 0
-    E_arr = np.atleast_1d(np.asarray(E, dtype=float))
-    rho_l = np.atleast_1d(fermi_dirac(thermo.beta_l, thermo.mu_l, E_arr))
-    rho_r = np.atleast_1d(fermi_dirac(thermo.beta_r, thermo.mu_r, E_arr))
+    E_arr, scalar = _energies(E)
+    rho_l = fermi_dirac(thermo.beta_l, thermo.mu_l, E_arr)
+    rho_r = fermi_dirac(thermo.beta_r, thermo.mu_r, E_arr)
     zeta_l = _zeta(thermo.beta_l, thermo.mu_l, E_arr)
     zeta_r = _zeta(thermo.beta_r, thermo.mu_r, E_arr)
     delta_l = rho_l - rho_r
@@ -408,15 +407,16 @@ def zero_temperature_conductance(
     """Mean zero-temperature conductance over the window [mu_l, mu_r] and its Thouless bound.
 
     g is the crystalline charge current at beta = inf divided by the window
-    width; g_th = |sp(h_crystal) ∩ I| / (2 pi |I|) dominates it, with
-    equality for matched (reflectionless) leads.
+    width; g_th = |sp(h_crystal) ∩ I| / (2 pi |I|), read from the band
+    spectrum the report used, dominates it, with equality for matched
+    (reflectionless) leads.
     """
     if not mu_r > mu_l:
         raise DomainError("window must satisfy mu_l < mu_r")
     thermo = ThermoState(math.inf, mu_l, math.inf, mu_r)
     report = crystalline_currents(sample, lead_l, lead_r, kappa, thermo, quad)
     g = report.i_r / (mu_r - mu_l)
-    g_th = thouless_conductance(sample, (mu_l, mu_r))
+    g_th = _window_conductance(band_spectrum(sample), (mu_l, mu_r))
     if g > g_th + max(quad.abs_tol, 1e-12):
         raise NumericalError(f"g = {g} exceeds its Thouless bound {g_th}")
     return g, g_th

@@ -13,6 +13,7 @@ periodization, and the Thouless conductance of an energy window.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import operator
@@ -90,11 +91,19 @@ def _sample_key(sample: SampleSpec) -> tuple:
     return sample, tuple(math.copysign(1.0, v) for v in sample.onsite if v == 0.0)
 
 
+def _integer(value) -> int:
+    """operator.index(value): numpy integers pass; 2.0, "3" and a bool raise DomainError."""
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError):
+            return operator.index(value)
+    raise DomainError(f"expected an integer, got {value!r}")
+
+
 def _repetition_count(n_cells) -> int:
-    """N as an int >= 1 that operator.index takes (numpy integers, not 2.0 or "3")."""
+    """N as an int >= 1 by the `_integer` rule."""
     try:
-        n = operator.index(n_cells)
-    except TypeError:
+        n = _integer(n_cells)
+    except DomainError:
         n = 0
     if n < 1:
         raise DomainError(f"n_cells must be a positive integer, got {n_cells!r}")
@@ -160,6 +169,12 @@ def transfer_step(sample: SampleSpec, x: int, E: float) -> TransferMatrix2:
     return TransferMatrix2((E - lam) / J, -1.0 / J, J, 0.0, float(E))
 
 
+def _energies(E) -> tuple[np.ndarray, bool]:
+    """(E as a float array, whether E was a scalar); a scalar becomes shape (1,)."""
+    E = np.asarray(E, dtype=float)
+    return (E.reshape(1), True) if E.ndim == 0 else (E, False)
+
+
 def _one_period_abcd(sample: SampleSpec, E):
     """Entries (a, b, c, d) of T_L(E) = A_L ... A_1, vectorized over E."""
     E = np.asarray(E, dtype=float)
@@ -209,9 +224,10 @@ def discriminant(sample: SampleSpec, E):
 
     Accepts a scalar or an array of energies.
     """
+    E, scalar = _energies(E)
     a, _, _, d = _one_period_abcd(sample, E)
     tr = a + d
-    return float(tr) if np.ndim(E) == 0 else tr
+    return float(tr[0]) if scalar else tr
 
 
 def bloch_hamiltonian(sample: SampleSpec, k: float) -> np.ndarray:
@@ -336,8 +352,12 @@ def thouless_conductance(sample: SampleSpec, window: tuple[float, float]) -> flo
     cross-check of `band_spectrum` is not run: it would reject long samples
     whose eigenvalue edges are accurate.
     """
+    return _window_conductance(_bloch_bands(sample), window)
+
+
+def _window_conductance(spectrum: BandSpectrum, window) -> float:
+    """|spectrum ∩ I| / (2 pi |I|) as a float; I must be finite with positive length."""
     lo, hi = float(window[0]), float(window[1])
     if not (hi > lo and np.isfinite(hi - lo)):
         raise DomainError("window must be finite with positive length")
-    spectrum = _bloch_bands(sample)
     return spectrum.intersection_measure(lo, hi) / (2.0 * np.pi * (hi - lo))

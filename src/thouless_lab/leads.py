@@ -12,9 +12,10 @@ absolutely continuous spectrum.  Three lead families are supported:
 * ``TabulatedLead`` -- linear interpolation of user-supplied boundary data.
 
 ``_eigendata_values`` is the one source of one-period transfer data: from a
-single evaluation of T_L(E) it returns the entries of T_L and the growing
-off-band eigenvalue, and, computed on their first read, the eigenvalue,
-in-band phase and m-functions that ``transport`` builds on.  Inside
+single evaluation of T_L(E) it returns the entries of T_L, the growing
+off-band eigenvalue and the one band-edge exclusion rule (``in_band`` and
+``edge``), and, on their first read, the eigenvalue, in-band phase,
+m-functions and off-band eigenvectors that ``transport`` builds on.  Inside
 the bands the Herglotz root m_r is computed first and m_l follows from it,
 m_l = 1/(kappa_s^2 conj(m_r)); outside them both are read from the real
 eigenvectors.  ``transport`` reads the F of a ``CrystallineLead`` on its own
@@ -31,13 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, OffSpectrumError
-from .jacobi import SampleSpec, _one_period_abcd, _real_eigvec2
+from .jacobi import SampleSpec, _energies, _one_period_abcd, _real_eigvec2
 
 # Im F above this threshold counts as essential support.
 SUPPORT_TOL = 1e-12
 # Numerical floor: Im F in [-floor, 0) is clamped to 0.
 _IM_FLOOR = 1e-12
-# crystal_m_functions refuses evaluation when |tr T_L| is within this of 2.
+# Band-edge exclusion zone (the eigendata's `edge` flag): |tr T_L| within this of 2.
 EDGE_TOL = 1e-9
 
 
@@ -111,6 +112,13 @@ def _check_finite_energies(E) -> None:
         raise DomainError("energies must be finite")
 
 
+def _one_energy(E) -> np.ndarray:
+    """The single finite energy E as a 1-element float array; DomainError if not finite."""
+    E_arr = np.asarray([float(E)])
+    _check_finite_energies(E_arr)
+    return E_arr
+
+
 def _check_coupled_inputs(kappa: float, E: np.ndarray) -> None:
     """Refuse a zero (decoupling) or non-finite kappa and non-finite energies."""
     if kappa == 0.0 or not math.isfinite(kappa):
@@ -159,10 +167,11 @@ def _eigendata_values(sample: SampleSpec, E: np.ndarray):
     Returns a dict of arrays: a, b, c, d (entries of T_L), in_band, edge
     (within the band-edge exclusion zone), alpha_off (the growing real
     eigenvalue at the off-band entries, in order), and the deferred alpha (the
-    eigenvalue e^{i theta} in band, alpha_off off band), m_l, m_r and theta
-    (nan off band).  The deferred four are computed together on the first read
-    of any of them, so T_N, which reads only the eager keys, never pays for
-    them.  No errors are raised; callers decide how to treat flagged entries.
+    eigenvalue e^{i theta} in band, alpha_off off band), m_l, m_r, theta (nan
+    off band) and vec_off, the off-band eigenvectors (phi_+, kappa_s psi_+,
+    phi_-, kappa_s psi_-).  The deferred five are computed together on the first
+    read of any, so T_N, which reads only the eager keys, never pays for them.
+    No errors are raised; callers decide how to treat flagged entries.
 
     Inside the bands m_r is the root with Im > 0 of c z^2 + (a - d) z - b and
     m_l = 1/(kappa_s^2 conj(m_r)).  Outside the bands (or exactly at an edge)
@@ -197,17 +206,18 @@ def _eigendata_values(sample: SampleSpec, E: np.ndarray):
         m_r[in_band] = mr_in
         m_l[in_band] = mr_in / (kS2 * np.abs(mr_in) ** 2)
 
+        vec = (np.empty(0),) * 4
         if al.size:
             ao, bo, co, do = a[off], b[off], c[off], d[off]
-            ph_p, w_p = _real_eigvec2(ao, bo, co, do, al)
-            ph_m, w_m = _real_eigvec2(ao, bo, co, do, 1.0 / al)
+            vec = (*_real_eigvec2(ao, bo, co, do, al), *_real_eigvec2(ao, bo, co, do, 1.0 / al))
+            ph_p, w_p, ph_m, w_m = vec
             alpha[off] = al
             # the quadratic root of eigenvector (phi, w) is -phi/w: the decaying
             # one gives m_r, the growing one 1/(kappa_s^2 m_l)
             with np.errstate(divide="ignore", invalid="ignore"):
                 m_r[off] = -ph_m / w_m
                 m_l[off] = -w_p / (kS2 * ph_p)
-        return {"alpha": alpha, "m_l": m_l, "m_r": m_r, "theta": theta}
+        return {"alpha": alpha, "m_l": m_l, "m_r": m_r, "theta": theta, "vec_off": vec}
 
     eager = {"a": a, "b": b, "c": c, "d": d, "in_band": in_band, "edge": edge, "alpha_off": al}
     return _StagedData(eager, m_stage)
@@ -222,16 +232,14 @@ def _crystal_m_values(sample: SampleSpec, E: np.ndarray):
 def crystal_m_functions(sample: SampleSpec, E: float) -> tuple[complex, complex]:
     """Weyl m-functions (m_l, m_r) at a band-interior energy.
 
-    Raises OffSpectrumError off the spectrum or when |tr T_L(E)| is within
-    1e-9 of 2 (band-edge exclusion zone, where the values are near-singular
-    in derivative and all downstream quantities are only a.e.-defined), and
-    DomainError at a non-finite E.
+    Raises OffSpectrumError where the eigendata flags E as off band or in
+    the band-edge exclusion zone, |tr T_L(E)| within EDGE_TOL of 2 (where the
+    values are near-singular in derivative and all downstream quantities are
+    only a.e.-defined), and DomainError at a non-finite E.
     """
-    E_arr = np.asarray([float(E)])
-    _check_finite_energies(E_arr)
-    m_l, m_r, ed = _crystal_m_values(sample, E_arr)
-    tr = float(ed["a"][0] + ed["d"][0])
-    if abs(tr) >= 2.0 - EDGE_TOL:
+    m_l, m_r, ed = _crystal_m_values(sample, _one_energy(E))
+    if not ed["in_band"][0] or ed["edge"][0]:
+        tr = float(ed["a"][0] + ed["d"][0])
         raise OffSpectrumError(
             f"m-functions requested off spectrum or at a band edge (|tr T_L({E})| = {abs(tr)})"
         )
@@ -240,7 +248,7 @@ def crystal_m_functions(sample: SampleSpec, E: float) -> tuple[complex, complex]
 
 def lead_F_values(lead: LeadModel, E) -> np.ndarray:
     """Vectorized boundary values F(E); Im clamped to [0, inf) within the 1e-12 floor."""
-    E = np.atleast_1d(np.asarray(E, dtype=float))
+    E, _ = _energies(E)
     if isinstance(lead, HalfLineLead):
         F = _halfline_F(lead, E)
     elif isinstance(lead, CrystallineLead):
@@ -272,9 +280,7 @@ def _clamp_im(F: np.ndarray) -> np.ndarray:
 
 def lead_F(lead: LeadModel, E: float) -> complex:
     """Boundary value F(E) of a lead at a single finite energy; Im F >= 0."""
-    E = float(E)
-    _check_finite_energies(E)
-    return complex(lead_F_values(lead, E)[0])
+    return complex(lead_F_values(lead, _one_energy(E))[0])
 
 
 def _parse_rows(path, lines) -> np.ndarray:

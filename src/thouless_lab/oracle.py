@@ -31,8 +31,9 @@ import functools
 import numpy as np
 
 from .errors import SampleEigenvalueError, SingularEnergyError
-from .jacobi import GreenMatrix2, SampleSpec, _repetition_count, _sample_key, periodized_parameters
-from .leads import LeadModel, _check_coupled_inputs, _check_finite_energies, lead_F_values
+from .jacobi import GreenMatrix2, SampleSpec, _energies, _repetition_count, _sample_key
+from .jacobi import periodized_parameters
+from .leads import LeadModel, _check_coupled_inputs, _one_energy, lead_F_values
 
 _RESIDUAL_TOL = 1e-11
 # N-cell systems kept by _n_cell_system; each holds N*L complex and N*L - 1 real entries
@@ -126,7 +127,7 @@ def resolvent_green(
 ) -> GreenMatrix2:
     """Full 2x2 Green matrix between the end sites of the coupled N-cell system."""
     n_cells = _repetition_count(n_cells)
-    E_arr = np.array([float(E)])
+    E_arr = _one_energy(E)
     F_l, F_r = _lead_values(lead_l, lead_r, kappa, E_arr)
     *corners, ok = _coupled_corners(_n_cell_system(sample, n_cells), kappa, E_arr, F_l, F_r)
     if not ok[0]:
@@ -141,9 +142,8 @@ def dirichlet_sample_green(sample: SampleSpec, n_cells: int, E: float) -> GreenM
     non-finite E.
     """
     n_cells = _repetition_count(n_cells)
-    _check_finite_energies(float(E))
     diag, off = _n_cell_system(sample, n_cells)
-    *corners, ok = _corner_green((diag - float(E))[None, :], off)
+    *corners, ok = _corner_green((diag - _one_energy(E))[None, :], off)
     if not ok[0]:
         raise SampleEigenvalueError(
             f"E={E} is (numerically) an eigenvalue of the {n_cells}-cell sample"
@@ -165,9 +165,7 @@ def transmittance_oracle(
     has Im F = 0; the other energies are solved together, and any one that
     fails the residual gate raises SingularEnergyError.
     """
-    E_arr = np.asarray(E, dtype=float)
-    scalar = E_arr.ndim == 0
-    E_arr = E_arr.reshape(1) if scalar else E_arr
+    E_arr, scalar = _energies(E)
     system = _n_cell_system(sample, n_cells)
     F_l, F_r = _lead_values(lead_l, lead_r, kappa, E_arr)
     live = (F_l.imag > 0.0) & (F_r.imag > 0.0)

@@ -38,11 +38,11 @@ def random_sample(rng: np.random.Generator, max_sites: int = 8) -> SampleSpec:
     )
 
 
-def covering_halfline(spectrum, rng: np.random.Generator, pad: float = 0.75) -> HalfLineLead:
+def covering_halfline(spectrum, rng: np.random.Generator) -> HalfLineLead:
     """Half-line lead whose band [v0 - 2t, v0 + 2t] covers the whole spectrum."""
     lo, hi = spectrum.hull
     v0 = 0.5 * (lo + hi) + float(rng.uniform(-0.1, 0.1))
-    t = 0.5 * (hi - lo) / 2.0 + pad + float(rng.uniform(0.0, 0.5))
+    t = 0.5 * (hi - lo) / 2.0 + 0.75 + float(rng.uniform(0.0, 0.5))
     return HalfLineLead(t=t, v0=v0)
 
 
@@ -56,22 +56,19 @@ def random_configuration(rng: np.random.Generator, max_sites: int = 8):
     return sample, lead_l, lead_r, kappa
 
 
-def band_interior_grid(spectrum, points: int, margin: float = 0.01) -> np.ndarray:
-    """Energies spread over all band interiors, each band shrunk by `margin` of its width."""
+def band_interior_grid(spectrum, points: int) -> np.ndarray:
+    """Energies spread over all band interiors, each band shrunk by 1% of its width."""
     widths = [hi - lo for lo, hi in spectrum.bands]
     total = sum(widths)
     grids = []
     for (lo, hi), w in zip(spectrum.bands, widths):
         n = max(2, int(round(points * w / total)))
-        grids.append(np.linspace(lo + margin * w, hi - margin * w, n))
+        grids.append(np.linspace(lo + 0.01 * w, hi - 0.01 * w, n))
     return np.concatenate(grids)
 
 
 def check_oracle_equivalence(
-    rng: np.random.Generator,
-    n_configs: int = 50,
-    grid_points: int = 200,
-    tol: float = 1e-8,
+    rng: np.random.Generator, n_configs: int = 50, grid_points: int = 200
 ) -> CheckResult:
     """Closed-form T_N against the dense-resolvent oracle on band-interior grids."""
     worst = 0.0
@@ -83,7 +80,7 @@ def check_oracle_equivalence(
         t_oracle = transmittance_oracle(sample, lead_l, lead_r, kappa, n_cells, grid)
         worst = max(worst, float(np.max(np.abs(t_closed - t_oracle))))
     return CheckResult(
-        "oracle_equivalence", worst <= tol, f"max |T_closed - T_oracle| = {worst:.3e}"
+        "oracle_equivalence", worst <= 1e-8, f"max |T_closed - T_oracle| = {worst:.3e}"
     )
 
 
@@ -94,9 +91,7 @@ def _transfer_product(sample: SampleSpec, n_sites: int, E: float) -> np.ndarray:
     return T
 
 
-def check_graph_map(
-    rng: np.random.Generator, n_triples: int = 50, tol: float = 1e-9
-) -> CheckResult:
+def check_graph_map(rng: np.random.Generator, n_triples: int = 50) -> CheckResult:
     """T_{NL}(E) maps the graph of G_S^(N)(E) as (x,y,u,v) -> (u,-x,-y/kappa_s,kappa_s v)."""
     worst = 0.0
     done = 0
@@ -121,12 +116,10 @@ def check_graph_map(
             scale = np.linalg.norm(T) * np.linalg.norm(v) + np.linalg.norm(target) + 1.0
             worst = max(worst, float(resid / scale))
         done += 1
-    return CheckResult("graph_map", worst <= tol, f"max graph-map residual = {worst:.3e}")
+    return CheckResult("graph_map", worst <= 1e-9, f"max graph-map residual = {worst:.3e}")
 
 
-def check_m_identities(
-    rng: np.random.Generator, n_samples: int = 25, tol: float = 1e-10
-) -> CheckResult:
+def check_m_identities(rng: np.random.Generator, n_samples: int = 25) -> CheckResult:
     """Weyl m-functions are Herglotz and fixed points of one period's Schur complement.
 
     On band-interior grids Im m_l > 0, Im m_r > 0, and
@@ -160,7 +153,7 @@ def check_m_identities(
             )
     return CheckResult(
         "m_identities",
-        bool(worst <= tol and min_im > 0.0),
+        bool(worst <= 1e-10 and min_im > 0.0),
         f"max one-period fixed-point residual = {worst:.3e}, min Im m = {min_im:.3e}",
     )
 
@@ -170,13 +163,10 @@ _CHECK_STATES = (
     ThermoState(5.0, 0.1, 1.0, 0.1),
     ThermoState(1.5, 0.4, 4.0, -0.2),
 )
+_ABS_TOL = QuadratureConfig().abs_tol  # the current checks use the default quadrature
 
 
-def check_conservation_entropy(
-    rng: np.random.Generator,
-    n_configs: int = 10,
-    quad: QuadratureConfig = QuadratureConfig(),
-) -> CheckResult:
+def check_conservation_entropy(rng: np.random.Generator, n_configs: int = 10) -> CheckResult:
     """Conservation, entropy positivity and balance for crystalline currents."""
     worst_cons = 0.0
     worst_bal = 0.0
@@ -184,14 +174,14 @@ def check_conservation_entropy(
     for _ in range(n_configs):
         sample, lead_l, lead_r, kappa = random_configuration(rng, max_sites=5)
         for thermo in _CHECK_STATES:
-            rep = crystalline_currents(sample, lead_l, lead_r, kappa, thermo, quad)
+            rep = crystalline_currents(sample, lead_l, lead_r, kappa, thermo)
             worst_cons = max(worst_cons, *rep.conservation_residuals)
             worst_bal = max(worst_bal, rep.entropy_balance_residual)
             worst_j = min(worst_j, rep.entropy_j)
     ok = (
-        worst_cons <= 2.0 * quad.abs_tol
-        and worst_bal <= 3.0 * quad.abs_tol
-        and worst_j >= -quad.abs_tol
+        worst_cons <= 2.0 * _ABS_TOL
+        and worst_bal <= 3.0 * _ABS_TOL
+        and worst_j >= -_ABS_TOL
     )
     return CheckResult(
         "conservation_entropy",
@@ -200,27 +190,21 @@ def check_conservation_entropy(
     )
 
 
-def check_thouless_dominance(
-    rng: np.random.Generator,
-    n_configs: int = 10,
-    quad: QuadratureConfig = QuadratureConfig(),
-) -> CheckResult:
+def check_thouless_dominance(rng: np.random.Generator, n_configs: int = 10) -> CheckResult:
     """Entropy dominance <J>_infty <= <J>_Th for random reservoir realizations."""
     worst = -math.inf
     for _ in range(n_configs):
         sample, lead_l, lead_r, kappa = random_configuration(rng, max_sites=5)
         thermo = _CHECK_STATES[int(rng.integers(len(_CHECK_STATES)))]
-        rep_inf = crystalline_currents(sample, lead_l, lead_r, kappa, thermo, quad)
-        rep_th = thouless_currents(sample, thermo, quad)
+        rep_inf = crystalline_currents(sample, lead_l, lead_r, kappa, thermo)
+        rep_th = thouless_currents(sample, thermo)
         worst = max(worst, rep_inf.entropy_j - rep_th.entropy_j)
     return CheckResult(
-        "thouless_dominance", worst <= quad.abs_tol, f"max <J>_inf - <J>_Th = {worst:.3e}"
+        "thouless_dominance", worst <= _ABS_TOL, f"max <J>_inf - <J>_Th = {worst:.3e}"
     )
 
 
-def check_matched_reflectionless(
-    rng: np.random.Generator, n_configs: int = 5, tol: float = 1e-9
-) -> CheckResult:
+def check_matched_reflectionless(rng: np.random.Generator, n_configs: int = 5) -> CheckResult:
     """Matched crystalline leads (kappa = kappa_s) transmit perfectly: T_N = 1 in band."""
     worst = 0.0
     for _ in range(n_configs):
@@ -232,7 +216,7 @@ def check_matched_reflectionless(
         T = transmittance_n(sample, lead_l, lead_r, sample.kappa_s, n_cells, grid)
         worst = max(worst, float(np.max(np.abs(T - 1.0))))
     return CheckResult(
-        "matched_reflectionless", worst <= tol, f"max |T_N - 1| = {worst:.3e}"
+        "matched_reflectionless", worst <= 1e-9, f"max |T_N - 1| = {worst:.3e}"
     )
 
 

@@ -33,11 +33,11 @@ from .errors import (
     NumericalError,
     SampleEigenvalueError,
 )
-from .jacobi import GreenMatrix2, SampleSpec, _real_eigvec2, _repetition_count
+from .jacobi import GreenMatrix2, SampleSpec, _energies, _repetition_count
 # Not called here; kept importable because bench/tracer.py wraps this name.
 from .jacobi import _one_period_abcd  # noqa: F401
 from .leads import EDGE_TOL, SUPPORT_TOL, CrystallineLead, LeadModel, lead_F_values
-from .leads import _check_coupled_inputs, _check_finite_energies, _clamp_im, _eigendata_values
+from .leads import _check_coupled_inputs, _clamp_im, _eigendata_values, _one_energy
 # Not called here; kept importable because bench/tracer.py wraps this name.
 from .leads import _crystal_m_values  # noqa: F401
 
@@ -75,9 +75,7 @@ def transfer_eigendata(sample: SampleSpec, E: float) -> TransferEigenData:
     cannot occur strictly inside a band, where b*c < 0; the guard protects
     against rounding at the zone boundary).  A non-finite E raises DomainError.
     """
-    E_arr = np.asarray([float(E)])
-    _check_finite_energies(E_arr)
-    ed = _eigendata_values(sample, E_arr)
+    ed = _eigendata_values(sample, _one_energy(E))
     if ed["edge"][0]:
         raise BandEdgeError(
             f"transfer eigendata at E={E}: |tr T_L| within {EDGE_TOL} of 2"
@@ -86,18 +84,15 @@ def transfer_eigendata(sample: SampleSpec, E: float) -> TransferEigenData:
     if in_band and abs(ed["b"][0]) < 1e-12:
         raise DegeneratePivotError(f"b(E) degenerate inside a band at E={E}")
     kS = sample.kappa_s
-    alpha = complex(ed["alpha"][0])
     if in_band:
         phi_p = phi_m = 1.0
         kpsi_p = complex(-1.0 / ed["m_r"][0])
         kpsi_m = kpsi_p.conjugate()
     else:
-        a, b, c, d = (ed[k] for k in "abcd")
-        (phi_p,), (kpsi_p,) = _real_eigvec2(a, b, c, d, alpha.real)
-        (phi_m,), (kpsi_m,) = _real_eigvec2(a, b, c, d, 1.0 / alpha.real)
+        phi_p, kpsi_p, phi_m, kpsi_m = (v[0] for v in ed["vec_off"])
     return TransferEigenData(
         energy=float(E),
-        alpha=alpha,
+        alpha=complex(ed["alpha"][0]),
         phi_plus=complex(phi_p),
         phi_minus=complex(phi_m),
         psi_plus=complex(kpsi_p) / kS,
@@ -151,10 +146,16 @@ def _chebyshev_factors(ed, n_cells: int):
     return p, q, w
 
 
+def _power_entries(ed, n_cells: int):
+    """(A, B, C, D, w) with w T_L^N = [[A, B], [C, D]], elementwise from `_chebyshev_factors`."""
+    p, q, w = _chebyshev_factors(ed, n_cells)
+    return p * ed["a"] - q, p * ed["b"], p * ed["c"], p * ed["d"] - q, w
+
+
 def sample_green(sample: SampleSpec, n_cells: int, E: float) -> GreenMatrix2:
     """2x2 Green matrix of the decoupled (Dirichlet) N-cell sample at energy E.
 
-    With w T_L^N = [[A, B], [C, D]] from `_chebyshev_factors`,
+    With w T_L^N = [[A, B], [C, D]] from `_power_entries`,
 
         G_ll = B/A,   G_lr = G_rl = -w/(kappa_s A),   G_rr = -C/(kappa_s^2 A).
 
@@ -163,23 +164,19 @@ def sample_green(sample: SampleSpec, n_cells: int, E: float) -> GreenMatrix2:
     a non-finite E or an n_cells that is not an integer >= 1.
     """
     n_cells = _repetition_count(n_cells)
-    E_arr = np.asarray([float(E)])
-    _check_finite_energies(E_arr)
-    ed = _eigendata_values(sample, E_arr)
-    p, q, w = (float(v[0]) for v in _chebyshev_factors(ed, n_cells))
-    a, b, c = (float(ed[k][0]) for k in "abc")
-    A = p * a - q
-    if abs(A) <= 1e-12 * (abs(p) * (abs(a) + abs(b)) + abs(q)):
+    ed = _eigendata_values(sample, _one_energy(E))
+    A, B, C, D, w = (float(v[0]) for v in _power_entries(ed, n_cells))
+    if abs(A) <= 1e-12 * (abs(B) + abs(D)):
         raise SampleEigenvalueError(
             f"E={E} is an eigenvalue of the {n_cells}-cell sample (A ~ 0)"
         )
     kS = sample.kappa_s
     g_lr = complex(-w / (kS * A))
     return GreenMatrix2(
-        g_ll=complex(p * b / A),
+        g_ll=complex(B / A),
         g_lr=g_lr,
         g_rl=g_lr,
-        g_rr=complex(-(p * c) / (kS * kS * A)),
+        g_rr=complex(-C / (kS * kS * A)),
         energy=float(E),
         n_cells=n_cells,
     )
@@ -206,16 +203,14 @@ def _transport_inputs(sample, lead_l, lead_r, kappa, E: np.ndarray):
 def _full_green_lr_values(sample, kappa, n_cells, ed, F_l, F_r):
     """Off-diagonal element G_lr^(N) of the coupled-system Green matrix, vectorized.
 
-    With f = kappa^2 F and w T_L^N = [[A, B], [C, D]] from `_chebyshev_factors`,
+    With f = kappa^2 F and w T_L^N = [[A, B], [C, D]] from `_power_entries`,
 
         G_lr = -kappa_s w / (kappa_s^2 (A - f_l B) + f_r (C - f_l D)).
 
     Non-finite F (off the leads' support) gives non-finite entries, silently.
     """
     kS = sample.kappa_s
-    p, q, w = _chebyshev_factors(ed, n_cells)
-    A, B = p * ed["a"] - q, p * ed["b"]
-    C, D = p * ed["c"], p * ed["d"] - q
+    A, B, C, D, w = _power_entries(ed, n_cells)
     f_l, f_r = kappa**2 * F_l, kappa**2 * F_r
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # the temporary comes first in each complex product: numpy may reuse a
@@ -265,10 +260,8 @@ def transmittance_n(
     DomainError unless n_cells is an integer >= 1.
     """
     n_cells = _repetition_count(n_cells)
-    scalar = np.ndim(E) == 0
-    E_arr = np.atleast_1d(np.asarray(E, dtype=float))
-    inputs = _transport_inputs(sample, lead_l, lead_r, kappa, E_arr)
-    T = _tn_values(sample, kappa, n_cells, *inputs)
+    E_arr, scalar = _energies(E)
+    T = _tn_values(sample, kappa, n_cells, *_transport_inputs(sample, lead_l, lead_r, kappa, E_arr))
     return float(T[0]) if scalar else T
 
 
@@ -303,8 +296,7 @@ def transmittance_inf(
     Zero outside sp(h_crystal) ∩ Sigma_l ∩ Sigma_r and within the band-edge
     exclusion zone (a measure-zero set).  Accepts scalars or arrays.
     """
-    scalar = np.ndim(E) == 0
-    E_arr = np.atleast_1d(np.asarray(E, dtype=float))
+    E_arr, scalar = _energies(E)
     T = _tinf_values(sample, kappa, *_transport_inputs(sample, lead_l, lead_r, kappa, E_arr))
     return float(T[0]) if scalar else T
 
@@ -359,8 +351,7 @@ def r_theta_diagnostic(
     band interior or outside the common essential support (where the
     decomposition is undefined).
     """
-    E_arr = np.asarray([float(E)])
-    r, vth, theta, live = _r_theta_values(sample, lead_l, lead_r, kappa, E_arr)
+    r, vth, theta, live = _r_theta_values(sample, lead_l, lead_r, kappa, _one_energy(E))
     if not live[0]:
         raise DomainError(
             f"r/theta diagnostic requested at E={E} outside band interior ∩ support"

@@ -424,6 +424,18 @@ MALFORMED = {
     "seed_flag_negative": (None, ["selfcheck", "--ensemble", "1", "--seed", "-2"], "--seed: "),
     "n_list_repeated": (None, ["converge", "--N-list", "1,1"], "--N-list: "),
     "center_nan": (None, ["converge", "--weight", "gaussian", "--center", "nan"], "--center: "),
+    # integer keys take JSON integers only: int() would truncate 1.5 to the sample's L = 1
+    "length_fraction": (("sample.L", 1.5), [], "sample: expected an integer, got 1.5"),
+    "length_bool": (("sample.L", True), [], "sample: expected an integer, got True"),
+    "seed_fraction": (("seed", 2.7), [], "seed: expected an integer, got 2.7"),
+    "seed_bool": (("seed", True), [], "seed: expected an integer, got True"),
+    "count_fraction": (("energy_grid.count", 400.9), [], "energy_grid: expected an integer"),
+    "panels_fraction": (
+        ("quadrature", {"panels_per_band": 2.5}), [], "quadrature: expected an integer, got 2.5"
+    ),
+    "points_bool": (
+        ("quadrature", {"points_per_panel": True}), [], "quadrature: expected an integer"
+    ),
 }
 
 

@@ -414,6 +414,38 @@ def test_zero_temperature_conductance_gap_window(dimer, wide_lead):
     assert g_th == 0.0
 
 
+def test_zero_temperature_conductance_reads_the_cached_spectrum(dimer, wide_lead, monkeypatch):
+    from thouless_lab import jacobi
+
+    band_spectrum(dimer)  # warm the cache
+    expected = thouless_conductance(dimer, (-1.0, 1.2))
+    solves = []
+    eigenvalues = jacobi.bloch_eigenvalues
+    monkeypatch.setattr(jacobi, "bloch_eigenvalues", lambda *a: solves.append(a) or eigenvalues(*a))
+    g, g_th = zero_temperature_conductance(
+        dimer, wide_lead, wide_lead, 1.0, np.float64(-1.0), np.float64(1.2)
+    )
+    assert g_th == expected
+    # a window in the gap: g_th is the Python float 0.0 for numpy chemical potentials too
+    _, g_gap = zero_temperature_conductance(
+        dimer, wide_lead, wide_lead, 1.0, np.float64(-0.4), np.float64(0.4)
+    )
+    assert type(g_gap) is float and g_gap == 0.0
+    assert solves == []
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"panels_per_band": 2.5}, {"panels_per_band": 8.0}, {"points_per_panel": True},
+     {"points_per_panel": "12"}],
+    ids=["panels_float", "panels_integral_float", "points_bool", "points_string"],
+)
+def test_quadrature_counts_must_be_integers(kwargs):
+    with pytest.raises(DomainError, match="expected an integer"):
+        QuadratureConfig(**kwargs)
+    assert QuadratureConfig(panels_per_band=np.int64(4)).panels_per_band == 4
+
+
 def test_zero_temperature_conductance_window_validation(dimer, wide_lead):
     with pytest.raises(DomainError):
         zero_temperature_conductance(dimer, wide_lead, wide_lead, 1.0, 1.0, 1.0)

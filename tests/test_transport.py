@@ -15,6 +15,7 @@ from thouless_lab import (
     band_spectrum,
     crystal_m_functions,
     crystalline_currents,
+    fermi_dirac,
     lead_F,
     lead_F_values,
     one_period_transfer,
@@ -24,10 +25,16 @@ from thouless_lab import (
     transmittance_inf,
     transmittance_n,
     transmittance_oracle,
+    weights,
 )
-from thouless_lab.selfcheck import band_interior_grid, random_configuration, random_sample
+from thouless_lab.selfcheck import (
+    band_interior_grid,
+    covering_halfline,
+    random_configuration,
+    random_sample,
+)
 from thouless_lab.leads import _eigendata_values
-from thouless_lab.oracle import dirichlet_sample_green
+from thouless_lab.oracle import dirichlet_sample_green, resolvent_green
 from thouless_lab.transport import (
     _chebyshev_factors,
     _full_green_lr_values,
@@ -353,9 +360,11 @@ def test_non_finite_input_is_refused(dimer, wide_lead, evaluate):
         lambda s, lead, E: lead_F(CrystallineLead(s, "r"), E),
         lambda s, lead, E: sample_green(s, 2, E),
         lambda s, lead, E: dirichlet_sample_green(s, 2, E),
+        lambda s, lead, E: r_theta_diagnostic(s, lead, lead, 1.0, E),
+        lambda s, lead, E: resolvent_green(s, 2, lead, lead, 1.0, E),
     ],
     ids=["transfer_eigendata", "crystal_m_functions", "lead_F_half_line", "lead_F_crystalline",
-         "sample_green", "dirichlet_sample_green"],
+         "sample_green", "dirichlet_sample_green", "r_theta_diagnostic", "resolvent_green"],
 )
 def test_scalar_helper_refuses_non_finite_energy(dimer, wide_lead, evaluate, energy):
     with pytest.raises(DomainError, match="energies must be finite"):
@@ -521,12 +530,50 @@ def test_transmittance_inf_matched_and_gap(dimer, free_chain, free_lead):
 
 
 def test_transmittance_scalar_array_parity(free_chain, free_lead):
-    grid = np.linspace(-1.5, 1.5, 7)
-    T_arr = transmittance_n(free_chain, free_lead, free_lead, SQRT2, 4, grid)
-    for E, t in zip(grid, T_arr):
-        assert transmittance_n(free_chain, free_lead, free_lead, SQRT2, 4, float(E)) == (
-            pytest.approx(t, abs=1e-15)
-        )
+    # a scalar energy runs the array kernel on one element: the same bits as a grid entry
+    rng = np.random.default_rng(5)
+    configs = [(free_chain, free_lead, free_lead, SQRT2)]
+    configs += [random_configuration(rng) for _ in range(4)]
+    thermo = ThermoState(2.0, 0.3, 5.0, -0.2)
+    for s, lead_l, lead_r, kappa in configs:
+        lo, hi = band_spectrum(s).hull
+        grid = np.linspace(lo - 0.5, hi + 0.5, 61)
+        crystal = CrystallineLead(s, "r")
+        evaluators = {
+            "T_N": lambda E: transmittance_n(s, lead_l, lead_r, kappa, 4, E),
+            "T_inf": lambda E: transmittance_inf(s, lead_l, lead_r, kappa, E),
+            "oracle": lambda E: transmittance_oracle(s, lead_l, lead_r, kappa, 4, E),
+            "fermi_dirac": lambda E: fermi_dirac(thermo.beta_l, thermo.mu_l, E),
+        }
+        for name, evaluate in evaluators.items():
+            scalar = np.array([evaluate(float(E)) for E in grid])
+            assert scalar.tobytes() == evaluate(grid).tobytes(), name
+        for lead in (lead_l, crystal):
+            scalar = np.array([lead_F(lead, float(E)) for E in grid])
+            assert scalar.tobytes() == lead_F_values(lead, grid).tobytes(), lead
+        scalar = np.array([weights(thermo, float(E)) for E in grid])
+        assert scalar.tobytes() == np.column_stack(weights(thermo, grid)).tobytes()
+
+
+@pytest.mark.parametrize("side", ["l", "r"])
+def test_tinf_equals_oracle_with_one_matched_contact(side):
+    # At kappa = kappa_s a crystalline lead on the sample continues the crystal, so the
+    # N-cell sample plus that lead is the half-crystal and T_N = T_infty for every N.
+    # Only the other contact's term of T_infty is nonzero, and both sides are tested.
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    for _ in range(4):
+        s = random_sample(rng)
+        other = covering_halfline(band_spectrum(s), rng)
+        crystal = CrystallineLead(s, side)
+        lead_l, lead_r = (crystal, other) if side == "l" else (other, crystal)
+        grid = band_interior_grid(band_spectrum(s), 40)
+        t_inf = transmittance_inf(s, lead_l, lead_r, s.kappa_s, grid)
+        assert np.min(t_inf) < 0.99  # the other contact is mismatched
+        for n_cells in (1, 3, 7):
+            t_oracle = transmittance_oracle(s, lead_l, lead_r, s.kappa_s, n_cells, grid)
+            worst = max(worst, float(np.max(np.abs(t_inf - t_oracle))))
+    assert worst <= 1e-10
 
 
 def test_r_theta_matched_vanishes(free_chain, free_lead):
