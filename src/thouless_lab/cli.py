@@ -37,9 +37,9 @@ from .currents import (
     thouless_currents,
 )
 from .errors import ConfigError, DomainError, ThoulessLabError
-from .jacobi import SampleSpec, _bloch_bands, _integer, band_spectrum, bloch_eigenvalues
-from .leads import CrystallineLead, HalfLineLead, LeadModel, load_tabulated_csv
-from .leads import _check_coupled_inputs, _check_finite_energies
+from .jacobi import SampleSpec, _bloch_bands, _energies, _integer, _repetition_count
+from .jacobi import _repetition_counts, band_spectrum, bloch_eigenvalues
+from .leads import CrystallineLead, HalfLineLead, LeadModel, _check_kappa, load_tabulated_csv
 from .selfcheck import run_selfcheck
 from .transport import _diagnostic_columns, transmittance_inf, transmittance_n
 # Not called here; kept importable because bench/tracer.py wraps this name.
@@ -79,7 +79,7 @@ def _reject_unknown(section: dict, allowed, where: str) -> None:
 
 
 class _Section:
-    """Reads one object of the run configuration inside a ``with`` block.
+    """Reads one object of the run configuration, or the parsed flags, inside a ``with`` block.
 
     Entering checks that `raw` is an object (named `what`, default `where`)
     whose keys lie in `keys`, if given.  A missing key or a _READ_ERRORS error
@@ -168,7 +168,7 @@ def parse_config(data) -> RunConfig:
         if "kappa" in root:
             with _Section("kappa", root):
                 kappa = float(root["kappa"])
-                _check_coupled_inputs(kappa, ())  # no energies yet: kappa alone
+                _check_kappa(kappa)
 
         thermo = None
         if "thermo" in root:
@@ -187,7 +187,7 @@ def parse_config(data) -> RunConfig:
                     grid_values = tuple(float(v) for v in d["values"])
                     if not grid_values:
                         raise ConfigError("energy_grid.values: must be nonempty")
-                    _check_finite_energies(grid_values)
+                    _energies(grid_values)
                 elif "count" in d:
                     grid_count = _integer(d["count"])
                     if grid_count < 2:
@@ -404,24 +404,23 @@ def cmd_currents(config: RunConfig, mode: str, n_cells: int | None) -> str:
 
 def _parse_n_list(raw: str) -> list[int]:
     try:
-        values = [int(tok) for tok in raw.split(",") if tok.strip()]
+        return [int(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"--N-list: expected comma-separated integers, got {raw!r}") from exc
-    if not values or min(values) < 1:
-        raise ConfigError(f"--N-list: needs one or more entries, each must be >= 1, got {raw!r}")
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise ConfigError(f"--N-list: must be strictly increasing, got {raw!r}")
-    return values
 
 
 def _check_flags(args: argparse.Namespace) -> None:
     """Raise a ConfigError naming the first bad flag; parses --N-list in place."""
-    for flag, least in (("N", 1), ("dispersion", 1), ("ensemble", 1), ("seed", 0)):
+    if getattr(args, "N", None) is not None:
+        with _Section("--N", vars(args)):  # the library's rule, named by the flag
+            _repetition_count(args.N)
+    for flag, least in (("dispersion", 1), ("ensemble", 1), ("seed", 0)):
         value = getattr(args, flag, None)
         if value is not None and value < least:
             raise ConfigError(f"--{flag}: must be >= {least}, got {value}")
     if args.command == "converge":
-        args.N_list = _parse_n_list(args.N_list)
+        with _Section("--N-list", vars(args)):
+            args.N_list = _repetition_counts(_parse_n_list(args.N_list))
         if args.weight == "indicator" and not args.window[1] > args.window[0]:
             raise ConfigError("--window: needs lo < hi")
         if args.weight == "gaussian" and not args.width > 0:

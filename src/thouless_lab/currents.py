@@ -25,13 +25,13 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NumericalError, QuadratureError
 from .jacobi import BandSpectrum, SampleSpec, _energies, _integer, _repetition_count
-from .jacobi import _window_conductance, band_spectrum
+from .jacobi import _repetition_counts, _window_conductance, band_spectrum
 from .leads import CrystallineLead, HalfLineLead, LeadModel
 from .transport import transmittance_inf, transmittance_n
 
@@ -71,8 +71,10 @@ class QuadratureConfig:
 
     panels_per_band is the initial number of panels per piece (a band, or
     a part of one between breakpoints: lead support edges and zero-temperature
-    chemical potentials); panels are then halved locally until the error
-    budget abs_tol is met.  Each piece is integrated to its edges.
+    chemical potentials) of a T_infty or T = 1 integral; a T_N piece starts
+    with panels_per_band + 2N (see `_adaptive_panels` for its bound).  Panels
+    are then halved locally until the error budget abs_tol is met, for every
+    report and convergence row alike.  Each piece is integrated to its edges.
     """
 
     panels_per_band: int = 8
@@ -115,19 +117,19 @@ def fermi_dirac(beta: float, mu: float, E):
     """Fermi-Dirac occupation 1 / (1 + e^{beta (E - mu)}), overflow-safe.
 
     beta = math.inf yields the indicator of E < mu with value 1/2 at E = mu.
-    Accepts scalars or arrays.
+    Accepts finite scalars or arrays.
     """
     E_arr, scalar = _energies(E)
-    if math.isinf(beta):
-        out = np.where(E_arr < mu, 1.0, np.where(E_arr > mu, 0.0, 0.5))
-    else:
-        x = beta * (E_arr - mu)
-        out = np.empty_like(x)
-        pos = x >= 0.0
-        ex = np.exp(-np.abs(x))
-        out[pos] = ex[pos] / (1.0 + ex[pos])
-        out[~pos] = 1.0 / (1.0 + ex[~pos])
+    out = _occupation(beta, mu, E_arr)
     return float(out[0]) if scalar else out
+
+
+def _occupation(beta: float, mu: float, E: np.ndarray) -> np.ndarray:
+    if math.isinf(beta):
+        return np.where(E < mu, 1.0, np.where(E > mu, 0.0, 0.5))
+    x = beta * (E - mu)
+    ex = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, ex / (1.0 + ex), 1.0 / (1.0 + ex))
 
 
 def _zeta(beta: float, mu: float, E: np.ndarray) -> np.ndarray:
@@ -142,11 +144,11 @@ def weights(thermo: ThermoState, E):
     zeta = beta (E - mu), Delta_{l/r} = rho_{l/r} - rho_{r/l}, and
     varsigma = (zeta_r - zeta_l) Delta_l >= 0, vanishing identically at
     equilibrium.  With an infinite beta off equilibrium varsigma is +inf on
-    the bias window.  Accepts scalars or arrays.
+    the bias window.  Accepts finite scalars or arrays.
     """
     E_arr, scalar = _energies(E)
-    rho_l = fermi_dirac(thermo.beta_l, thermo.mu_l, E_arr)
-    rho_r = fermi_dirac(thermo.beta_r, thermo.mu_r, E_arr)
+    rho_l = _occupation(thermo.beta_l, thermo.mu_l, E_arr)
+    rho_r = _occupation(thermo.beta_r, thermo.mu_r, E_arr)
     zeta_l = _zeta(thermo.beta_l, thermo.mu_l, E_arr)
     zeta_r = _zeta(thermo.beta_r, thermo.mu_r, E_arr)
     delta_l = rho_l - rho_r
@@ -191,15 +193,15 @@ def _gauss_legendre(points: int) -> tuple[np.ndarray, np.ndarray]:
     return xg, wg
 
 
-def _adaptive_panels(spectrum, integrand_vec, quad: QuadratureConfig, breakpoints=()):
+def _adaptive_panels(spectrum, integrand_vec, quad: QuadratureConfig, breakpoints=(), panels=None):
     """Panel-local adaptive composite Gauss-Legendre for a vector-valued integrand.
 
     integrand_vec maps an energy array of length n to an (m, n) array.  Each
     piece [s0, s1] of a band split at the breakpoints is integrated over phi
     in [0, pi] with E = c - h cos(phi), c = (s0 + s1)/2, h = (s1 - s0)/2 and
     Jacobian h sin(phi), so a square-root end sqrt(E - s0) = sqrt(2h) sin(phi/2)
-    is analytic and no node touches an edge.  A piece starts with
-    quad.panels_per_band panels in phi.  The first integrand_vec call carries
+    is analytic and no node touches an edge.  A piece starts with `panels`
+    (default quad.panels_per_band) panels in phi.  The first integrand_vec call carries
     the nodes of these coarse panels and of their halves, since the first
     halving is never skipped; every later level halves the active panels
     (each carrying its piece's c and h) in one call, and their half-sums
@@ -211,6 +213,9 @@ def _adaptive_panels(spectrum, integrand_vec, quad: QuadratureConfig, breakpoint
     and fine agree on which are finite, and get an inf error estimate.
     Returns (values (m,), error_estimates (m,)); raises QuadratureError with
     the partial result if panels are still active after _MAX_HALVINGS levels.
+    No call holds more panels than the finest grid of a panels_per_band start,
+    panels_per_band << _MAX_HALVINGS per piece: `panels` is capped at a quarter
+    of it, and a level that would exceed it raises QuadratureError as well.
     """
     pieces = _pieces(spectrum, breakpoints)
     if not pieces.size:
@@ -219,6 +224,7 @@ def _adaptive_panels(spectrum, integrand_vec, quad: QuadratureConfig, breakpoint
     xg, wg = _gauss_legendre(quad.points_per_panel)
     centre, half_width = pieces.mean(axis=1), (pieces[:, 1] - pieces[:, 0]) / 2.0
     budget = quad.abs_tol / (2.0 * half_width.sum())
+    finest = len(pieces) * (quad.panels_per_band << _MAX_HALVINGS)
     # the first call always has panels, so reshape can infer m there (-1);
     # later levels reshape with m, which still works when no panel is active
     m = -1
@@ -235,7 +241,7 @@ def _adaptive_panels(spectrum, integrand_vec, quad: QuadratureConfig, breakpoint
         return (np.column_stack([lo, mid]).ravel(), np.column_stack([mid, hi]).ravel(),
                 np.repeat(c, 2), np.repeat(h, 2))
 
-    n = quad.panels_per_band
+    n = min(panels or quad.panels_per_band, quad.panels_per_band << (_MAX_HALVINGS - 2))
     edges = np.linspace(0.0, np.pi, n + 1)
     lo, hi = np.tile(edges[:-1], len(pieces)), np.tile(edges[1:], len(pieces))
     c, h = np.repeat(centre, n), np.repeat(half_width, n)
@@ -267,8 +273,10 @@ def _adaptive_panels(spectrum, integrand_vec, quad: QuadratureConfig, breakpoint
             locked_diff += diff[:, lock].sum(axis=1)
         split = np.repeat(~lock, 2)
         lo, hi, c, h, coarse = child_lo[split], child_hi[split], c[split], h[split], halves[:, split]
+        if 2 * lo.size > finest:  # the next level would outgrow the finest grid
+            break
     raise QuadratureError(
-        f"quadrature did not converge to {quad.abs_tol} after {_MAX_HALVINGS} panel halvings",
+        f"quadrature did not converge to {quad.abs_tol} after {level + 1} panel halvings",
         value=total,
         error_estimate=np.where(finite, err, np.inf),
     )
@@ -296,13 +304,12 @@ def _lead_breakpoints(sample: SampleSpec, lead_l: LeadModel, lead_r: LeadModel) 
 
 
 def _current_report(
-    T_of_E, spectrum, thermo: ThermoState, quad: QuadratureConfig, breakpoints=()
+    thermo: ThermoState, quad: QuadratureConfig, T_of_E, spectrum, breakpoints=(), panels=None
 ) -> CurrentReport:
     """Assemble all five current integrals for a given transmittance profile.
 
     Panels split at `breakpoints` and at zero-temperature chemical potentials.
     """
-
     evaluations = 0
 
     def integrand(E: np.ndarray) -> np.ndarray:
@@ -315,7 +322,7 @@ def _current_report(
         return np.vstack([T * E * delta_l, T * delta_l, ent])
 
     cuts = [*breakpoints, *_mu_breakpoints(thermo)]
-    vals, errs = _adaptive_panels(spectrum, integrand, quad, cuts)
+    vals, errs = _adaptive_panels(spectrum, integrand, quad, cuts, panels)
     phi_l, i_l, ent = (v / (2.0 * np.pi) for v in vals)
     # Delta_r = -Delta_l exactly, so the right currents are exact negations;
     # 0.0 - x keeps +0.0 at equilibrium where -x would give -0.0
@@ -346,6 +353,20 @@ def _current_report(
     )
 
 
+def _transmittance_profile(sample, lead_l, lead_r, kappa, n, quad, breakpoints=()):
+    """(T, spectrum, breakpoints, first level) of ∫ T_N (n = N >= 1) or ∫ T_infty (n None).
+
+    T_N has about N resonances per band, so its pieces start with
+    panels_per_band + 2N panels.  The leads' support edges join `breakpoints`.
+    """
+    spectrum = band_spectrum(sample)
+    cuts = [*breakpoints, *_lead_breakpoints(sample, lead_l, lead_r)]
+    if n is None:
+        return lambda E: transmittance_inf(sample, lead_l, lead_r, kappa, E), spectrum, cuts, None
+    panels = quad.panels_per_band + 2 * n
+    return lambda E: transmittance_n(sample, lead_l, lead_r, kappa, n, E), spectrum, cuts, panels
+
+
 def lb_currents(
     sample: SampleSpec,
     lead_l: LeadModel,
@@ -355,15 +376,13 @@ def lb_currents(
     thermo: ThermoState,
     quad: QuadratureConfig = QuadratureConfig(),
 ) -> CurrentReport:
-    """Landauer-Buttiker steady currents of the N-fold repeated sample."""
-    spectrum = band_spectrum(sample)
-    return _current_report(
-        lambda E: transmittance_n(sample, lead_l, lead_r, kappa, n_cells, E),
-        spectrum,
-        thermo,
-        quad,
-        _lead_breakpoints(sample, lead_l, lead_r),
-    )
+    """Landauer-Buttiker steady currents of the N-fold repeated sample.
+
+    Each band piece starts with quad.panels_per_band + 2N panels, as in `convergence_study`.
+    """
+    n = _repetition_count(n_cells)
+    profile = _transmittance_profile(sample, lead_l, lead_r, kappa, n, quad)
+    return _current_report(thermo, quad, *profile)
 
 
 def crystalline_currents(
@@ -375,14 +394,8 @@ def crystalline_currents(
     quad: QuadratureConfig = QuadratureConfig(),
 ) -> CurrentReport:
     """Crystalline-limit steady currents (T = T_infty over the band spectrum)."""
-    spectrum = band_spectrum(sample)
-    return _current_report(
-        lambda E: transmittance_inf(sample, lead_l, lead_r, kappa, E),
-        spectrum,
-        thermo,
-        quad,
-        _lead_breakpoints(sample, lead_l, lead_r),
-    )
+    profile = _transmittance_profile(sample, lead_l, lead_r, kappa, None, quad)
+    return _current_report(thermo, quad, *profile)
 
 
 def thouless_currents(
@@ -391,8 +404,7 @@ def thouless_currents(
     quad: QuadratureConfig = QuadratureConfig(),
 ) -> CurrentReport:
     """Thouless currents: reflectionless transport, T = 1 on the band spectrum."""
-    spectrum = band_spectrum(sample)
-    return _current_report(lambda E: np.ones_like(E), spectrum, thermo, quad)
+    return _current_report(thermo, quad, np.ones_like, band_spectrum(sample))
 
 
 def zero_temperature_conductance(
@@ -415,9 +427,9 @@ def zero_temperature_conductance(
         raise DomainError("window must satisfy mu_l < mu_r")
     thermo = ThermoState(math.inf, mu_l, math.inf, mu_r)
     report = crystalline_currents(sample, lead_l, lead_r, kappa, thermo, quad)
-    g = report.i_r / (mu_r - mu_l)
+    g = report.i_r / (thermo.mu_r - thermo.mu_l)
     g_th = _window_conductance(band_spectrum(sample), (mu_l, mu_r))
-    if g > g_th + max(quad.abs_tol, 1e-12):
+    if g > g_th + quad.abs_tol:
         raise NumericalError(f"g = {g} exceeds its Thouless bound {g_th}")
     return g, g_th
 
@@ -446,41 +458,29 @@ def convergence_study(
     """Tabulate ∫ T_N f against ∫ T_infty f for increasing N.
 
     The weak convergence T_N -> T_infty has no rate: finite-N rows
-    oscillate, and the table reports them as computed.  The integrand
-    oscillates like e^{2iN theta}, so each row's panel count grows linearly
-    with N and the row tolerance is relaxed to at least 1e-6; rows whose
-    quadrature still fails are flagged with converged=False and the study
-    continues.  `weight` maps an energy array to weight values; pass its
-    discontinuities in `breakpoints`.  The leads' support edges are added to
-    them.
+    oscillate, and the table reports them as computed.  Every row runs at
+    quad.abs_tol from the first level of `lb_currents`, panels_per_band + 2N
+    panels per piece; a row whose quadrature fails is flagged with
+    converged=False and the study continues.  `weight` maps an energy array
+    to weight values; pass its discontinuities in `breakpoints`, to which
+    the leads' support edges are added.
     """
-    n_list = [_repetition_count(n) for n in n_list]
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise DomainError("n_list must be strictly increasing")
-    spectrum = band_spectrum(sample)
-    breakpoints = [*breakpoints, *_lead_breakpoints(sample, lead_l, lead_r)]
-    val_inf, _ = _adaptive_panels(
-        spectrum,
-        lambda E: (transmittance_inf(sample, lead_l, lead_r, kappa, E) * weight(E))[None, :],
-        quad,
-        breakpoints,
-    )
-    integral_inf = float(val_inf[0])
+    n_list = _repetition_counts(n_list)
 
+    def integral(n_cells) -> float:
+        T, spectrum, cuts, panels = _transmittance_profile(
+            sample, lead_l, lead_r, kappa, n_cells, quad, breakpoints
+        )
+        vals, _ = _adaptive_panels(
+            spectrum, lambda E: (T(E) * weight(E))[None, :], quad, cuts, panels
+        )
+        return float(vals[0])
+
+    integral_inf = integral(None)
     rows: list[ConvergenceRow] = []
     for n in n_list:
-        row_quad = replace(
-            quad,
-            abs_tol=max(quad.abs_tol, 1e-6),
-            panels_per_band=quad.panels_per_band + 2 * n,
-        )
-
-        def integrand(E: np.ndarray, n=n) -> np.ndarray:
-            return (transmittance_n(sample, lead_l, lead_r, kappa, n, E) * weight(E))[None, :]
-
         try:
-            vals, _ = _adaptive_panels(spectrum, integrand, row_quad, breakpoints)
-            value, ok = float(vals[0]), True
+            value, ok = integral(n), True
         except QuadratureError as exc:
             value, ok = float(exc.value[0]), False
             log.warning("convergence row N=%d did not converge", n)

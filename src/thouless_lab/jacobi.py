@@ -110,6 +110,14 @@ def _repetition_count(n_cells) -> int:
     return n
 
 
+def _repetition_counts(n_list) -> list[int]:
+    """A nonempty, strictly increasing list of repetition counts by the `_repetition_count` rule."""
+    counts = [_repetition_count(n) for n in n_list]
+    if not counts or any(b <= a for a, b in zip(counts, counts[1:])):
+        raise DomainError(f"n_list must be nonempty and strictly increasing, got {counts}")
+    return counts
+
+
 def periodized_parameters(sample: SampleSpec, n_cells: int) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal (length N*L) and off-diagonal (length N*L-1) of the N-cell sample h_S^(N)."""
     n_cells = _repetition_count(n_cells)
@@ -169,10 +177,18 @@ def transfer_step(sample: SampleSpec, x: int, E: float) -> TransferMatrix2:
     return TransferMatrix2((E - lam) / J, -1.0 / J, J, 0.0, float(E))
 
 
-def _energies(E) -> tuple[np.ndarray, bool]:
-    """(E as a float array, whether E was a scalar); a scalar becomes shape (1,)."""
+def _as_energies(E) -> tuple[np.ndarray, bool]:
+    """(E as a float array, whether E was a scalar; a scalar becomes shape (1,)), unchecked."""
     E = np.asarray(E, dtype=float)
     return (E.reshape(1), True) if E.ndim == 0 else (E, False)
+
+
+def _energies(E) -> tuple[np.ndarray, bool]:
+    """`_as_energies(E)` refusing non-finite energies: the energy rule of every entry point."""
+    E, scalar = _as_energies(E)
+    if not np.isfinite(E).all():
+        raise DomainError("energies must be finite")
+    return E, scalar
 
 
 def _one_period_abcd(sample: SampleSpec, E):
@@ -222,7 +238,7 @@ def _real_eigvec2(a, b, c, d, lam):
 def discriminant(sample: SampleSpec, E):
     """tr T_L(E); |discriminant| <= 2 exactly on the spectrum of the periodization.
 
-    Accepts a scalar or an array of energies.
+    Accepts a scalar or an array of finite energies.
     """
     E, scalar = _energies(E)
     a, _, _, d = _one_period_abcd(sample, E)
@@ -356,8 +372,8 @@ def thouless_conductance(sample: SampleSpec, window: tuple[float, float]) -> flo
 
 
 def _window_conductance(spectrum: BandSpectrum, window) -> float:
-    """|spectrum ∩ I| / (2 pi |I|) as a float; I must be finite with positive length."""
+    """|spectrum ∩ I| / (2 pi |I|) as a Python float; I must be finite with positive length."""
     lo, hi = float(window[0]), float(window[1])
     if not (hi > lo and np.isfinite(hi - lo)):
         raise DomainError("window must be finite with positive length")
-    return spectrum.intersection_measure(lo, hi) / (2.0 * np.pi * (hi - lo))
+    return float(spectrum.intersection_measure(lo, hi) / (2.0 * np.pi * (hi - lo)))

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, OffSpectrumError
-from .jacobi import SampleSpec, _energies, _one_period_abcd, _real_eigvec2
+from .jacobi import SampleSpec, _as_energies, _energies, _one_period_abcd, _real_eigvec2
 
 # Im F above this threshold counts as essential support.
 SUPPORT_TOL = 1e-12
@@ -106,24 +106,15 @@ class TabulatedLead:
 LeadModel = HalfLineLead | CrystallineLead | TabulatedLead
 
 
-def _check_finite_energies(E) -> None:
-    """Refuse a non-finite energy, scalar or array."""
-    if not np.isfinite(E).all():
-        raise DomainError("energies must be finite")
-
-
 def _one_energy(E) -> np.ndarray:
     """The single finite energy E as a 1-element float array; DomainError if not finite."""
-    E_arr = np.asarray([float(E)])
-    _check_finite_energies(E_arr)
-    return E_arr
+    return _energies(float(E))[0]
 
 
-def _check_coupled_inputs(kappa: float, E: np.ndarray) -> None:
-    """Refuse a zero (decoupling) or non-finite kappa and non-finite energies."""
+def _check_kappa(kappa: float) -> None:
+    """Refuse a zero (decoupling) or non-finite coupling kappa."""
     if kappa == 0.0 or not math.isfinite(kappa):
         raise DomainError(f"coupling kappa must be nonzero and finite, got {kappa}")
-    _check_finite_energies(E)
 
 
 def _halfline_F(lead: HalfLineLead, E: np.ndarray) -> np.ndarray:
@@ -248,7 +239,7 @@ def crystal_m_functions(sample: SampleSpec, E: float) -> tuple[complex, complex]
 
 def lead_F_values(lead: LeadModel, E) -> np.ndarray:
     """Vectorized boundary values F(E); Im clamped to [0, inf) within the 1e-12 floor."""
-    E, _ = _energies(E)
+    E, _ = _as_energies(E)  # unchecked: its callers check E once
     if isinstance(lead, HalfLineLead):
         F = _halfline_F(lead, E)
     elif isinstance(lead, CrystallineLead):

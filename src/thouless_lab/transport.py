@@ -37,7 +37,7 @@ from .jacobi import GreenMatrix2, SampleSpec, _energies, _repetition_count
 # Not called here; kept importable because bench/tracer.py wraps this name.
 from .jacobi import _one_period_abcd  # noqa: F401
 from .leads import EDGE_TOL, SUPPORT_TOL, CrystallineLead, LeadModel, lead_F_values
-from .leads import _check_coupled_inputs, _clamp_im, _eigendata_values, _one_energy
+from .leads import _check_kappa, _clamp_im, _eigendata_values, _one_energy
 # Not called here; kept importable because bench/tracer.py wraps this name.
 from .leads import _crystal_m_values  # noqa: F401
 
@@ -186,10 +186,9 @@ def _transport_inputs(sample, lead_l, lead_r, kappa, E: np.ndarray):
     """(eigendata, F_l, F_r) from one eigendata evaluation of the energy array.
 
     A CrystallineLead on a sample equal to this one takes F from its m_l or m_r.
-    Every transport quantity passes its coupling kappa and energies through
-    here first: a zero or non-finite kappa and non-finite energies are refused.
+    Every transport quantity passes here first, which refuses a zero or non-finite kappa.
     """
-    _check_coupled_inputs(kappa, E)
+    _check_kappa(kappa)
     ed = _eigendata_values(sample, E)
 
     def boundary_values(lead):

@@ -236,10 +236,10 @@ def test_converge_json_flags_a_failed_row(tmp_path, monkeypatch):
 
     panels = currents._adaptive_panels
 
-    def failing_for_n2(spectrum, integrand, quad, breakpoints=()):
-        if quad.panels_per_band == QuadratureConfig().panels_per_band + 2 * 2:
+    def failing_for_n2(spectrum, integrand, quad, breakpoints=(), first_level=None):
+        if first_level == QuadratureConfig().panels_per_band + 2 * 2:
             raise QuadratureError("forced", value=np.array([0.25]), error_estimate=np.array([1.0]))
-        return panels(spectrum, integrand, quad, breakpoints)
+        return panels(spectrum, integrand, quad, breakpoints, first_level)
 
     monkeypatch.setattr(currents, "_adaptive_panels", failing_for_n2)
     cfg = write_config(tmp_path, MATCHED)
@@ -302,14 +302,18 @@ def test_config_inconsistent_length(tmp_path):
         ["currents", "--mode", "finite", "--N", "0"],
         ["currents", "--mode", "finite", "--N", "-2"],
         ["converge", "--N-list", "0,1"],
+        ["converge", "--N-list", "1,-4"],
     ],
 )
 def test_repetition_count_below_one_is_config_error(tmp_path, capsys, args):
+    # the library's message, behind the flag that carried the value
     cfg = write_config(tmp_path, MATCHED)
     out = tmp_path / "never.csv"
     assert main([*args, "--config", cfg, "--out", str(out)]) == 2
     assert not out.exists()
-    assert "must be >= 1" in capsys.readouterr().err
+    bad = next(tok for tok in args[-1].split(",") if int(tok) < 1)
+    expected = f"config error: {args[-2]}: n_cells must be a positive integer, got {bad}\n"
+    assert capsys.readouterr().err == expected
 
 
 def test_deterministic_reruns_byte_identical(tmp_path):
@@ -422,7 +426,12 @@ MALFORMED = {
     "ensemble_zero": (None, ["selfcheck", "--ensemble", "0"], "--ensemble: "),
     "ensemble_negative": (None, ["selfcheck", "--ensemble", "-5"], "--ensemble: "),
     "seed_flag_negative": (None, ["selfcheck", "--ensemble", "1", "--seed", "-2"], "--seed: "),
-    "n_list_repeated": (None, ["converge", "--N-list", "1,1"], "--N-list: "),
+    "n_list_repeated": (
+        None, ["converge", "--N-list", "1,1"], "--N-list: n_list must be nonempty and strictly"
+    ),
+    "n_list_decreasing": (None, ["converge", "--N-list", "4,2"], "--N-list: n_list must be "),
+    "n_list_empty": (None, ["converge", "--N-list", ","], "--N-list: n_list must be nonempty"),
+    "n_list_word": (None, ["converge", "--N-list", "1,two"], "--N-list: expected comma-sep"),
     "center_nan": (None, ["converge", "--weight", "gaussian", "--center", "nan"], "--center: "),
     # integer keys take JSON integers only: int() would truncate 1.5 to the sample's L = 1
     "length_fraction": (("sample.L", 1.5), [], "sample: expected an integer, got 1.5"),

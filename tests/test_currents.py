@@ -198,16 +198,18 @@ def test_quadrature_never_evaluates_an_empty_array(dimer, wide_lead, monkeypatch
         sizes.append(int(np.size(E)))
         return weights_orig(thermo, E)
 
+    def first_call(n_cells):
+        # two bands, 8 + 2N coarse panels and their halves of 12 nodes each
+        return 2 * 3 * (8 + 2 * n_cells) * 12
+
     monkeypatch.setattr(currents, "weights", recording_weights)
     th = ThermoState(2.0, 0.3, 3.0, -0.3)
-    # two bands, 8 coarse panels and their 16 halves of 12 nodes each
-    first_call = 2 * (8 + 16) * 12
     rep = lb_currents(dimer, wide_lead, wide_lead, 0.7, 4, th)
-    assert sizes == [first_call] and rep.evaluations == first_call
+    assert sizes == [first_call(4)] and rep.evaluations == first_call(4)
     sizes.clear()
-    rep = lb_currents(dimer, wide_lead, wide_lead, 0.7, 16, th)  # refines past the first call
+    rep = lb_currents(dimer, wide_lead, wide_lead, 0.7, 64, th)  # refines past the first call
     assert len(sizes) >= 2 and min(sizes) > 0
-    assert sizes[0] == first_call
+    assert sizes[0] == first_call(64)
     assert rep.evaluations == sum(sizes)
 
 
@@ -246,12 +248,12 @@ def test_report_evaluations_are_pinned(free_chain, dimer, wide_lead):
         crystalline_currents(dimer, wide_lead, own_r, 0.7, window),
         lb_currents(dimer, wide_lead, wide_lead, 0.7, 4, th),
     ]
-    assert [r.evaluations for r in reports] == [288, 1152, 576, 1152, 576]
+    assert [r.evaluations for r in reports] == [288, 1152, 576, 1152, 1152]
 
 
 def test_report_integrand_calls_are_pinned(free_chain, dimer, wide_lead, monkeypatch):
-    # the coarse level and the first halving share one call, one call fewer
-    # than evaluating them apart ([2, 2, 2, 2, 2, 5])
+    # the coarse level and the first halving share one call, and a T_N piece
+    # starts with 8 + 2N panels, so every report here converges in that call
     calls = []
     weights_orig = currents.weights
 
@@ -274,7 +276,7 @@ def test_report_integrand_calls_are_pinned(free_chain, dimer, wide_lead, monkeyp
     for report in reports:
         calls.append(0)
         report()
-    assert calls == [1, 1, 1, 1, 1, 4]
+    assert calls == [1, 1, 1, 1, 1, 1]
 
 
 def test_lb_currents_on_a_resonant_narrow_band_case_meet_abs_tol():
@@ -292,6 +294,30 @@ def test_lb_currents_on_a_resonant_narrow_band_case_meet_abs_tol():
     assert rep.entropy_j == pytest.approx(0.0006308462271199382, abs=quad.abs_tol)
 
 
+def test_lb_estimate_bounds_the_error_on_a_narrow_band(monkeypatch):
+    # the band [2.5669, 2.5700] of the resonant case above, integrated alone:
+    # with 8 first-level panels its entropy current was 6.4e-9 off against an
+    # estimate of 7.9e-10; 8 + 2N panels put the error under the estimate
+    rng = np.random.default_rng(11)
+    for _ in range(6):
+        sample, lead_l, lead_r, kappa = random_configuration(rng)
+    narrow = BandSpectrum((band_spectrum(sample).bands[-1],))
+    assert narrow.measure() < 4e-3
+    spectrum_of = currents.band_spectrum
+    monkeypatch.setattr(
+        currents, "band_spectrum", lambda s: narrow if s == sample else spectrum_of(s)
+    )
+
+    def report(quad):
+        return lb_currents(sample, lead_l, lead_r, kappa, 16, _CHECK_STATES[2], quad)
+
+    quad = QuadratureConfig()
+    rep = report(quad)
+    ref = report(QuadratureConfig(abs_tol=1e-12, points_per_panel=24, panels_per_band=64))
+    error = max(abs(getattr(rep, f) - getattr(ref, f)) for f in ("phi_l", "i_l", "entropy_j"))
+    assert error <= rep.error_estimate <= quad.abs_tol
+
+
 def test_lb_n64_converges_with_local_refinement():
     # uniform panel doubling gives up on this config; local halving resolves
     # the band-edge resonances of T_64
@@ -303,6 +329,50 @@ def test_lb_n64_converges_with_local_refinement():
     assert rep.entropy_balance_residual <= 3 * quad.abs_tol
     assert rep.entropy_j >= -quad.abs_tol
     assert math.isfinite(rep.error_estimate)
+
+
+def test_lb_n256_converges_with_a_first_level_growing_with_n():
+    # the 2nd random_configuration draw of rng seed 2 (L = 3): with 8 panels
+    # per piece for every N, lb_currents raised QuadratureError at N = 256
+    rng = np.random.default_rng(2)
+    for _ in range(2):
+        sample, lead_l, lead_r, kappa = random_configuration(rng)
+    thermo, quad = _CHECK_STATES[1], QuadratureConfig()
+    rep = lb_currents(sample, lead_l, lead_r, kappa, 256, thermo, quad)
+    ref = lb_currents(sample, lead_l, lead_r, kappa, 256, thermo,
+                      QuadratureConfig(abs_tol=1e-11, points_per_panel=24, panels_per_band=64))
+    error = max(abs(getattr(rep, f) - getattr(ref, f)) for f in ("phi_l", "i_l", "entropy_j"))
+    assert error <= rep.error_estimate <= quad.abs_tol
+
+
+def test_t_n_calls_stay_within_the_finest_grid_at_large_n(dimer, wide_lead, monkeypatch):
+    # the first level panels_per_band + 2N is capped at panels_per_band << 11
+    # per piece, and refinement stops before a call would exceed the finest
+    # grid of a panels_per_band start, panels_per_band << 13 per piece: at
+    # N = 10^6 no call is larger than with a flat panels_per_band start
+    sizes = []
+    weights_orig = currents.weights
+
+    def recording_weights(thermo, E):
+        sizes.append(int(np.size(E)))
+        return weights_orig(thermo, E)
+
+    monkeypatch.setattr(currents, "weights", recording_weights)
+    quad = QuadratureConfig(panels_per_band=1, points_per_panel=4)
+    finest = 2 * (1 << 13) * 4  # two bands
+    th = ThermoState(2.0, 0.3, 3.0, -0.3)
+    with pytest.raises(QuadratureError, match="after 2 panel halvings"):
+        lb_currents(dimer, wide_lead, wide_lead, 0.7, 10**6, th, quad)
+    assert sizes[0] == 2 * 3 * (1 << 11) * 4 and max(sizes) <= finest
+
+    def recording_weight(E):
+        sizes.append(int(np.size(E)))
+        return np.ones_like(E)
+
+    sizes.clear()
+    (row,) = convergence_study(dimer, wide_lead, wide_lead, 0.7, recording_weight, [10**6], quad)
+    assert not row.converged and math.isfinite(row.integral_n)
+    assert max(sizes) <= finest
 
 
 @pytest.mark.parametrize("n_cells", [None, 4], ids=["crystalline", "finite_N4"])
@@ -414,6 +484,18 @@ def test_zero_temperature_conductance_gap_window(dimer, wide_lead):
     assert g_th == 0.0
 
 
+@pytest.mark.parametrize(
+    "window",
+    [(-1.0, 1.2), (-0.4, 0.4), (np.float64(-1.0), np.float64(1.2)),
+     (np.float64(-0.4), np.float64(0.4))],
+    ids=["band", "gap", "band_numpy", "gap_numpy"],
+)
+def test_conductances_are_python_floats(dimer, wide_lead, window):
+    assert type(thouless_conductance(dimer, window)) is float
+    g, g_th = zero_temperature_conductance(dimer, wide_lead, wide_lead, 1.0, *window)
+    assert type(g) is float and type(g_th) is float
+
+
 def test_zero_temperature_conductance_reads_the_cached_spectrum(dimer, wide_lead, monkeypatch):
     from thouless_lab import jacobi
 
@@ -485,10 +567,9 @@ def test_convergence_mismatch_improves(free_chain, free_lead):
 
 
 def test_convergence_n_list_validation(free_chain, free_lead):
-    with pytest.raises(DomainError):
-        convergence_study(
-            free_chain, free_lead, free_lead, 1.0, lambda E: np.ones_like(E), [4, 2]
-        )
+    for n_list in ([4, 2], [1, 1], []):
+        with pytest.raises(DomainError, match="n_list must be nonempty and strictly increasing"):
+            convergence_study(free_chain, free_lead, free_lead, 1.0, np.ones_like, n_list)
 
 
 def test_convergence_rows_match_series_oracle(free_chain, free_lead):

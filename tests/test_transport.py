@@ -15,6 +15,7 @@ from thouless_lab import (
     band_spectrum,
     crystal_m_functions,
     crystalline_currents,
+    discriminant,
     fermi_dirac,
     lead_F,
     lead_F_values,
@@ -362,9 +363,17 @@ def test_non_finite_input_is_refused(dimer, wide_lead, evaluate):
         lambda s, lead, E: dirichlet_sample_green(s, 2, E),
         lambda s, lead, E: r_theta_diagnostic(s, lead, lead, 1.0, E),
         lambda s, lead, E: resolvent_green(s, 2, lead, lead, 1.0, E),
+        lambda s, lead, E: discriminant(s, E),
+        lambda s, lead, E: discriminant(s, np.array([0.5, E])),
+        lambda s, lead, E: fermi_dirac(1.0, 0.0, E),
+        lambda s, lead, E: fermi_dirac(INF, 0.0, np.array([0.5, E])),
+        lambda s, lead, E: weights(ThermoState(1.0, 0.0, 2.0, 0.1), E),
+        lambda s, lead, E: weights(ThermoState(INF, 0.0, 2.0, 0.1), np.array([0.5, E])),
     ],
     ids=["transfer_eigendata", "crystal_m_functions", "lead_F_half_line", "lead_F_crystalline",
-         "sample_green", "dirichlet_sample_green", "r_theta_diagnostic", "resolvent_green"],
+         "sample_green", "dirichlet_sample_green", "r_theta_diagnostic", "resolvent_green",
+         "discriminant", "discriminant_array", "fermi_dirac", "fermi_dirac_array", "weights",
+         "weights_array"],
 )
 def test_scalar_helper_refuses_non_finite_energy(dimer, wide_lead, evaluate, energy):
     with pytest.raises(DomainError, match="energies must be finite"):
