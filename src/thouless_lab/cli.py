@@ -37,7 +37,7 @@ from .currents import (
     thouless_currents,
 )
 from .errors import ConfigError, DomainError, ThoulessLabError
-from .jacobi import SampleSpec, _bloch_bands, _energies, _integer, _repetition_count
+from .jacobi import SampleSpec, _energies, _integer, _repetition_count
 from .jacobi import _repetition_counts, band_spectrum, bloch_eigenvalues
 from .leads import CrystallineLead, HalfLineLead, LeadModel, _check_kappa, load_tabulated_csv
 from .selfcheck import run_selfcheck
@@ -244,8 +244,7 @@ def _parallel_grid(fn, grid: np.ndarray) -> np.ndarray:
 def _energy_grid(config: RunConfig) -> np.ndarray:
     if config.grid_values is not None:
         return np.asarray(config.grid_values, dtype=float)
-    # the hull needs only the eigenvalue edges, not band_spectrum's cross-check
-    lo, hi = _bloch_bands(config.sample).hull
+    lo, hi = band_spectrum(config.sample).hull
     return np.linspace(lo, hi, config.grid_count)
 
 

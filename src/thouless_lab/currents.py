@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, QuadratureError
 from .jacobi import BandSpectrum, SampleSpec, _energies, _integer, _repetition_count
-from .jacobi import _repetition_counts, _window_conductance, band_spectrum
+from .jacobi import _repetition_counts, band_spectrum, thouless_conductance
 from .leads import CrystallineLead, HalfLineLead, LeadModel
 from .transport import transmittance_inf, transmittance_n
 
@@ -419,8 +419,8 @@ def zero_temperature_conductance(
     """Mean zero-temperature conductance over the window [mu_l, mu_r] and its Thouless bound.
 
     g is the crystalline charge current at beta = inf divided by the window
-    width; g_th = |sp(h_crystal) ∩ I| / (2 pi |I|), read from the band
-    spectrum the report used, dominates it, with equality for matched
+    width; g_th = `thouless_conductance` of the window, read from the cached
+    band spectrum the report used, dominates it, with equality for matched
     (reflectionless) leads.
     """
     if not mu_r > mu_l:
@@ -428,7 +428,7 @@ def zero_temperature_conductance(
     thermo = ThermoState(math.inf, mu_l, math.inf, mu_r)
     report = crystalline_currents(sample, lead_l, lead_r, kappa, thermo, quad)
     g = report.i_r / (thermo.mu_r - thermo.mu_l)
-    g_th = _window_conductance(band_spectrum(sample), (mu_l, mu_r))
+    g_th = thouless_conductance(sample, (mu_l, mu_r))
     if g > g_th + quad.abs_tol:
         raise NumericalError(f"g = {g} exceeds its Thouless bound {g_th}")
     return g, g_th

@@ -25,6 +25,11 @@ from .errors import DomainError, NumericalError
 
 # Touching band endpoints closer than this are merged into one interval.
 _BAND_MERGE_TOL = 1e-12
+# band_spectrum's fast cross-check: |tr T_L| <= 2 + this on each band's interior grid.
+_TRACE_TOL = 1e-9
+# An energy past the fast check still passes while |tr T_L| - 2 <= this many dE |tr'|,
+# dE = eps L ||h|| being the eigensolver's backward error (see band_spectrum).
+_SLOPE_MULTIPLE = 4.0
 # Band spectra kept by band_spectrum; each holds L band edge pairs and its key
 _SPECTRUM_CACHE_SIZE = 64
 
@@ -172,20 +177,22 @@ def transfer_step(sample: SampleSpec, x: int, E: float) -> TransferMatrix2:
     """
     if x < 1:
         raise DomainError("site index must be >= 1")
+    if not math.isfinite(E):
+        raise DomainError("energies must be finite")
     J = sample.hopping(x)
     lam = sample.onsite_at(x)
     return TransferMatrix2((E - lam) / J, -1.0 / J, J, 0.0, float(E))
 
 
-def _as_energies(E) -> tuple[np.ndarray, bool]:
-    """(E as a float array, whether E was a scalar; a scalar becomes shape (1,)), unchecked."""
-    E = np.asarray(E, dtype=float)
-    return (E.reshape(1), True) if E.ndim == 0 else (E, False)
-
-
 def _energies(E) -> tuple[np.ndarray, bool]:
-    """`_as_energies(E)` refusing non-finite energies: the energy rule of every entry point."""
-    E, scalar = _as_energies(E)
+    """(E as a float array, whether E was a scalar; a scalar becomes shape (1,)).
+
+    Refuses non-finite energies: the energy rule of every entry point.
+    """
+    E = np.asarray(E, dtype=float)
+    scalar = E.ndim == 0
+    if scalar:
+        E = E.reshape(1)
     if not np.isfinite(E).all():
         raise DomainError("energies must be finite")
     return E, scalar
@@ -210,10 +217,35 @@ def _one_period_abcd(sample: SampleSpec, E):
     return a, b, c, d
 
 
+def _trace_slope(sample: SampleSpec, E):
+    """(tr T_L(E), d tr T_L/dE), vectorized over E, by forward-mode recursion.
+
+    The values follow `_one_period_abcd` step by step.  Each step A_x has
+    dA_x/dE = [[1/J_x, 0], [0, 0]], so the first row of the new derivative
+    also picks up the old first row (a, b) divided by J_x.
+    """
+    E = np.asarray(E, dtype=float)
+    a, d = np.ones_like(E), np.ones_like(E)
+    b, c, da, db, dc, dd = (np.zeros_like(E) for _ in range(6))
+    for x in range(1, sample.length + 1):
+        J = sample.hopping(x)
+        lam = sample.onsite_at(x)
+        na = ((E - lam) * a - c) / J
+        nb = ((E - lam) * b - d) / J
+        nda = ((E - lam) * da + a - dc) / J
+        ndb = ((E - lam) * db + b - dd) / J
+        c, d, dc, dd = J * a, J * b, J * da, J * db
+        a, b, da, db = na, nb, nda, ndb
+    return a + d, da + dd
+
+
 def one_period_transfer(sample: SampleSpec, E: float) -> TransferMatrix2:
     """One-period transfer matrix T_L(E) = A_L(E) ... A_1(E), always unimodular."""
-    a, b, c, d = _one_period_abcd(sample, float(E))
-    return TransferMatrix2(float(a), float(b), float(c), float(d), float(E))
+    E = float(E)
+    if not math.isfinite(E):
+        raise DomainError("energies must be finite")
+    a, b, c, d = _one_period_abcd(sample, E)
+    return TransferMatrix2(float(a), float(b), float(c), float(d), E)
 
 
 def _real_eigvec2(a, b, c, d, lam):
@@ -300,39 +332,24 @@ class BandSpectrum:
         )
 
 
-def _bloch_bands(sample: SampleSpec) -> BandSpectrum:
-    """The bands of `band_spectrum` without its transfer-matrix cross-check.
-
-    eps_j(k) is monotone on [0, pi/L], so the j-th band is the closed
-    interval between eps_j(0) and eps_j(pi/L) and no further k-points are
-    needed.  Bands touching within 1e-12 are merged.
-    """
-    L = sample.length
-    eps0 = bloch_eigenvalues(sample, 0.0)
-    eps_pi = bloch_eigenvalues(sample, np.pi / L)
-    raw = sorted(
-        (min(a, b), max(a, b)) for a, b in zip(eps0, eps_pi)
-    )
-    merged: list[list[float]] = []
-    for lo, hi in raw:
-        if merged and lo <= merged[-1][1] + _BAND_MERGE_TOL:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    return BandSpectrum(tuple((lo, hi) for lo, hi in merged))
-
-
 def band_spectrum(sample: SampleSpec) -> BandSpectrum:
     """Band spectrum of the periodization from Bloch eigenvalues at k = 0 and k = pi/L.
 
-    The j-th band is the closed interval between eps_j(0) and eps_j(pi/L);
-    bands touching within 1e-12 are merged.  The eigensolve is cross-checked
-    against the transfer matrix: |tr T_L| <= 2 + 1e-9 must hold on a
+    eps_j(k) is monotone on [0, pi/L], so the j-th band is the closed
+    interval between eps_j(0) and eps_j(pi/L) and no further k-points are
+    needed; bands touching within 1e-12 are merged.
+
+    The eigensolve is cross-checked against the transfer matrix on a
     17-point interior grid of every band of positive width, evaluated for
-    all bands in one discriminant call.  A violation raises NumericalError
-    reporting the worst |tr T_L| over all bands.  The trace is
-    ill-conditioned for long samples, so from about L = 32 on the check
-    also rejects spectra whose eigenvalue edges are accurate.
+    all bands in one discriminant call.  Where |tr T_L| <= 2 + 1e-9 an
+    energy passes at once.  The trace is ill-conditioned for long samples,
+    so an energy past that still passes while |tr T_L| - 2 <= 4 dE |tr'|,
+    with tr' = d tr T_L/dE from `_trace_slope` and dE = eps L ||h||,
+    ||h|| = max|lambda_x| + 2 max(|J_x|, |kappa_s|): each eigenvalue edge is
+    exact for a Hamiltonian within that backward error, which moves the
+    trace by about dE |tr'|.  Bands no wider than dE are below that error
+    and, like bands of zero width, are not checked.  A violation raises
+    NumericalError reporting the worst |tr T_L| over every band's grid.
 
     Results are cached per sample (the key tells -0.0 from 0.0 onsite
     values), for the 64 samples used last; a NumericalError is not cached.
@@ -343,37 +360,47 @@ def band_spectrum(sample: SampleSpec) -> BandSpectrum:
 @functools.lru_cache(maxsize=_SPECTRUM_CACHE_SIZE)
 def _band_spectrum_cached(key) -> BandSpectrum:
     sample, _ = key
-    spectrum = _bloch_bands(sample)
+    L = sample.length
+    eps0 = bloch_eigenvalues(sample, 0.0)
+    eps_pi = bloch_eigenvalues(sample, np.pi / L)
+    raw = sorted((min(a, b), max(a, b)) for a, b in zip(eps0, eps_pi))
+    merged: list[list[float]] = []
+    for lo, hi in raw:
+        if merged and lo <= merged[-1][1] + _BAND_MERGE_TOL:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    spectrum = BandSpectrum(tuple((lo, hi) for lo, hi in merged))
     wide = [band for band in spectrum.bands if band[1] > band[0]]
     if wide:
         lo, hi = np.array(wide).T
         w = hi - lo
         # column j is the grid of band j, equal bitwise to its own linspace
         grid = np.linspace(lo + 0.01 * w, hi - 0.01 * w, 17)
-        worst = np.max(np.abs(discriminant(sample, grid)))
-        if worst > 2.0 + 1e-9:
-            raise NumericalError(
-                f"band interior violates |tr T_L| <= 2 (worst {float(worst)!r}); "
-                "Bloch eigensolver and transfer matrix disagree"
-            )
+        abs_tr = np.abs(discriminant(sample, grid))
+        past = abs_tr > 2.0 + _TRACE_TOL
+        if past.any():
+            couplings = (*sample.hop, sample.kappa_s)
+            norm_h = max(map(abs, sample.onsite)) + 2.0 * max(map(abs, couplings))
+            dE = np.finfo(float).eps * L * norm_h
+            _, slope = _trace_slope(sample, grid[past])
+            resolved = np.broadcast_to(w > dE, grid.shape)[past]
+            if np.any(resolved & (abs_tr[past] - 2.0 > _SLOPE_MULTIPLE * dE * np.abs(slope))):
+                raise NumericalError(
+                    f"band interior violates |tr T_L| <= 2 (worst {float(abs_tr.max())!r}); "
+                    "Bloch eigensolver and transfer matrix disagree"
+                )
     return spectrum
 
 
 def thouless_conductance(sample: SampleSpec, window: tuple[float, float]) -> float:
-    """Thouless conductance g_Th(I) = |sp(h_crystal) ∩ I| / (2 pi |I|).
+    """Thouless conductance g_Th(I) = |sp(h_crystal) ∩ I| / (2 pi |I|), a Python float.
 
-    The band measure is computed exactly by interval arithmetic on the
-    Bloch band endpoints; `window` is a closed interval of positive length.
-    Only the eigensolver's band edges enter, so the transfer-matrix
-    cross-check of `band_spectrum` is not run: it would reject long samples
-    whose eigenvalue edges are accurate.
+    The band measure is computed exactly by interval arithmetic on the band
+    edges of `band_spectrum`; `window` is a finite closed interval of
+    positive length.
     """
-    return _window_conductance(_bloch_bands(sample), window)
-
-
-def _window_conductance(spectrum: BandSpectrum, window) -> float:
-    """|spectrum ∩ I| / (2 pi |I|) as a Python float; I must be finite with positive length."""
     lo, hi = float(window[0]), float(window[1])
     if not (hi > lo and np.isfinite(hi - lo)):
         raise DomainError("window must be finite with positive length")
-    return float(spectrum.intersection_measure(lo, hi) / (2.0 * np.pi * (hi - lo)))
+    return float(band_spectrum(sample).intersection_measure(lo, hi) / (2.0 * np.pi * (hi - lo)))

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, OffSpectrumError
-from .jacobi import SampleSpec, _as_energies, _energies, _one_period_abcd, _real_eigvec2
+from .jacobi import SampleSpec, _energies, _one_period_abcd, _real_eigvec2
 
 # Im F above this threshold counts as essential support.
 SUPPORT_TOL = 1e-12
@@ -238,8 +238,12 @@ def crystal_m_functions(sample: SampleSpec, E: float) -> tuple[complex, complex]
 
 
 def lead_F_values(lead: LeadModel, E) -> np.ndarray:
-    """Vectorized boundary values F(E); Im clamped to [0, inf) within the 1e-12 floor."""
-    E, _ = _as_energies(E)  # unchecked: its callers check E once
+    """Vectorized boundary values F(E) at finite energies; Im clamped to [0, inf) within 1e-12."""
+    return _lead_F_values(lead, _energies(E)[0])
+
+
+def _lead_F_values(lead: LeadModel, E: np.ndarray) -> np.ndarray:
+    """`lead_F_values` on an energy array its caller has already checked."""
     if isinstance(lead, HalfLineLead):
         F = _halfline_F(lead, E)
     elif isinstance(lead, CrystallineLead):
@@ -271,7 +275,7 @@ def _clamp_im(F: np.ndarray) -> np.ndarray:
 
 def lead_F(lead: LeadModel, E: float) -> complex:
     """Boundary value F(E) of a lead at a single finite energy; Im F >= 0."""
-    return complex(lead_F_values(lead, _one_energy(E))[0])
+    return complex(_lead_F_values(lead, _one_energy(E))[0])
 
 
 def _parse_rows(path, lines) -> np.ndarray:

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import SampleEigenvalueError, SingularEnergyError
 from .jacobi import GreenMatrix2, SampleSpec, _energies, _repetition_count, _sample_key
 from .jacobi import periodized_parameters
-from .leads import LeadModel, _check_kappa, _one_energy, lead_F_values
+from .leads import LeadModel, _check_kappa, _lead_F_values, _one_energy
 
 _RESIDUAL_TOL = 1e-11
 # N-cell systems kept by _n_cell_system; each holds N*L complex and N*L - 1 real entries
@@ -103,9 +103,9 @@ def _corner_green(diag: np.ndarray, off: np.ndarray):
 
 
 def _lead_values(lead_l, lead_r, kappa, E):
-    """(F_l, F_r) at the energies E; a zero or non-finite kappa is refused first."""
+    """(F_l, F_r) at the checked energies E; a zero or non-finite kappa is refused first."""
     _check_kappa(kappa)
-    return lead_F_values(lead_l, E), lead_F_values(lead_r, E)
+    return _lead_F_values(lead_l, E), _lead_F_values(lead_r, E)
 
 
 def _coupled_corners(system, kappa, E, F_l, F_r):

@@ -9,7 +9,7 @@ import pytest
 from test_jacobi import probe_l32_sample
 from thouless_lab import cli
 from thouless_lab.cli import main
-from thouless_lab.jacobi import bloch_hamiltonian
+from thouless_lab.jacobi import SampleSpec, bloch_hamiltonian
 
 MATCHED = {
     "sample": {"L": 1, "J": [], "lambda": [0.0], "kappa_S": 1.0},
@@ -129,19 +129,23 @@ def test_transmit_diagnostics_columns(tmp_path):
     assert mid[2] == pytest.approx(1.0 / 9.0, abs=1e-6)
 
 
-def test_transmit_default_grid_spans_the_eigvalsh_hull_at_l32(tmp_path):
-    # band_spectrum's cross-check rejects this sample; its eigenvalue edges are accurate
-    sample = probe_l32_sample(1)
-    payload = {
+def l32_probe_payload(sample: SampleSpec, **sections) -> dict:
+    """A config on `sample` with two half-line leads, plus `sections`."""
+    return {
         "sample": {"J": list(sample.hop), "lambda": list(sample.onsite), "kappa_S": sample.kappa_s},
         "leads": {
             "left": {"type": "half_line", "t": 2.0, "v0": 0.0},
             "right": {"type": "half_line", "t": 2.1, "v0": 0.1},
         },
         "kappa": 0.8,
-        "energy_grid": {"count": 64},
+        **sections,
     }
-    cfg = write_config(tmp_path, payload)
+
+
+def test_transmit_default_grid_spans_the_eigvalsh_hull_at_l32(tmp_path):
+    # the trace of this sample is ill-conditioned; band_spectrum's cross-check accepts it
+    sample = probe_l32_sample(1)
+    cfg = write_config(tmp_path, l32_probe_payload(sample, energy_grid={"count": 64}))
     out = tmp_path / "t.csv"
     assert main(["transmit", "--config", cfg, "--out", str(out), "--N", "4"]) == 0
     _, rows = read_csv(out)
@@ -151,6 +155,19 @@ def test_transmit_default_grid_spans_the_eigvalsh_hull_at_l32(tmp_path):
     assert rows.shape == (64, 2)
     assert rows[0, 0] == eps.min() and rows[-1, 0] == eps.max()
     assert np.all((rows[:, 1] >= 0.0) & (rows[:, 1] <= 1.0))
+
+
+@pytest.mark.parametrize(
+    "command", [["bands"], ["currents", "--mode", "crystalline"], ["thouless"]],
+    ids=["bands", "crystalline", "thouless"],
+)
+def test_band_spectrum_commands_run_on_the_l32_probe_sample(tmp_path, command):
+    # a fixed 1e-9 trace tolerance refused this sample's bands: these commands exited 3
+    thermo = {"beta_l": 2.0, "mu_l": 0.3, "beta_r": 3.0, "mu_r": -0.3}
+    cfg = write_config(tmp_path, l32_probe_payload(probe_l32_sample(1), thermo=thermo))
+    out = tmp_path / "out.csv"
+    assert main([*command, "--config", cfg, "--out", str(out)]) == 0
+    assert out.stat().st_size > 0
 
 
 def test_transmit_requires_exactly_one_mode(tmp_path):

@@ -28,12 +28,14 @@ from thouless_lab import (
     transmittance_oracle,
     weights,
 )
+from thouless_lab import transport
 from thouless_lab.selfcheck import (
     band_interior_grid,
     covering_halfline,
     random_configuration,
     random_sample,
 )
+from thouless_lab.jacobi import transfer_step
 from thouless_lab.leads import _eigendata_values
 from thouless_lab.oracle import dirichlet_sample_green, resolvent_green
 from thouless_lab.transport import (
@@ -369,11 +371,17 @@ def test_non_finite_input_is_refused(dimer, wide_lead, evaluate):
         lambda s, lead, E: fermi_dirac(INF, 0.0, np.array([0.5, E])),
         lambda s, lead, E: weights(ThermoState(1.0, 0.0, 2.0, 0.1), E),
         lambda s, lead, E: weights(ThermoState(INF, 0.0, 2.0, 0.1), np.array([0.5, E])),
+        lambda s, lead, E: one_period_transfer(s, E),
+        lambda s, lead, E: transfer_step(s, 2, E),
+        lambda s, lead, E: lead_F_values(lead, np.array([0.5, E])),
+        lambda s, lead, E: lead_F_values(CrystallineLead(s, "l"), np.array([0.5, E])),
+        lambda s, lead, E: lead_F_values(TabulatedLead([-0.5, 0.5], [np.pi * 1j] * 2), E),
     ],
     ids=["transfer_eigendata", "crystal_m_functions", "lead_F_half_line", "lead_F_crystalline",
          "sample_green", "dirichlet_sample_green", "r_theta_diagnostic", "resolvent_green",
          "discriminant", "discriminant_array", "fermi_dirac", "fermi_dirac_array", "weights",
-         "weights_array"],
+         "weights_array", "one_period_transfer", "transfer_step", "lead_F_values_half_line",
+         "lead_F_values_crystalline", "lead_F_values_tabulated"],
 )
 def test_scalar_helper_refuses_non_finite_energy(dimer, wide_lead, evaluate, energy):
     with pytest.raises(DomainError, match="energies must be finite"):
@@ -583,6 +591,66 @@ def test_tinf_equals_oracle_with_one_matched_contact(side):
             t_oracle = transmittance_oracle(s, lead_l, lead_r, s.kappa_s, n_cells, grid)
             worst = max(worst, float(np.max(np.abs(t_inf - t_oracle))))
     assert worst <= 1e-10
+
+
+def oracle_tinf(s, lead_l, lead_r, kappa, E):
+    """T_infty from oracle T_N alone, with the energies where the fit is conditioned.
+
+    1/T_N = A + R cos(2N theta + phi0) with A^2 - R^2 = 1/T_infty^2, so y_N = 1/T_N
+    obeys y_{N+1} + y_{N-1} = 2c y_N + 2A(1 - c), c = cos 2 theta.  c and A are
+    fitted on N = 1..8, then R at the frequency arccos c; |c| < 0.95 is kept.
+    """
+    y = np.array([1.0 / transmittance_oracle(s, lead_l, lead_r, kappa, n, E) for n in range(1, 9)])
+    X = np.stack([2.0 * y[1:-1], np.ones_like(y[1:-1])], axis=-1).swapaxes(0, 1)
+    Xt = X.swapaxes(1, 2)
+    c, q = np.linalg.solve(Xt @ X, Xt @ (y[2:] + y[:-2]).T[..., None])[..., 0].T
+    A = q / (2.0 * (1.0 - c))
+    n_theta = np.arange(1, 9)[:, None] * np.arccos(np.clip(c, -1.0, 1.0))
+    Y = np.stack([np.cos(n_theta), np.sin(n_theta)], axis=-1).swapaxes(0, 1)
+    Yt = Y.swapaxes(1, 2)
+    R2 = np.sum(np.linalg.solve(Yt @ Y, Yt @ (y - A).T[..., None]) ** 2, axis=(1, 2))
+    return 1.0 / np.sqrt(A**2 - R2), np.abs(c) < 0.95
+
+
+def tinf_errors_against_the_oracle() -> np.ndarray:
+    rng = np.random.default_rng(7)
+    errors = []
+    for _ in range(8):
+        s, lead_l, lead_r, kappa = random_configuration(rng)  # both contacts mismatched
+        grid = band_interior_grid(band_spectrum(s), 40)
+        reference, kept = oracle_tinf(s, lead_l, lead_r, kappa, grid)
+        errors.append(np.abs(transmittance_inf(s, lead_l, lead_r, kappa, grid) - reference)[kept])
+    return np.concatenate(errors)
+
+
+def test_tinf_matches_an_oracle_fit_with_both_contacts_mismatched():
+    errors = tinf_errors_against_the_oracle()
+    assert errors.size > 250 and np.max(errors) <= 1e-6
+
+
+def weighted_tinf(weight_r, weight_l):
+    """transport._tinf_values with the contact terms weighted by weight_r and weight_l."""
+    def tinf(sample, kappa, ed, F_l, F_r):
+        live = transport._crystal_live(ed, F_l, F_r)
+        T = np.zeros(live.shape)
+        kS2, k2 = sample.kappa_s**2, kappa**2
+        sm_r, sm_l = kS2 * ed["m_r"][live], kS2 * ed["m_l"][live]
+        sF_r, sF_l = k2 * F_r[live], k2 * F_l[live]
+        term_r = np.abs(sm_r - sF_r) ** 2 / (sm_r.imag * sF_r.imag)
+        term_l = np.abs(sm_l - sF_l) ** 2 / (sm_l.imag * sF_l.imag)
+        T[live] = 1.0 / (1.0 + weight_r * term_r + weight_l * term_l)
+        return T
+
+    return tinf
+
+
+@pytest.mark.parametrize(
+    "weights_rl", [(0.2497, 0.2497), (0.5, 0.0), (0.0, 0.5)],
+    ids=["0.2497_for_0.25", "left_contact_dropped", "right_contact_dropped"],
+)
+def test_oracle_fit_catches_a_wrong_tinf(monkeypatch, weights_rl):
+    monkeypatch.setattr(transport, "_tinf_values", weighted_tinf(*weights_rl))
+    assert np.median(tinf_errors_against_the_oracle()) > 1e-4
 
 
 def test_r_theta_matched_vanishes(free_chain, free_lead):
