@@ -30,13 +30,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError, QuadratureError
-from .jacobi import BandSpectrum, SampleSpec, _energies, _integer, _repetition_count
+from .jacobi import BandSpectrum, SampleSpec, _energies, _real, _repetition_count
 from .jacobi import _repetition_counts, band_spectrum, thouless_conductance
 from .leads import CrystallineLead, HalfLineLead, LeadModel
 from .transport import transmittance_inf, transmittance_n
 
 log = logging.getLogger(__name__)
 
+# First-level panels per band piece (2N more for T_N) and Gauss-Legendre nodes per panel.
+_FIRST_PANELS = 8
+_GAUSS_POINTS = 12
 # Finest panel: initial width / 2^13.  Refinement is local, so the deepest
 # levels cost only the few panels that reach them (N = 64 band-edge resonances).
 _MAX_HALVINGS = 13
@@ -67,23 +70,18 @@ class ThermoState:
 
 @dataclass(frozen=True, kw_only=True)
 class QuadratureConfig:
-    """Composite Gauss-Legendre settings for band integrals.
+    """The error budget abs_tol of every band integral: a positive finite real, stored as a float.
 
-    panels_per_band is the initial number of panels per piece (a band, or
-    a part of one between breakpoints: lead support edges and zero-temperature
-    chemical potentials) of a T_infty or T = 1 integral; a T_N piece starts
-    with panels_per_band + 2N (see `_adaptive_panels` for its bound).  Panels
-    are then halved locally until the error budget abs_tol is met, for every
-    report and convergence row alike.  Each piece is integrated to its edges.
+    `_adaptive_panels` starts each piece of a band (split at lead support edges
+    and zero-temperature chemical potentials) with _FIRST_PANELS panels of
+    _GAUSS_POINTS nodes, _FIRST_PANELS + 2N for T_N, and halves them locally
+    until abs_tol is met.  A bool or a non-real abs_tol raises DomainError.
     """
 
-    panels_per_band: int = 8
-    points_per_panel: int = 12
     abs_tol: float = 1e-8
 
     def __post_init__(self):
-        if min(_integer(self.panels_per_band), _integer(self.points_per_panel)) < 1:
-            raise DomainError("panel and point counts must be positive")
+        object.__setattr__(self, "abs_tol", _real(self.abs_tol))
         if not 0.0 < self.abs_tol < math.inf:
             raise DomainError("abs_tol must be positive and finite")
 
@@ -194,37 +192,37 @@ def _gauss_legendre(points: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _adaptive_panels(spectrum, integrand_vec, quad: QuadratureConfig, breakpoints=(), panels=None):
-    """Panel-local adaptive composite Gauss-Legendre for a vector-valued integrand.
+    """Panel-local adaptive composite Gauss-Legendre, _GAUSS_POINTS nodes per panel.
 
     integrand_vec maps an energy array of length n to an (m, n) array.  Each
     piece [s0, s1] of a band split at the breakpoints is integrated over phi
     in [0, pi] with E = c - h cos(phi), c = (s0 + s1)/2, h = (s1 - s0)/2 and
     Jacobian h sin(phi), so a square-root end sqrt(E - s0) = sqrt(2h) sin(phi/2)
     is analytic and no node touches an edge.  A piece starts with `panels`
-    (default quad.panels_per_band) panels in phi.  The first integrand_vec call carries
-    the nodes of these coarse panels and of their halves, since the first
-    halving is never skipped; every later level halves the active panels
-    (each carrying its piece's c and h) in one call, and their half-sums
-    become the next level's coarse sums.  A panel is locked once
+    (default _FIRST_PANELS) panels in phi.  The first integrand_vec call
+    carries the nodes of these coarse panels and of their halves, since the
+    first halving is never skipped; every later level halves the active
+    panels (each carrying its piece's c and h) in one call, and their
+    half-sums become the next level's coarse sums.  A panel is locked once
     every finite component has |fine - coarse| < abs_tol * (its energy width)
-    / (total width).  The integral stops when every finite component's
-    sum |fine - coarse| over all panels, its error estimate, is below abs_tol.
+    / (total width).  The integral stops when every finite component's sum
+    |fine - coarse| over all panels, its error estimate, is below abs_tol.
     Non-finite components (infinite entropy weights) are skipped while coarse
     and fine agree on which are finite, and get an inf error estimate.
     Returns (values (m,), error_estimates (m,)); raises QuadratureError with
-    the partial result if panels are still active after _MAX_HALVINGS levels.
-    No call holds more panels than the finest grid of a panels_per_band start,
-    panels_per_band << _MAX_HALVINGS per piece: `panels` is capped at a quarter
-    of it, and a level that would exceed it raises QuadratureError as well.
+    the partial result if panels are still active after _MAX_HALVINGS levels,
+    or if a level would outgrow the finest grid of a _FIRST_PANELS start,
+    _FIRST_PANELS << _MAX_HALVINGS per piece; `panels` is capped at a quarter
+    of it, so no call holds more.
     """
     pieces = _pieces(spectrum, breakpoints)
     if not pieces.size:
         m = np.atleast_2d(integrand_vec(np.empty(0))).shape[0]
         return np.zeros(m), np.zeros(m)
-    xg, wg = _gauss_legendre(quad.points_per_panel)
+    xg, wg = _gauss_legendre(_GAUSS_POINTS)
     centre, half_width = pieces.mean(axis=1), (pieces[:, 1] - pieces[:, 0]) / 2.0
     budget = quad.abs_tol / (2.0 * half_width.sum())
-    finest = len(pieces) * (quad.panels_per_band << _MAX_HALVINGS)
+    finest = len(pieces) * (_FIRST_PANELS << _MAX_HALVINGS)
     # the first call always has panels, so reshape can infer m there (-1);
     # later levels reshape with m, which still works when no panel is active
     m = -1
@@ -241,7 +239,7 @@ def _adaptive_panels(spectrum, integrand_vec, quad: QuadratureConfig, breakpoint
         return (np.column_stack([lo, mid]).ravel(), np.column_stack([mid, hi]).ravel(),
                 np.repeat(c, 2), np.repeat(h, 2))
 
-    n = min(panels or quad.panels_per_band, quad.panels_per_band << (_MAX_HALVINGS - 2))
+    n = min(panels or _FIRST_PANELS, _FIRST_PANELS << (_MAX_HALVINGS - 2))
     edges = np.linspace(0.0, np.pi, n + 1)
     lo, hi = np.tile(edges[:-1], len(pieces)), np.tile(edges[1:], len(pieces))
     c, h = np.repeat(centre, n), np.repeat(half_width, n)
@@ -323,7 +321,7 @@ def _current_report(
 
     cuts = [*breakpoints, *_mu_breakpoints(thermo)]
     vals, errs = _adaptive_panels(spectrum, integrand, quad, cuts, panels)
-    phi_l, i_l, ent = (v / (2.0 * np.pi) for v in vals)
+    phi_l, i_l, ent = (v / (2.0 * np.pi) for v in vals.tolist())
     # Delta_r = -Delta_l exactly, so the right currents are exact negations;
     # 0.0 - x keeps +0.0 at equilibrium where -x would give -0.0
     phi_r, i_r = 0.0 - phi_l, 0.0 - i_l
@@ -332,38 +330,30 @@ def _current_report(
 
     if ent < -quad.abs_tol:
         raise NumericalError(f"entropy production {ent} below -abs_tol")
-    if math.isinf(thermo.beta_l) or math.isinf(thermo.beta_r):
-        balance = math.nan
-    else:
-        balance = abs(
-            ent
-            + thermo.beta_l * (phi_l - thermo.mu_l * i_l)
-            + thermo.beta_r * (phi_r - thermo.mu_r * i_r)
-        )
+    balance = math.nan
+    if math.isfinite(thermo.beta_l) and math.isfinite(thermo.beta_r):
+        balance = abs(ent + thermo.beta_l * (phi_l - thermo.mu_l * i_l)
+                      + thermo.beta_r * (phi_r - thermo.mu_r * i_r))
     return CurrentReport(
-        phi_l=float(phi_l),
-        phi_r=float(phi_r),
-        i_l=float(i_l),
-        i_r=float(i_r),
-        entropy_j=float(ent),
-        conservation_residuals=(abs(float(phi_l + phi_r)), abs(float(i_l + i_r))),
+        phi_l=phi_l, phi_r=phi_r, i_l=i_l, i_r=i_r, entropy_j=ent,
+        conservation_residuals=(abs(phi_l + phi_r), abs(i_l + i_r)),
         entropy_balance_residual=balance,
         error_estimate=float(error_estimate),
         evaluations=evaluations,
     )
 
 
-def _transmittance_profile(sample, lead_l, lead_r, kappa, n, quad, breakpoints=()):
+def _transmittance_profile(sample, lead_l, lead_r, kappa, n, breakpoints=()):
     """(T, spectrum, breakpoints, first level) of ∫ T_N (n = N >= 1) or ∫ T_infty (n None).
 
     T_N has about N resonances per band, so its pieces start with
-    panels_per_band + 2N panels.  The leads' support edges join `breakpoints`.
+    _FIRST_PANELS + 2N panels.  The leads' support edges join `breakpoints`.
     """
     spectrum = band_spectrum(sample)
     cuts = [*breakpoints, *_lead_breakpoints(sample, lead_l, lead_r)]
     if n is None:
         return lambda E: transmittance_inf(sample, lead_l, lead_r, kappa, E), spectrum, cuts, None
-    panels = quad.panels_per_band + 2 * n
+    panels = _FIRST_PANELS + 2 * n
     return lambda E: transmittance_n(sample, lead_l, lead_r, kappa, n, E), spectrum, cuts, panels
 
 
@@ -378,11 +368,10 @@ def lb_currents(
 ) -> CurrentReport:
     """Landauer-Buttiker steady currents of the N-fold repeated sample.
 
-    Each band piece starts with quad.panels_per_band + 2N panels, as in `convergence_study`.
+    Each band piece starts with _FIRST_PANELS + 2N panels, as in `convergence_study`.
     """
     n = _repetition_count(n_cells)
-    profile = _transmittance_profile(sample, lead_l, lead_r, kappa, n, quad)
-    return _current_report(thermo, quad, *profile)
+    return _current_report(thermo, quad, *_transmittance_profile(sample, lead_l, lead_r, kappa, n))
 
 
 def crystalline_currents(
@@ -394,7 +383,7 @@ def crystalline_currents(
     quad: QuadratureConfig = QuadratureConfig(),
 ) -> CurrentReport:
     """Crystalline-limit steady currents (T = T_infty over the band spectrum)."""
-    profile = _transmittance_profile(sample, lead_l, lead_r, kappa, None, quad)
+    profile = _transmittance_profile(sample, lead_l, lead_r, kappa, None)
     return _current_report(thermo, quad, *profile)
 
 
@@ -457,9 +446,10 @@ def convergence_study(
 ) -> list[ConvergenceRow]:
     """Tabulate ∫ T_N f against ∫ T_infty f for increasing N.
 
-    The weak convergence T_N -> T_infty has no rate: finite-N rows
-    oscillate, and the table reports them as computed.  Every row runs at
-    quad.abs_tol from the first level of `lb_currents`, panels_per_band + 2N
+    For a weight smooth on each band the rows fall as N^-4, about 16x per
+    doubling; a jump inside a band (an indicator window, zero temperature)
+    makes them fall slowly and not monotonically.  Every row runs at
+    quad.abs_tol from the first level of `lb_currents`, _FIRST_PANELS + 2N
     panels per piece; a row whose quadrature fails is flagged with
     converged=False and the study continues.  `weight` maps an energy array
     to weight values; pass its discontinuities in `breakpoints`, to which
@@ -469,7 +459,7 @@ def convergence_study(
 
     def integral(n_cells) -> float:
         T, spectrum, cuts, panels = _transmittance_profile(
-            sample, lead_l, lead_r, kappa, n_cells, quad, breakpoints
+            sample, lead_l, lead_r, kappa, n_cells, breakpoints
         )
         vals, _ = _adaptive_panels(
             spectrum, lambda E: (T(E) * weight(E))[None, :], quad, cuts, panels

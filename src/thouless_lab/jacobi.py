@@ -16,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -102,6 +103,13 @@ def _integer(value) -> int:
         with contextlib.suppress(TypeError):
             return operator.index(value)
     raise DomainError(f"expected an integer, got {value!r}")
+
+
+def _real(value) -> float:
+    """float(value) of a real number: numpy reals pass; "1.2", None and a bool raise DomainError."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise DomainError(f"expected a number, got {value!r}")
 
 
 def _repetition_count(n_cells) -> int:

@@ -248,13 +248,12 @@ def test_converge_matched_diffs_vanish(tmp_path):
 def test_converge_json_flags_a_failed_row(tmp_path, monkeypatch):
     # the N = 2 row's quadrature raises; its JSON row says converged = 0.0
     from thouless_lab import currents
-    from thouless_lab.currents import QuadratureConfig
     from thouless_lab.errors import QuadratureError
 
     panels = currents._adaptive_panels
 
     def failing_for_n2(spectrum, integrand, quad, breakpoints=(), first_level=None):
-        if first_level == QuadratureConfig().panels_per_band + 2 * 2:
+        if first_level == currents._FIRST_PANELS + 2 * 2:
             raise QuadratureError("forced", value=np.array([0.25]), error_estimate=np.array([1.0]))
         return panels(spectrum, integrand, quad, breakpoints, first_level)
 
@@ -456,11 +455,47 @@ MALFORMED = {
     "seed_fraction": (("seed", 2.7), [], "seed: expected an integer, got 2.7"),
     "seed_bool": (("seed", True), [], "seed: expected an integer, got True"),
     "count_fraction": (("energy_grid.count", 400.9), [], "energy_grid: expected an integer"),
+    # the panel count and Gauss order are constants of the library: their former keys are refused
     "panels_fraction": (
-        ("quadrature", {"panels_per_band": 2.5}), [], "quadrature: expected an integer, got 2.5"
+        ("quadrature", {"panels_per_band": 2.5}), [],
+        "quadrature: unknown key(s) ['panels_per_band']",
     ),
     "points_bool": (
-        ("quadrature", {"points_per_panel": True}), [], "quadrature: expected an integer"
+        ("quadrature", {"points_per_panel": True}), [],
+        "quadrature: unknown key(s) ['points_per_panel']",
+    ),
+    "panels_default": (
+        ("quadrature", {"panels_per_band": 8}), [], "quadrature: unknown key(s) ['panels_per_band']"
+    ),
+    "points_default": (
+        ("quadrature", {"points_per_panel": 12}), [],
+        "quadrature: unknown key(s) ['points_per_panel']",
+    ),
+    # float keys take JSON numbers only: float() would read true as 1.0 and "1.2" as 1.2
+    "kappa_bool": (("kappa", True), [], "kappa: expected a number, got True"),
+    "abs_tol_bool": (
+        ("quadrature", {"abs_tol": True}), [], "quadrature: expected a number, got True"
+    ),
+    "abs_tol_numeric_string": (
+        ("quadrature", {"abs_tol": "1e-8"}), [], "quadrature: expected a number, got '1e-8'"
+    ),
+    "onsite_numeric_string": (
+        ("sample.lambda", ["0.5"]), [], "sample: expected a number, got '0.5'"
+    ),
+    "onsite_bool": (("sample.lambda", [False]), [], "sample: expected a number, got False"),
+    "hopping_numeric_string": (
+        ("sample", {"J": ["1.0"], "lambda": [0.0, 0.0], "kappa_S": 1.0}), [],
+        "sample: expected a number, got '1.0'",
+    ),
+    "kappa_s_bool": (("sample.kappa_S", True), [], "sample: expected a number, got True"),
+    "lead_t_numeric_string": (
+        (f"{HALF_LINE}.t", "1.2"), [], f"{HALF_LINE}: expected a number, got '1.2'"
+    ),
+    "lead_v0_bool": ((f"{HALF_LINE}.v0", False), [], f"{HALF_LINE}: expected a number, got False"),
+    "mu_numeric_string": (("thermo.mu_r", "0.5"), [], "thermo: expected a number, got '0.5'"),
+    "beta_bool": (("thermo.beta_r", True), [], "thermo: expected a number or 'inf'"),
+    "values_bool": (
+        ("energy_grid", {"values": [0.1, True]}), [], "energy_grid: expected a number, got True"
     ),
 }
 

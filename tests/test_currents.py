@@ -1,3 +1,5 @@
+import contextlib
+import dataclasses
 import math
 
 import numpy as np
@@ -30,6 +32,15 @@ from thouless_lab.selfcheck import _CHECK_STATES, random_configuration
 SQRT2 = np.sqrt(2.0)
 # the error estimate holds no rounding term, so a bound check allows a few ulps
 ROUNDING = 8 * np.finfo(float).eps
+
+
+@contextlib.contextmanager
+def _gauss_rule(monkeypatch, panels, points):
+    """Band integrals start from `panels` first-level panels of `points` nodes inside the block."""
+    with monkeypatch.context() as m:
+        m.setattr(currents, "_FIRST_PANELS", panels)
+        m.setattr(currents, "_GAUSS_POINTS", points)
+        yield
 
 
 def test_fermi_midpoint_and_limits():
@@ -142,10 +153,10 @@ def test_repeated_breakpoint_splits_once(free_chain):
     assert results[0] == results[1]
 
 
-def test_integrate_bands_failure_carries_partial(free_chain):
+def test_integrate_bands_failure_carries_partial(free_chain, monkeypatch):
     spectrum = band_spectrum(free_chain)
-    quad = QuadratureConfig(panels_per_band=1, points_per_panel=2, abs_tol=1e-12)
-    with pytest.raises(QuadratureError) as exc_info:
+    quad = QuadratureConfig(abs_tol=1e-12)
+    with _gauss_rule(monkeypatch, panels=1, points=2), pytest.raises(QuadratureError) as exc_info:
         _adaptive_panels(spectrum, lambda E: np.sin(3.0e5 * E + 0.7), quad)
     assert exc_info.value.value is not None
 
@@ -166,7 +177,7 @@ def test_integrate_bands_narrow_lorentzian_refines_locally(free_chain):
     assert err >= abs(value - exact) - ROUNDING * exact
     # the first call holds the coarse level and the first halving
     levels = sum(1 for n in sizes if n)
-    uniform_last_level = quad.points_per_panel * quad.panels_per_band * 2**levels
+    uniform_last_level = currents._GAUSS_POINTS * currents._FIRST_PANELS * 2**levels
     assert levels >= 10
     assert sum(sizes) < uniform_last_level / 4
 
@@ -233,7 +244,7 @@ def test_gauss_rule_is_built_once_per_order(free_chain, monkeypatch):
     th = ThermoState(2.0, 0.3, 2.0, -0.3)
     thouless_currents(free_chain, th)
     thouless_currents(free_chain, th)
-    assert built == [QuadratureConfig().points_per_panel]
+    assert built == [currents._GAUSS_POINTS]
 
 
 def test_report_evaluations_are_pinned(free_chain, dimer, wide_lead):
@@ -281,8 +292,8 @@ def test_report_integrand_calls_are_pinned(free_chain, dimer, wide_lead, monkeyp
 
 def test_lb_currents_on_a_resonant_narrow_band_case_meet_abs_tol():
     # the 6th selfcheck configuration of seed 11: L = 7, bands as narrow as 3e-3;
-    # reference from QuadratureConfig(abs_tol=1e-12, points_per_panel=24,
-    # panels_per_band=64)
+    # reference from QuadratureConfig(abs_tol=1e-12) on 64 first-level panels
+    # of 24 points
     rng = np.random.default_rng(11)
     for _ in range(6):
         sample, lead_l, lead_r, kappa = random_configuration(rng)
@@ -313,7 +324,8 @@ def test_lb_estimate_bounds_the_error_on_a_narrow_band(monkeypatch):
 
     quad = QuadratureConfig()
     rep = report(quad)
-    ref = report(QuadratureConfig(abs_tol=1e-12, points_per_panel=24, panels_per_band=64))
+    with _gauss_rule(monkeypatch, panels=64, points=24):
+        ref = report(QuadratureConfig(abs_tol=1e-12))
     error = max(abs(getattr(rep, f) - getattr(ref, f)) for f in ("phi_l", "i_l", "entropy_j"))
     assert error <= rep.error_estimate <= quad.abs_tol
 
@@ -331,7 +343,7 @@ def test_lb_n64_converges_with_local_refinement():
     assert math.isfinite(rep.error_estimate)
 
 
-def test_lb_n256_converges_with_a_first_level_growing_with_n():
+def test_lb_n256_converges_with_a_first_level_growing_with_n(monkeypatch):
     # the 2nd random_configuration draw of rng seed 2 (L = 3): with 8 panels
     # per piece for every N, lb_currents raised QuadratureError at N = 256
     rng = np.random.default_rng(2)
@@ -339,17 +351,18 @@ def test_lb_n256_converges_with_a_first_level_growing_with_n():
         sample, lead_l, lead_r, kappa = random_configuration(rng)
     thermo, quad = _CHECK_STATES[1], QuadratureConfig()
     rep = lb_currents(sample, lead_l, lead_r, kappa, 256, thermo, quad)
-    ref = lb_currents(sample, lead_l, lead_r, kappa, 256, thermo,
-                      QuadratureConfig(abs_tol=1e-11, points_per_panel=24, panels_per_band=64))
+    with _gauss_rule(monkeypatch, panels=64, points=24):
+        ref = lb_currents(sample, lead_l, lead_r, kappa, 256, thermo,
+                          QuadratureConfig(abs_tol=1e-11))
     error = max(abs(getattr(rep, f) - getattr(ref, f)) for f in ("phi_l", "i_l", "entropy_j"))
     assert error <= rep.error_estimate <= quad.abs_tol
 
 
 def test_t_n_calls_stay_within_the_finest_grid_at_large_n(dimer, wide_lead, monkeypatch):
-    # the first level panels_per_band + 2N is capped at panels_per_band << 11
+    # the first level _FIRST_PANELS + 2N is capped at _FIRST_PANELS << 11
     # per piece, and refinement stops before a call would exceed the finest
-    # grid of a panels_per_band start, panels_per_band << 13 per piece: at
-    # N = 10^6 no call is larger than with a flat panels_per_band start
+    # grid of a _FIRST_PANELS start, _FIRST_PANELS << 13 per piece: at
+    # N = 10^6 no call is larger than with a flat _FIRST_PANELS start
     sizes = []
     weights_orig = currents.weights
 
@@ -358,7 +371,9 @@ def test_t_n_calls_stay_within_the_finest_grid_at_large_n(dimer, wide_lead, monk
         return weights_orig(thermo, E)
 
     monkeypatch.setattr(currents, "weights", recording_weights)
-    quad = QuadratureConfig(panels_per_band=1, points_per_panel=4)
+    monkeypatch.setattr(currents, "_FIRST_PANELS", 1)
+    monkeypatch.setattr(currents, "_GAUSS_POINTS", 4)
+    quad = QuadratureConfig()
     finest = 2 * (1 << 13) * 4  # two bands
     th = ThermoState(2.0, 0.3, 3.0, -0.3)
     with pytest.raises(QuadratureError, match="after 2 panel halvings"):
@@ -376,7 +391,7 @@ def test_t_n_calls_stay_within_the_finest_grid_at_large_n(dimer, wide_lead, monk
 
 
 @pytest.mark.parametrize("n_cells", [None, 4], ids=["crystalline", "finite_N4"])
-def test_lead_support_edges_inside_a_band_are_breakpoints(n_cells):
+def test_lead_support_edges_inside_a_band_are_breakpoints(n_cells, monkeypatch):
     # the L=1 sample's band [-2.118, 2.142] holds all three bands of the left
     # lead's sample, so T has square-root kinks at their edges inside it
     sample = SampleSpec((), (0.01206,), 1.0651)
@@ -391,7 +406,8 @@ def test_lead_support_edges_inside_a_band_are_breakpoints(n_cells):
 
     quad = QuadratureConfig()
     rep = report(quad)
-    ref = report(QuadratureConfig(abs_tol=1e-11, points_per_panel=24, panels_per_band=64))
+    with _gauss_rule(monkeypatch, panels=64, points=24):
+        ref = report(QuadratureConfig(abs_tol=1e-11))
     assert rep.i_l == pytest.approx(ref.i_l, abs=quad.abs_tol)
     assert max(rep.conservation_residuals) <= 2.0 * quad.abs_tol
 
@@ -522,10 +538,19 @@ def test_zero_temperature_conductance_reads_the_cached_spectrum(dimer, wide_lead
      {"points_per_panel": "12"}],
     ids=["panels_float", "panels_integral_float", "points_bool", "points_string"],
 )
-def test_quadrature_counts_must_be_integers(kwargs):
-    with pytest.raises(DomainError, match="expected an integer"):
+def test_removed_quadrature_counts_are_refused(kwargs):
+    # the panel count and Gauss order are constants of _adaptive_panels
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
         QuadratureConfig(**kwargs)
-    assert QuadratureConfig(panels_per_band=np.int64(4)).panels_per_band == 4
+    assert [f.name for f in dataclasses.fields(QuadratureConfig)] == ["abs_tol"]
+
+
+@pytest.mark.parametrize("abs_tol", [True, "1e-8", None, [1e-8]])
+def test_abs_tol_must_be_a_real_number(abs_tol):
+    with pytest.raises(DomainError, match="expected a number"):
+        QuadratureConfig(abs_tol=abs_tol)
+    tol = QuadratureConfig(abs_tol=np.float32(0.5)).abs_tol
+    assert type(tol) is float and tol == 0.5
 
 
 def test_zero_temperature_conductance_window_validation(dimer, wide_lead):
@@ -566,6 +591,19 @@ def test_convergence_mismatch_improves(free_chain, free_lead):
     assert all(r.converged for r in rows)
 
 
+def test_convergence_on_a_smooth_weight_falls_as_n_to_the_minus_4():
+    # e^{-E^2} is smooth on every band: the rows fell 14.5-20.6x per doubling
+    # on these draws, and 16.0-16.4x at the last one
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        sample, lead_l, lead_r, kappa = random_configuration(rng)
+        rows = convergence_study(sample, lead_l, lead_r, kappa, lambda E: np.exp(-E**2),
+                                 [8, 16, 32, 64, 128], QuadratureConfig(abs_tol=1e-12))
+        assert all(row.converged for row in rows)
+        diffs = [row.abs_diff for row in rows]
+        assert all(a >= 10.0 * b for a, b in zip(diffs, diffs[1:])), diffs
+
+
 def test_convergence_n_list_validation(free_chain, free_lead):
     for n_list in ([4, 2], [1, 1], []):
         with pytest.raises(DomainError, match="n_list must be nonempty and strictly increasing"):
@@ -601,8 +639,9 @@ def test_convergence_rows_match_series_oracle(free_chain, free_lead):
         (oracle,), _ = _adaptive_panels(
             spectrum,
             lambda E: series_integrand(E, row.n_cells),
-            QuadratureConfig(abs_tol=1e-8, panels_per_band=8 + 2 * row.n_cells),
+            QuadratureConfig(abs_tol=1e-8),
             breakpoints=window,
+            panels=currents._FIRST_PANELS + 2 * row.n_cells,
         )
         assert row.integral_n == pytest.approx(oracle, abs=1e-6)
 
