@@ -37,7 +37,7 @@ from .currents import (
     thouless_currents,
 )
 from .errors import ConfigError, DomainError, ThoulessLabError
-from .jacobi import SampleSpec, _energies, _integer, _real, _repetition_count
+from .jacobi import SampleSpec, _finite, _integer, _real, _repetition_count
 from .jacobi import _repetition_counts, band_spectrum, bloch_eigenvalues
 from .leads import CrystallineLead, HalfLineLead, LeadModel, _check_kappa, load_tabulated_csv
 from .selfcheck import run_selfcheck
@@ -104,7 +104,7 @@ class _Section:
             raise ConfigError(f"{self.where}: {exc}") from exc
 
 
-# iterating or converting a bad value; a library check (_integer, _real); an unreadable lead file
+# a library refusal (a number rule, a constructor); a non-list where one belongs; an unreadable file
 _READ_ERRORS = (TypeError, ValueError, OverflowError, OSError, ThoulessLabError)
 
 _ROOT_KEYS = {"sample", "leads", "kappa", "thermo", "quadrature", "energy_grid", "output", "seed"}
@@ -124,7 +124,7 @@ def _parse_sample(raw, where: str = "sample") -> SampleSpec:
         J, lam, kappa_s = d["J"], d["lambda"], d["kappa_S"]
         if "L" in d and _integer(d["L"]) != len(lam):
             raise ConfigError(f"{where}: L={d['L']} inconsistent with {len(lam)} onsite values")
-        return SampleSpec(tuple(map(_real, J)), tuple(map(_real, lam)), _real(kappa_s))
+        return SampleSpec(J, lam, kappa_s)
 
 
 def _parse_lead(raw, sample: SampleSpec, where: str) -> LeadModel:
@@ -135,7 +135,7 @@ def _parse_lead(raw, sample: SampleSpec, where: str) -> LeadModel:
             raise ConfigError(f"{where}: unknown lead type {kind!r}")
         _reject_unknown(d, keys, where)
         if kind == "half_line":
-            return HalfLineLead(t=_real(d["t"]), v0=_real(d.get("v0", 0.0)))
+            return HalfLineLead(t=d["t"], v0=d.get("v0", 0.0))
         if kind == "tabulated":
             return load_tabulated_csv(_path(d["path"], f"{where}.path"))
         ref = d.get("sample", "self")
@@ -166,16 +166,13 @@ def parse_config(data) -> RunConfig:
         kappa = None
         if "kappa" in root:
             with _Section("kappa", root):
-                kappa = _real(root["kappa"])
-                _check_kappa(kappa)
+                kappa = _check_kappa(root["kappa"])
 
         thermo = None
         if "thermo" in root:
             with _Section("thermo", root["thermo"], {"beta_l", "mu_l", "beta_r", "mu_r"}) as d:
-                thermo = ThermoState(
-                    _parse_beta(d["beta_l"]), _real(d["mu_l"]),
-                    _parse_beta(d["beta_r"]), _real(d["mu_r"]),
-                )
+                thermo = ThermoState(_parse_beta(d["beta_l"]), d["mu_l"],
+                                     _parse_beta(d["beta_r"]), d["mu_r"])
 
         with _Section("quadrature", root.get("quadrature", {}), {"abs_tol"}) as d:
             quad = QuadratureConfig(**d)  # the library's number rule reads abs_tol
@@ -184,10 +181,9 @@ def parse_config(data) -> RunConfig:
         if "energy_grid" in root:
             with _Section("energy_grid", root["energy_grid"], {"count", "values"}) as d:
                 if "values" in d:
-                    grid_values = tuple(map(_real, d["values"]))
+                    grid_values = tuple(map(_finite, d["values"]))  # each: numpy reads true as 1.0
                     if not grid_values:
                         raise ConfigError("energy_grid.values: must be nonempty")
-                    _energies(grid_values)
                 elif "count" in d:
                     grid_count = _integer(d["count"])
                     if grid_count < 2:

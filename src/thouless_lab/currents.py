@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError, QuadratureError
-from .jacobi import BandSpectrum, SampleSpec, _energies, _real, _repetition_count
+from .jacobi import BandSpectrum, SampleSpec, _energies, _finite, _real, _repetition_count
 from .jacobi import _repetition_counts, band_spectrum, thouless_conductance
 from .leads import CrystallineLead, HalfLineLead, LeadModel
 from .transport import transmittance_inf, transmittance_n
@@ -56,12 +56,10 @@ class ThermoState:
 
     def __post_init__(self):
         for name in ("beta_l", "mu_l", "beta_r", "mu_r"):
-            v = float(getattr(self, name))
+            v = (_real if name.startswith("beta") else _finite)(getattr(self, name))
             object.__setattr__(self, name, v)
             if name.startswith("beta") and not v > 0.0:
                 raise DomainError(f"{name} must be positive (math.inf allowed)")
-            if name.startswith("mu") and not math.isfinite(v):
-                raise DomainError(f"{name} must be finite, got {v}")
 
     @property
     def is_equilibrium(self) -> bool:
@@ -75,14 +73,14 @@ class QuadratureConfig:
     `_adaptive_panels` starts each piece of a band (split at lead support edges
     and zero-temperature chemical potentials) with _FIRST_PANELS panels of
     _GAUSS_POINTS nodes, _FIRST_PANELS + 2N for T_N, and halves them locally
-    until abs_tol is met.  A bool or a non-real abs_tol raises DomainError.
+    until abs_tol is met.  abs_tol follows the `_finite` number rule.
     """
 
     abs_tol: float = 1e-8
 
     def __post_init__(self):
-        object.__setattr__(self, "abs_tol", _real(self.abs_tol))
-        if not 0.0 < self.abs_tol < math.inf:
+        object.__setattr__(self, "abs_tol", _finite(self.abs_tol))
+        if not self.abs_tol > 0.0:
             raise DomainError("abs_tol must be positive and finite")
 
 
@@ -115,10 +113,12 @@ def fermi_dirac(beta: float, mu: float, E):
     """Fermi-Dirac occupation 1 / (1 + e^{beta (E - mu)}), overflow-safe.
 
     beta = math.inf yields the indicator of E < mu with value 1/2 at E = mu.
+    beta and mu pass `ThermoState`'s rule, whose errors name them beta_l and mu_l.
     Accepts finite scalars or arrays.
     """
+    state = ThermoState(beta, mu, beta, mu)
     E_arr, scalar = _energies(E)
-    out = _occupation(beta, mu, E_arr)
+    out = _occupation(state.beta_l, state.mu_l, E_arr)
     return float(out[0]) if scalar else out
 
 
@@ -412,12 +412,12 @@ def zero_temperature_conductance(
     band spectrum the report used, dominates it, with equality for matched
     (reflectionless) leads.
     """
-    if not mu_r > mu_l:
-        raise DomainError("window must satisfy mu_l < mu_r")
     thermo = ThermoState(math.inf, mu_l, math.inf, mu_r)
+    if not thermo.mu_r > thermo.mu_l:
+        raise DomainError("window must satisfy mu_l < mu_r")
     report = crystalline_currents(sample, lead_l, lead_r, kappa, thermo, quad)
     g = report.i_r / (thermo.mu_r - thermo.mu_l)
-    g_th = thouless_conductance(sample, (mu_l, mu_r))
+    g_th = thouless_conductance(sample, (thermo.mu_l, thermo.mu_r))
     if g > g_th + quad.abs_tol:
         raise NumericalError(f"g = {g} exceeds its Thouless bound {g_th}")
     return g, g_th

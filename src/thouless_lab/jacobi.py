@@ -57,11 +57,11 @@ class SampleSpec:
     kappa_s: float
 
     def __post_init__(self):
-        hop = tuple(float(j) for j in self.hop)
-        onsite = tuple(float(v) for v in self.onsite)
+        hop = tuple(map(_finite, self.hop))
+        onsite = tuple(map(_finite, self.onsite))
         object.__setattr__(self, "hop", hop)
         object.__setattr__(self, "onsite", onsite)
-        object.__setattr__(self, "kappa_s", float(self.kappa_s))
+        object.__setattr__(self, "kappa_s", _finite(self.kappa_s))
         if len(onsite) < 1:
             raise DomainError("sample needs at least one site")
         if len(hop) != len(onsite) - 1:
@@ -72,8 +72,6 @@ class SampleSpec:
             raise DomainError("all hoppings J_x must be nonzero")
         if self.kappa_s == 0.0:
             raise DomainError("kappa_s must be nonzero")
-        if not all(np.isfinite(hop + onsite + (self.kappa_s,))):
-            raise DomainError("sample parameters must be finite")
 
     @property
     def length(self) -> int:
@@ -106,10 +104,18 @@ def _integer(value) -> int:
 
 
 def _real(value) -> float:
-    """float(value) of a real number: numpy reals pass; "1.2", None and a bool raise DomainError."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+    """float(value) of a real number, floats first; "1.2", None and a bool raise DomainError."""
+    if isinstance(value, float) or isinstance(value, numbers.Real) and not isinstance(value, bool):
         return float(value)
     raise DomainError(f"expected a number, got {value!r}")
+
+
+def _finite(value) -> float:
+    """`_real(value)`, refusing nan and ±inf with DomainError: the constructors' number rule."""
+    x = _real(value)
+    if not math.isfinite(x):
+        raise DomainError(f"expected a finite number, got {x!r}")
+    return x
 
 
 def _repetition_count(n_cells) -> int:
@@ -195,9 +201,13 @@ def transfer_step(sample: SampleSpec, x: int, E: float) -> TransferMatrix2:
 def _energies(E) -> tuple[np.ndarray, bool]:
     """(E as a float array, whether E was a scalar; a scalar becomes shape (1,)).
 
-    Refuses non-finite energies: the energy rule of every entry point.
+    Refuses non-real dtypes (bool, string, object, complex) and non-finite
+    energies: the energy rule of every entry point.
     """
-    E = np.asarray(E, dtype=float)
+    E = np.asarray(E)
+    if E.dtype.kind not in "fiu":
+        raise DomainError(f"energies must be real numbers, got dtype {E.dtype}")
+    E = E.astype(float, copy=False)
     scalar = E.ndim == 0
     if scalar:
         E = E.reshape(1)
@@ -306,6 +316,7 @@ def bloch_eigenvalues(sample: SampleSpec, k: float) -> np.ndarray:
     k must lie in the first Brillouin zone [-pi/L, pi/L].
     """
     L = sample.length
+    k = _finite(k)
     if abs(k) > np.pi / L + 1e-12:
         raise DomainError(f"k={k} outside the Brillouin zone [-pi/{L}, pi/{L}]")
     return np.linalg.eigvalsh(bloch_hamiltonian(sample, k))
@@ -408,7 +419,7 @@ def thouless_conductance(sample: SampleSpec, window: tuple[float, float]) -> flo
     edges of `band_spectrum`; `window` is a finite closed interval of
     positive length.
     """
-    lo, hi = float(window[0]), float(window[1])
-    if not (hi > lo and np.isfinite(hi - lo)):
+    lo, hi = _finite(window[0]), _finite(window[1])
+    if not (hi > lo and math.isfinite(hi - lo)):
         raise DomainError("window must be finite with positive length")
     return float(band_spectrum(sample).intersection_measure(lo, hi) / (2.0 * np.pi * (hi - lo)))

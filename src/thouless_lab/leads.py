@@ -25,14 +25,13 @@ sample from that data, through ``_clamp_im``, the Im-floor clamp of
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, OffSpectrumError
-from .jacobi import SampleSpec, _energies, _one_period_abcd, _real_eigvec2
+from .jacobi import SampleSpec, _energies, _finite, _one_period_abcd, _real_eigvec2
 
 # Im F above this threshold counts as essential support.
 SUPPORT_TOL = 1e-12
@@ -50,9 +49,9 @@ class HalfLineLead:
     v0: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "t", float(self.t))
-        object.__setattr__(self, "v0", float(self.v0))
-        if self.t == 0.0 or not (math.isfinite(self.t) and math.isfinite(self.v0)):
+        object.__setattr__(self, "t", _finite(self.t))
+        object.__setattr__(self, "v0", _finite(self.v0))
+        if self.t == 0.0:
             raise DomainError(f"half-line t must be nonzero, t and v0 finite: ({self.t}, {self.v0})")
 
 
@@ -64,6 +63,8 @@ class CrystallineLead:
     side: str = "r"
 
     def __post_init__(self):
+        if not isinstance(self.sample, SampleSpec):
+            raise DomainError(f"crystalline lead needs a SampleSpec, got {self.sample!r}")
         if self.side not in ("l", "r"):
             raise DomainError("crystalline lead side must be 'l' or 'r'")
 
@@ -81,11 +82,11 @@ class TabulatedLead:
     values: np.ndarray
 
     def __post_init__(self):
-        E = np.asarray(self.energies, dtype=float)
+        E = _energies(self.energies)[0]
         F = np.asarray(self.values, dtype=complex)
         if E.ndim != 1 or F.shape != E.shape or E.size < 2:
             raise DomainError("tabulated lead needs matching 1-d grids with >= 2 points")
-        if not (np.isfinite(E).all() and np.isfinite(F).all()):
+        if not np.isfinite(F).all():
             raise DomainError("tabulated energies and values must be finite")
         if not np.all(np.diff(E) > 0):
             raise DomainError("tabulated energies must be strictly increasing")
@@ -107,14 +108,19 @@ LeadModel = HalfLineLead | CrystallineLead | TabulatedLead
 
 
 def _one_energy(E) -> np.ndarray:
-    """The single finite energy E as a 1-element float array; DomainError if not finite."""
-    return _energies(float(E))[0]
+    """The single energy E as a 1-element float array, by the `_energies` rule."""
+    E, scalar = _energies(E)
+    if not scalar:
+        raise DomainError(f"expected one energy, got an array of shape {E.shape}")
+    return E
 
 
-def _check_kappa(kappa: float) -> None:
-    """Refuse a zero (decoupling) or non-finite coupling kappa."""
-    if kappa == 0.0 or not math.isfinite(kappa):
+def _check_kappa(kappa) -> float:
+    """The coupling kappa as a float by the `_finite` rule; a zero (decoupling) kappa is refused."""
+    kappa = _finite(kappa)
+    if kappa == 0.0:
         raise DomainError(f"coupling kappa must be nonzero and finite, got {kappa}")
+    return kappa
 
 
 def _halfline_F(lead: HalfLineLead, E: np.ndarray) -> np.ndarray:

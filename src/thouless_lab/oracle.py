@@ -103,9 +103,9 @@ def _corner_green(diag: np.ndarray, off: np.ndarray):
 
 
 def _lead_values(lead_l, lead_r, kappa, E):
-    """(F_l, F_r) at the checked energies E; a zero or non-finite kappa is refused first."""
-    _check_kappa(kappa)
-    return _lead_F_values(lead_l, E), _lead_F_values(lead_r, E)
+    """(kappa by `_check_kappa`, F_l, F_r) at the checked energies E; kappa is read first."""
+    kappa = _check_kappa(kappa)
+    return kappa, _lead_F_values(lead_l, E), _lead_F_values(lead_r, E)
 
 
 def _coupled_corners(system, kappa, E, F_l, F_r):
@@ -128,7 +128,7 @@ def resolvent_green(
     """Full 2x2 Green matrix between the end sites of the coupled N-cell system."""
     n_cells = _repetition_count(n_cells)
     E_arr = _one_energy(E)
-    F_l, F_r = _lead_values(lead_l, lead_r, kappa, E_arr)
+    kappa, F_l, F_r = _lead_values(lead_l, lead_r, kappa, E_arr)
     *corners, ok = _coupled_corners(_n_cell_system(sample, n_cells), kappa, E_arr, F_l, F_r)
     if not ok[0]:
         raise SingularEnergyError(f"the solve at E={E} fails the residual gate {_RESIDUAL_TOL:g}")
@@ -167,7 +167,7 @@ def transmittance_oracle(
     """
     E_arr, scalar = _energies(E)
     system = _n_cell_system(sample, n_cells)
-    F_l, F_r = _lead_values(lead_l, lead_r, kappa, E_arr)
+    kappa, F_l, F_r = _lead_values(lead_l, lead_r, kappa, E_arr)
     live = (F_l.imag > 0.0) & (F_r.imag > 0.0)
     T = np.zeros(E_arr.shape)
     if live.any():

@@ -183,12 +183,12 @@ def sample_green(sample: SampleSpec, n_cells: int, E: float) -> GreenMatrix2:
 
 
 def _transport_inputs(sample, lead_l, lead_r, kappa, E: np.ndarray):
-    """(eigendata, F_l, F_r) from one eigendata evaluation of the energy array.
+    """(kappa, eigendata, F_l, F_r) from one eigendata evaluation of the energy array.
 
     A CrystallineLead on a sample equal to this one takes F from its m_l or m_r.
-    Every transport quantity passes here first, which refuses a zero or non-finite kappa.
+    Every transport quantity passes here first, which reads kappa by `_check_kappa`.
     """
-    _check_kappa(kappa)
+    kappa = _check_kappa(kappa)
     ed = _eigendata_values(sample, E)
 
     def boundary_values(lead):
@@ -196,10 +196,10 @@ def _transport_inputs(sample, lead_l, lead_r, kappa, E: np.ndarray):
             return _clamp_im(ed["m_l"] if lead.side == "l" else ed["m_r"])
         return lead_F_values(lead, E)
 
-    return ed, boundary_values(lead_l), boundary_values(lead_r)
+    return kappa, ed, boundary_values(lead_l), boundary_values(lead_r)
 
 
-def _full_green_lr_values(sample, kappa, n_cells, ed, F_l, F_r):
+def _full_green_lr_values(sample, n_cells, kappa, ed, F_l, F_r):
     """Off-diagonal element G_lr^(N) of the coupled-system Green matrix, vectorized.
 
     With f = kappa^2 F and w T_L^N = [[A, B], [C, D]] from `_power_entries`,
@@ -231,9 +231,9 @@ def _clamp_unit(T: np.ndarray, what: str) -> np.ndarray:
     return np.clip(T, 0.0, 1.0)
 
 
-def _tn_values(sample, kappa, n_cells, ed, F_l, F_r) -> np.ndarray:
+def _tn_values(sample, n_cells, kappa, ed, F_l, F_r) -> np.ndarray:
     """T_N on the whole array; 0 off the leads' common support and where singular."""
-    g_lr = _full_green_lr_values(sample, kappa, n_cells, ed, F_l, F_r)
+    g_lr = _full_green_lr_values(sample, n_cells, kappa, ed, F_l, F_r)
     with np.errstate(invalid="ignore", over="ignore"):
         vals = 4.0 * kappa**4 * np.abs(g_lr) ** 2 * F_l.imag * F_r.imag
     live = (F_l.imag > SUPPORT_TOL) & (F_r.imag > SUPPORT_TOL)
@@ -260,7 +260,7 @@ def transmittance_n(
     """
     n_cells = _repetition_count(n_cells)
     E_arr, scalar = _energies(E)
-    T = _tn_values(sample, kappa, n_cells, *_transport_inputs(sample, lead_l, lead_r, kappa, E_arr))
+    T = _tn_values(sample, n_cells, *_transport_inputs(sample, lead_l, lead_r, kappa, E_arr))
     return float(T[0]) if scalar else T
 
 
@@ -296,7 +296,7 @@ def transmittance_inf(
     exclusion zone (a measure-zero set).  Accepts scalars or arrays.
     """
     E_arr, scalar = _energies(E)
-    T = _tinf_values(sample, kappa, *_transport_inputs(sample, lead_l, lead_r, kappa, E_arr))
+    T = _tinf_values(sample, *_transport_inputs(sample, lead_l, lead_r, kappa, E_arr))
     return float(T[0]) if scalar else T
 
 
@@ -323,15 +323,15 @@ def _r_theta_from(sample, kappa, ed, F_l, F_r):
 
 def _r_theta_values(sample, lead_l, lead_r, kappa, E: np.ndarray):
     """Vectorized (r, vartheta, theta, live) of the oscillation polar decomposition."""
-    return _r_theta_from(sample, kappa, *_transport_inputs(sample, lead_l, lead_r, kappa, E))
+    return _r_theta_from(sample, *_transport_inputs(sample, lead_l, lead_r, kappa, E))
 
 
 def _diagnostic_columns(sample, lead_l, lead_r, kappa, n_cells, E: np.ndarray):
     """Columns (T, r, theta) of `transmit --diagnostics`; T is T_infty if n_cells is None."""
     inputs = _transport_inputs(sample, lead_l, lead_r, kappa, E)
-    T = (_tinf_values(sample, kappa, *inputs) if n_cells is None
-         else _tn_values(sample, kappa, n_cells, *inputs))
-    r, _, theta, _ = _r_theta_from(sample, kappa, *inputs)
+    T = (_tinf_values(sample, *inputs) if n_cells is None
+         else _tn_values(sample, n_cells, *inputs))
+    r, _, theta, _ = _r_theta_from(sample, *inputs)
     return np.column_stack([T, r, theta])
 
 

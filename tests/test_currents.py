@@ -604,6 +604,23 @@ def test_convergence_on_a_smooth_weight_falls_as_n_to_the_minus_4():
         assert all(a >= 10.0 * b for a, b in zip(diffs, diffs[1:])), diffs
 
 
+def test_convergence_with_a_jump_inside_a_band_has_no_n_to_the_minus_4_rate():
+    # an indicator jumping at 37 % of the widest band (a zero-temperature
+    # occupation): max(row 32, row 64) / row 8 measured 0.20-0.45 on these
+    # draws, where an N^-4 rate would give 1/4096
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        sample, lead_l, lead_r, kappa = random_configuration(rng)
+        lo, hi = max(band_spectrum(sample).bands, key=lambda band: band[1] - band[0])
+        jump = lo + 0.37 * (hi - lo)
+        rows = convergence_study(sample, lead_l, lead_r, kappa,
+                                 lambda E: (E <= jump).astype(float), [8, 16, 32, 64],
+                                 breakpoints=(jump,))
+        assert all(row.converged for row in rows)
+        diffs = [row.abs_diff for row in rows]
+        assert max(diffs[2], diffs[3]) > diffs[0] / 100.0, diffs
+
+
 def test_convergence_n_list_validation(free_chain, free_lead):
     for n_list in ([4, 2], [1, 1], []):
         with pytest.raises(DomainError, match="n_list must be nonempty and strictly increasing"):

@@ -484,7 +484,7 @@ def test_full_green_reduces_to_greenfull_small_at_n1(rng):
         det = np.linalg.det(np.eye(2) - kappa**2 * gs.as_array() @ F)
         expected = gs.g_lr / det
         inputs = _transport_inputs(s, lead_l, lead_r, kappa, np.array([E]))
-        (got,) = _full_green_lr_values(s, kappa, 1, *inputs)
+        (got,) = _full_green_lr_values(s, 1, *inputs)
         assert got == pytest.approx(expected, rel=1e-9)
 
 
@@ -495,7 +495,7 @@ def test_full_green_decoupling_limit(rng):
     E = float(grid[2])
     gs = sample_green(s, 3, E)
     inputs = _transport_inputs(s, lead_l, lead_r, 1e-9, np.array([E]))
-    (got,) = _full_green_lr_values(s, 1e-9, 3, *inputs)
+    (got,) = _full_green_lr_values(s, 3, *inputs)
     assert got == pytest.approx(gs.g_lr, rel=1e-6)
 
 
