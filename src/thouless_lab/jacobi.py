@@ -187,23 +187,35 @@ class GreenMatrix2:
 def transfer_step(sample: SampleSpec, x: int, E: float) -> TransferMatrix2:
     """One-site transfer matrix A_x(E) = (1/J_x) [[E - lambda_x, -1], [J_x^2, 0]].
 
-    The site index is periodized, so x = L uses J_L = kappa_s.
+    The site index is periodized, so x = L uses J_L = kappa_s.  x is read by
+    the `_integer` rule and E by the `_real` rule.
     """
+    x = _integer(x)
     if x < 1:
         raise DomainError("site index must be >= 1")
-    if not math.isfinite(E):
-        raise DomainError("energies must be finite")
+    E = _finite_energy(E)
     J = sample.hopping(x)
     lam = sample.onsite_at(x)
-    return TransferMatrix2((E - lam) / J, -1.0 / J, J, 0.0, float(E))
+    return TransferMatrix2((E - lam) / J, -1.0 / J, J, 0.0, E)
+
+
+def _finite_energy(E) -> float:
+    """One energy as a float by the `_real` rule, refusing nan and ±inf as `_energies` does."""
+    E = _real(E)
+    if not math.isfinite(E):
+        raise DomainError("energies must be finite")
+    return E
 
 
 def _energies(E) -> tuple[np.ndarray, bool]:
     """(E as a float array, whether E was a scalar; a scalar becomes shape (1,)).
 
     Refuses non-real dtypes (bool, string, object, complex) and non-finite
-    energies: the energy rule of every entry point.
+    energies: the energy rule of every entry point.  A Python or numpy
+    float skips the asarray and dtype round trip.
     """
+    if isinstance(E, float):
+        return np.array([_finite_energy(E)]), True
     E = np.asarray(E)
     if E.dtype.kind not in "fiu":
         raise DomainError(f"energies must be real numbers, got dtype {E.dtype}")
@@ -259,9 +271,7 @@ def _trace_slope(sample: SampleSpec, E):
 
 def one_period_transfer(sample: SampleSpec, E: float) -> TransferMatrix2:
     """One-period transfer matrix T_L(E) = A_L(E) ... A_1(E), always unimodular."""
-    E = float(E)
-    if not math.isfinite(E):
-        raise DomainError("energies must be finite")
+    E = _finite_energy(E)
     a, b, c, d = _one_period_abcd(sample, E)
     return TransferMatrix2(float(a), float(b), float(c), float(d), E)
 

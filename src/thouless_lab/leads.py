@@ -83,7 +83,10 @@ class TabulatedLead:
 
     def __post_init__(self):
         E = _energies(self.energies)[0]
-        F = np.asarray(self.values, dtype=complex)
+        F = np.asarray(self.values)
+        if F.dtype.kind not in "fiuc":
+            raise DomainError(f"tabulated values must be numbers, got dtype {F.dtype}")
+        F = F.astype(complex, copy=False)
         if E.ndim != 1 or F.shape != E.shape or E.size < 2:
             raise DomainError("tabulated lead needs matching 1-d grids with >= 2 points")
         if not np.isfinite(F).all():
@@ -251,8 +254,8 @@ def lead_F_values(lead: LeadModel, E) -> np.ndarray:
 def _lead_F_values(lead: LeadModel, E: np.ndarray) -> np.ndarray:
     """`lead_F_values` on an energy array its caller has already checked."""
     if isinstance(lead, HalfLineLead):
-        F = _halfline_F(lead, E)
-    elif isinstance(lead, CrystallineLead):
+        return _halfline_F(lead, E)  # Im F >= +0 and Re F != -0: the clamp would keep every bit
+    if isinstance(lead, CrystallineLead):
         m_l, m_r, _ = _crystal_m_values(lead.sample, E)
         F = m_l if lead.side == "l" else m_r
     elif isinstance(lead, TabulatedLead):
@@ -270,7 +273,10 @@ def _lead_F_values(lead: LeadModel, E: np.ndarray) -> np.ndarray:
 
 
 def _clamp_im(F: np.ndarray) -> np.ndarray:
-    """Boundary values with Im F in [-1e-12, 0) (rounding below the axis) set to Im 0."""
+    """Boundary values with Im F in [-1e-12, 0) (rounding below the axis) set to Im 0.
+
+    Serves the crystalline and tabulated F; a half-line's F needs no clamp.
+    """
     im = F.imag
     # one NaN-skipping minimum (inf when empty) decides whether any entry needs the mask
     if np.fmin.reduce(im, axis=None, initial=np.inf) < 0.0:

@@ -6,15 +6,19 @@ self-energies, so the sample block of the full resolvent is
 
     G(E) = (h_S^(N) - E - kappa^2 F_l(E) P_1 - kappa^2 F_r(E) P_NL)^{-1},
 
-an NL x NL complex tridiagonal system per energy.  The systems of all the
-energies of one call are laid out as the blocks of one block-diagonal
-tridiagonal matrix, with zero coupling between blocks, and solved by one
+an NL x NL complex tridiagonal system per energy.  For every number K of
+energies there is one stacked solve: the K systems are laid out as the
+blocks of one block-diagonal tridiagonal matrix, on the flat (K NL)-row
+arrays, with zero coupling between blocks, and solved by one
 partial-pivoted LAPACK LU (gtsv, the routine scipy's ``solve_banded`` uses
 for one sub- and one super-diagonal).  Each energy's solution passes a
 1e-11 residual gate on its own; a system that fails it is solved again
-alone, so a singular energy neither stops nor pollutes the others.  This
-path depends only on the periodized Jacobi parameters and the lead boundary
-values; it shares nothing with the closed-form evaluation it validates.
+alone, so a singular energy neither stops nor pollutes the others.  A
+single energy is assembled in Python floats and complex numbers around a
+K = 1 solve, in the array path's order of operations, so it returns the
+same bits as the matching entry of an array call.  This path depends only
+on the periodized Jacobi parameters and the lead boundary values; it
+shares nothing with the closed-form evaluation it validates.
 
 The N-cell system is built once per (sample, N): a bounded cache keyed on
 ``jacobi._sample_key`` (the frozen ``SampleSpec`` and the signs of its zero
@@ -70,28 +74,36 @@ def _corner_green(diag: np.ndarray, off: np.ndarray):
     shared real off-diagonal of length n - 1.  Returns (g_11, g_1n, g_n1,
     g_nn, ok), each of length K; ok[k] is False where system k failed the
     residual gate, and its corners are then meaningless.
+
+    The K systems are solved and checked as one flat (K n)-row stack: the
+    coupling between consecutive systems is zero, so each row's residual
+    is that of its own system, and the squares are summed per system.  A
+    non-finite solution makes the zero coupling add a NaN to its
+    neighbours' residuals, which only sends them to their lone re-solve.
     """
     K, n = diag.shape
-    rhs = np.zeros((K, n, 2), dtype=complex)
-    rhs[:, 0, 0] = 1.0
-    rhs[:, -1, 1] = 1.0
+    d = diag.ravel()
+    rhs = np.zeros((K * n, 2), dtype=complex)
+    rhs[::n, 0] = 1.0
+    rhs[n - 1 :: n, 1] = 1.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if n == 1:  # 1 x 1 systems: divide, as solve_banded does
-            x = rhs / diag[:, :, None]
+            x = rhs / d[:, None]
             info = 0
         else:
-            coupling = np.zeros((K, n), dtype=complex)
+            coupling = np.zeros((K, n))
             coupling[:, :-1] = off
             coupling = coupling.ravel()[:-1]
-            _, _, _, x, info = _zgtsv()(coupling, diag.ravel(), coupling, rhs.reshape(K * n, 2))
-            x = x.reshape(K, n, 2)
-        r = diag[:, :, None] * x - rhs
-        r[:, :-1] += off[None, :, None] * x[:, 1:]
-        r[:, 1:] += off[None, :, None] * x[:, :-1]
-        # the 2-norm over each column, as np.linalg.norm(r, axis=1) computes it
-        resid = np.sqrt(np.add.reduce((r.conj() * r).real, axis=1))
+            _, _, _, x, info = _zgtsv()(coupling, d, coupling, rhs)
+        r = d[:, None] * x - rhs
+        if n > 1:
+            r[:-1] += coupling[:, None] * x[1:]
+            r[1:] += coupling[:, None] * x[:-1]
+        # the 2-norm over each system's column, as np.linalg.norm(r, axis=1) computes it
+        resid = np.sqrt(np.add.reduce((r.conj() * r).real.reshape(K, n, 2), axis=1))
     # a zero pivot stops gtsv for the whole stack: no system is solved then
     ok = (resid <= _RESIDUAL_TOL).all(axis=1) & (info == 0)
+    x = x.reshape(K, n, 2)
     corners = [x[:, 0, 0], x[:, 0, 1], x[:, -1, 0], x[:, -1, 1]]
     if K > 1 and not ok.all():
         for k in np.flatnonzero(~ok):
@@ -109,8 +121,17 @@ def _lead_values(lead_l, lead_r, kappa, E):
 
 
 def _coupled_corners(system, kappa, E, F_l, F_r):
-    """`_corner_green` of the boundary-self-energy systems of the N-cell `system` at E."""
+    """`_corner_green` of the boundary-self-energy systems of the N-cell `system` at E.
+
+    E, F_l and F_r are arrays of K values, or one float and two complex
+    numbers, whose K = 1 system is assembled in the array path's order.
+    """
     diag, off = system
+    if isinstance(E, float):
+        d = diag - E
+        d[0] -= kappa**2 * F_l
+        d[-1] -= kappa**2 * F_r
+        return _corner_green(d[None, :], off)
     d = diag - E[:, None]
     d[:, 0] -= kappa**2 * F_l
     d[:, -1] -= kappa**2 * F_r
@@ -129,7 +150,8 @@ def resolvent_green(
     n_cells = _repetition_count(n_cells)
     E_arr = _one_energy(E)
     kappa, F_l, F_r = _lead_values(lead_l, lead_r, kappa, E_arr)
-    *corners, ok = _coupled_corners(_n_cell_system(sample, n_cells), kappa, E_arr, F_l, F_r)
+    E_one, f_l, f_r = float(E_arr[0]), complex(F_l[0]), complex(F_r[0])
+    *corners, ok = _coupled_corners(_n_cell_system(sample, n_cells), kappa, E_one, f_l, f_r)
     if not ok[0]:
         raise SingularEnergyError(f"the solve at E={E} fails the residual gate {_RESIDUAL_TOL:g}")
     return GreenMatrix2(*(complex(g[0]) for g in corners), float(E), n_cells)
@@ -163,11 +185,24 @@ def transmittance_oracle(
 
     Accepts a scalar or an array of energies.  T_N is 0 where either lead
     has Im F = 0; the other energies are solved together, and any one that
-    fails the residual gate raises SingularEnergyError.
+    fails the residual gate raises SingularEnergyError.  A single energy is
+    assembled in Python floats around its K = 1 solve, in the array path's
+    order, so it returns the same bits.
     """
     E_arr, scalar = _energies(E)
     system = _n_cell_system(sample, n_cells)
     kappa, F_l, F_r = _lead_values(lead_l, lead_r, kappa, E_arr)
+    if scalar:
+        E_one, f_l, f_r = float(E_arr[0]), complex(F_l[0]), complex(F_r[0])
+        if not (f_l.imag > 0.0 and f_r.imag > 0.0):
+            return 0.0
+        _, g_lr, _, _, ok = _coupled_corners(system, kappa, E_one, f_l, f_r)
+        if not ok[0]:
+            raise SingularEnergyError(
+                f"the solve at E={E_one} fails the residual gate {_RESIDUAL_TOL:g}"
+            )
+        g_abs = abs(complex(g_lr[0]))  # libm hypot, as in the array path
+        return 4.0 * kappa**4 * (g_abs * g_abs) * f_l.imag * f_r.imag
     live = (F_l.imag > 0.0) & (F_r.imag > 0.0)
     T = np.zeros(E_arr.shape)
     if live.any():
@@ -180,4 +215,4 @@ def transmittance_oracle(
         # hypot is what abs(complex) computes; np.abs rounds differently
         g_abs = np.hypot(g_lr.real, g_lr.imag)
         T[live] = 4.0 * kappa**4 * g_abs**2 * F_l.imag * F_r.imag
-    return float(T[0]) if scalar else T
+    return T

@@ -14,7 +14,7 @@ from thouless_lab import (
     lead_F_values,
     load_tabulated_csv,
 )
-from thouless_lab.leads import SUPPORT_TOL, _clamp_im
+from thouless_lab.leads import SUPPORT_TOL, _clamp_im, _halfline_F
 from thouless_lab.selfcheck import band_interior_grid, random_sample
 
 
@@ -81,6 +81,30 @@ def test_halfline_array_equals_scalar_calls_across_both_edges(t, v0):
     assert np.all(F.imag >= 0.0)
     # |F|^2 = 1/t^2 in band; off band the decaying root is the smaller one
     assert np.all(np.abs(F) <= (1.0 + 1e-12) / abs(t))
+
+
+@pytest.mark.parametrize("t, v0", [(1.3, 0.2), (-0.7, -0.4)])
+def test_halfline_F_is_unchanged_by_the_clamp(t, v0):
+    # Im F >= +0 and Re F != -0 by construction, so lead_F_values skips _clamp_im
+    lead = HalfLineLead(t, v0)
+    w = 2.0 * abs(t)
+    edges = np.array([v0 - w, v0 + w])
+    far = np.logspace(-300, 300, 121)
+    E = np.concatenate([
+        np.linspace(v0 - 2.0 * w, v0 + 2.0 * w, 81),
+        [0.0, -0.0, v0],
+        edges,
+        np.nextafter(edges, [-np.inf, np.inf]),
+        np.nextafter(edges, [np.inf, -np.inf]),
+        far,
+        -far,
+        v0 + far,
+        v0 - far,
+    ])
+    with np.errstate(over="ignore", invalid="ignore"):  # (E - v0)^2 overflows past 1e154
+        F = _halfline_F(lead, E)
+        np.testing.assert_array_equal(_bits(_clamp_im(F)), _bits(F))
+    np.testing.assert_array_equal(_bits(lead_F_values(lead, E[:81])), _bits(F[:81]))
 
 
 def test_clamp_im_zeroes_only_rounding_below_the_axis():

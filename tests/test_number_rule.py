@@ -20,6 +20,7 @@ from thouless_lab import (
     bloch_eigenvalues,
     fermi_dirac,
     lead_F,
+    one_period_transfer,
     thouless_conductance,
     transmittance_inf,
     transmittance_n,
@@ -27,6 +28,7 @@ from thouless_lab import (
     weights,
     zero_temperature_conductance,
 )
+from thouless_lab.jacobi import transfer_step
 from thouless_lab.leads import _check_kappa
 
 DIMER = SampleSpec((1.0,), (0.0, 0.0), 0.5)
@@ -65,6 +67,8 @@ CALLED = {
     "fermi_dirac_mu": lambda v: fermi_dirac(1.0, v, 0.3),
     "fermi_dirac_energy": lambda v: fermi_dirac(1.0, 0.0, v),
     "weights_energy": lambda v: weights(ThermoState(1.0, 0.0, 2.0, 0.0), v),
+    "one_period_transfer_energy": lambda v: one_period_transfer(DIMER, v),
+    "transfer_step_energy": lambda v: transfer_step(DIMER, 1, v),
 }
 
 
@@ -96,6 +100,24 @@ def test_tabulated_lead_stores_real_energy_arrays_as_float64():
         assert lead.energies.dtype == np.float64
     with pytest.raises(DomainError, match="energies must be finite"):
         TabulatedLead([0.0, math.inf], [0.5j, 0.5j])
+
+
+def test_transfer_step_reads_its_site_index_by_the_integer_rule():
+    for bad in (True, 2.0, "2", None):
+        with pytest.raises(DomainError, match="expected an integer"):
+            transfer_step(DIMER, bad, 0.3)
+    assert transfer_step(DIMER, np.int64(2), 0.3) == transfer_step(DIMER, 2, 0.3)
+    with pytest.raises(DomainError, match="site index must be >= 1"):
+        transfer_step(DIMER, 0, 0.3)
+
+
+@pytest.mark.parametrize(
+    "values", [["0.5j", "0.5j"], [True, False], [0.5j, None]], ids=["str", "bool", "object"]
+)
+def test_tabulated_lead_refuses_non_numeric_values(values):
+    # np.asarray(..., dtype=complex) would parse the strings and read True as 1+0j
+    with pytest.raises(DomainError, match="tabulated values must be numbers"):
+        TabulatedLead([0.0, 1.0], values)
 
 
 def test_scalar_helpers_take_one_energy():

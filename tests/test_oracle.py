@@ -2,15 +2,18 @@ import inspect
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from thouless_lab import (
+    CrystallineLead,
     HalfLineLead,
     SampleEigenvalueError,
     SampleSpec,
     SingularEnergyError,
+    TabulatedLead,
     band_spectrum,
     lead_F,
     resolvent_green,
@@ -204,19 +207,60 @@ def test_gate_flags_energies_next_to_an_eigenvalue():
         dirichlet_sample_green(sample, 2, float(grid[0]))
 
 
+def _assert_array_oracle_equals_scalar_calls(s, lead_l, lead_r, kappa, n):
+    lo, hi = band_spectrum(s).hull
+    grid = np.linspace(lo - 1.0, hi + 1.0, 23)
+    T = transmittance_oracle(s, lead_l, lead_r, kappa, n, grid)
+    assert type(T) is np.ndarray and T.shape == grid.shape
+    scalar = [transmittance_oracle(s, lead_l, lead_r, kappa, n, float(E)) for E in grid]
+    assert all(type(t) is float for t in scalar)
+    np.testing.assert_array_equal(_bits(T), _bits(np.array(scalar)))
+    return T
+
+
 def test_array_oracle_equals_scalar_calls(rng, dimer, wide_lead):
     for _ in range(6):
         s, lead_l, lead_r, kappa = random_configuration(rng)
         n = int(rng.integers(1, 17))
-        lo, hi = band_spectrum(s).hull
-        grid = np.linspace(lo - 1.0, hi + 1.0, 23)
-        T = transmittance_oracle(s, lead_l, lead_r, kappa, n, grid)
-        assert type(T) is np.ndarray and T.shape == grid.shape
-        scalar = [transmittance_oracle(s, lead_l, lead_r, kappa, n, float(E)) for E in grid]
-        assert all(type(t) is float for t in scalar)
-        np.testing.assert_array_equal(_bits(T), _bits(np.array(scalar)))
+        _assert_array_oracle_equals_scalar_calls(s, lead_l, lead_r, kappa, n)
     T = transmittance_oracle(dimer, wide_lead, wide_lead, 1.0, 3, np.array(0.0))
     assert type(T) is float
+    # a crystalline lead on another sample, a tabulated lead, and an n = 1 system
+    s, lead_l, lead_r, kappa = random_configuration(rng)
+    crystal = CrystallineLead(random_sample(rng), "l")
+    assert np.any(_assert_array_oracle_equals_scalar_calls(s, crystal, lead_r, kappa, 5) > 0.0)
+    w = 2.0 * abs(lead_l.t)
+    table_grid = np.linspace(lead_l.v0 - w - 1.0, lead_l.v0 + w + 1.0, 401)
+    table = TabulatedLead(table_grid, lead_F_values(lead_l, table_grid))
+    assert np.any(_assert_array_oracle_equals_scalar_calls(s, table, lead_r, kappa, 3) > 0.0)
+    site = SampleSpec(hop=(), onsite=(0.3,), kappa_s=0.8)
+    lead_l, lead_r = HalfLineLead(1.1, 0.2), HalfLineLead(0.9, -0.1)
+    assert np.any(_assert_array_oracle_equals_scalar_calls(site, lead_l, lead_r, 0.7, 1) > 0.0)
+
+
+def test_single_energy_corners_equal_a_k1_solve(rng):
+    # the corners of the single-energy entry points are those of _corner_green
+    # on the K = 1 system that the array path assembles
+    for _ in range(8):
+        s, lead_l, lead_r, kappa = random_configuration(rng)
+        n = int(rng.integers(1, 9))
+        grid = np.linspace(*band_spectrum(s).hull, 7)
+        diag, off = periodized_parameters(s, n)
+        d = diag.astype(complex) - grid[:, None]
+        d[:, 0] -= kappa**2 * lead_F_values(lead_l, grid)
+        d[:, -1] -= kappa**2 * lead_F_values(lead_r, grid)
+        for k, E in enumerate(grid):
+            *coupled, ok = _corner_green(d[k : k + 1], off)
+            *dirichlet, dirichlet_ok = _corner_green((diag.astype(complex) - E)[None, :], off)
+            assert ok[0] and dirichlet_ok[0]
+            g = resolvent_green(s, n, lead_l, lead_r, kappa, float(E))
+            np.testing.assert_array_equal(
+                _bits(np.array([g.g_ll, g.g_lr, g.g_rl, g.g_rr])), _bits(np.ravel(coupled))
+            )
+            g = dirichlet_sample_green(s, n, float(E))
+            np.testing.assert_array_equal(
+                _bits(np.array([g.g_ll, g.g_lr, g.g_rl, g.g_rr])), _bits(np.ravel(dirichlet))
+            )
 
 
 def test_off_support_energies_skip_the_solver(monkeypatch, dimer, wide_lead):
@@ -253,6 +297,23 @@ def test_array_oracle_raises_on_a_gated_energy(monkeypatch, dimer, wide_lead):
     monkeypatch.setattr(oracle, "_corner_green", one_fails)
     with pytest.raises(SingularEnergyError, match="E=-0.5"):
         transmittance_oracle(dimer, wide_lead, wide_lead, 1.0, 2, np.array([-1.0, -0.5, 1.0]))
+
+
+def test_scalar_oracle_raises_on_a_gated_energy(monkeypatch, dimer, wide_lead):
+    solves = []
+
+    def fails(diag, off):
+        *corners, ok = _corner_green(diag, off)
+        solves.append(diag.shape[0])
+        ok[0] = False
+        return (*corners, ok)
+
+    monkeypatch.setattr(oracle, "_corner_green", fails)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularEnergyError, match="E=-0.5 "):
+            transmittance_oracle(dimer, wide_lead, wide_lead, 1.0, 2, -0.5)
+    assert solves == [1]
 
 
 def test_cached_system_is_read_only_and_periodized_parameters_stay_fresh(dimer):
