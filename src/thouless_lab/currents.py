@@ -32,12 +32,12 @@ import numpy as np
 from .errors import DomainError, NumericalError, QuadratureError
 from .jacobi import BandSpectrum, SampleSpec, _energies, _finite, _real, _repetition_count
 from .jacobi import _repetition_counts, band_spectrum, thouless_conductance
-from .leads import CrystallineLead, HalfLineLead, LeadModel
+from .leads import LeadModel, _support_edges
 from .transport import transmittance_inf, transmittance_n
 
 log = logging.getLogger(__name__)
 
-# First-level panels per band piece (2N more for T_N) and Gauss-Legendre nodes per panel.
+# First-level panels per band piece (see `_transmittance_profile`); Gauss nodes per panel.
 _FIRST_PANELS = 8
 _GAUSS_POINTS = 12
 # Finest panel: initial width / 2^13.  Refinement is local, so the deepest
@@ -70,10 +70,8 @@ class ThermoState:
 class QuadratureConfig:
     """The error budget abs_tol of every band integral: a positive finite real, stored as a float.
 
-    `_adaptive_panels` starts each piece of a band (split at lead support edges
-    and zero-temperature chemical potentials) with _FIRST_PANELS panels of
-    _GAUSS_POINTS nodes, _FIRST_PANELS + 2N for T_N, and halves them locally
-    until abs_tol is met.  abs_tol follows the `_finite` number rule.
+    `_adaptive_panels` halves the first-level panels of `_transmittance_profile`
+    locally until abs_tol is met.  abs_tol follows the `_finite` number rule.
     """
 
     abs_tol: float = 1e-8
@@ -199,7 +197,7 @@ def _adaptive_panels(spectrum, integrand_vec, quad: QuadratureConfig, breakpoint
     in [0, pi] with E = c - h cos(phi), c = (s0 + s1)/2, h = (s1 - s0)/2 and
     Jacobian h sin(phi), so a square-root end sqrt(E - s0) = sqrt(2h) sin(phi/2)
     is analytic and no node touches an edge.  A piece starts with `panels`
-    (default _FIRST_PANELS) panels in phi.  The first integrand_vec call
+    panels in phi (see `_transmittance_profile`).  The first integrand_vec call
     carries the nodes of these coarse panels and of their halves, since the
     first halving is never skipped; every later level halves the active
     panels (each carrying its piece's c and h) in one call, and their
@@ -285,22 +283,6 @@ def _mu_breakpoints(thermo: ThermoState) -> list[float]:
     return [mu for beta, mu in pairs if math.isinf(beta)]
 
 
-def _lead_breakpoints(sample: SampleSpec, lead_l: LeadModel, lead_r: LeadModel) -> list[float]:
-    """Support edges of the leads, where T has a square-root kink inside a band.
-
-    A half-line contributes v0 ± 2|t|, a crystalline lead the band edges of its
-    own sample; one on `sample` itself shares the band edges and adds none,
-    and neither does a tabulated lead.
-    """
-    cuts: list[float] = []
-    for lead in (lead_l, lead_r):
-        if isinstance(lead, HalfLineLead):
-            cuts += [lead.v0 - 2.0 * abs(lead.t), lead.v0 + 2.0 * abs(lead.t)]
-        elif isinstance(lead, CrystallineLead) and lead.sample != sample:
-            cuts += [E for band in band_spectrum(lead.sample).bands for E in band]
-    return cuts
-
-
 def _current_report(
     thermo: ThermoState, quad: QuadratureConfig, T_of_E, spectrum, breakpoints=(), panels=None
 ) -> CurrentReport:
@@ -346,11 +328,12 @@ def _current_report(
 def _transmittance_profile(sample, lead_l, lead_r, kappa, n, breakpoints=()):
     """(T, spectrum, breakpoints, first level) of ∫ T_N (n = N >= 1) or ∫ T_infty (n None).
 
-    T_N has about N resonances per band, so its pieces start with
-    _FIRST_PANELS + 2N panels.  The leads' support edges join `breakpoints`.
+    The first-level panel rule of every band integral: each piece starts with
+    _FIRST_PANELS panels, and a T_N piece, with about N resonances, with
+    _FIRST_PANELS + 2N.  The leads' support edges join `breakpoints`.
     """
     spectrum = band_spectrum(sample)
-    cuts = [*breakpoints, *_lead_breakpoints(sample, lead_l, lead_r)]
+    cuts = [*breakpoints, *_support_edges(sample, lead_l), *_support_edges(sample, lead_r)]
     if n is None:
         return lambda E: transmittance_inf(sample, lead_l, lead_r, kappa, E), spectrum, cuts, None
     panels = _FIRST_PANELS + 2 * n
@@ -368,7 +351,7 @@ def lb_currents(
 ) -> CurrentReport:
     """Landauer-Buttiker steady currents of the N-fold repeated sample.
 
-    Each band piece starts with _FIRST_PANELS + 2N panels, as in `convergence_study`.
+    The first level follows `_transmittance_profile`.
     """
     n = _repetition_count(n_cells)
     return _current_report(thermo, quad, *_transmittance_profile(sample, lead_l, lead_r, kappa, n))
@@ -449,8 +432,8 @@ def convergence_study(
     For a weight smooth on each band the rows fall as N^-4, about 16x per
     doubling; a jump inside a band (an indicator window, zero temperature)
     makes them fall slowly and not monotonically.  Every row runs at
-    quad.abs_tol from the first level of `lb_currents`, _FIRST_PANELS + 2N
-    panels per piece; a row whose quadrature fails is flagged with
+    quad.abs_tol from the first level of `_transmittance_profile`; a row
+    whose quadrature fails is flagged with
     converged=False and the study continues.  `weight` maps an energy array
     to weight values; pass its discontinuities in `breakpoints`, to which
     the leads' support edges are added.

@@ -33,6 +33,8 @@ _TRACE_TOL = 1e-9
 _SLOPE_MULTIPLE = 4.0
 # Band spectra kept by band_spectrum; each holds L band edge pairs and its key
 _SPECTRUM_CACHE_SIZE = 64
+# The error of a non-finite energy, one or in an array.
+_NOT_FINITE = "energies must be finite"
 
 
 @dataclass(frozen=True)
@@ -110,23 +112,29 @@ def _real(value) -> float:
     raise DomainError(f"expected a number, got {value!r}")
 
 
-def _finite(value) -> float:
-    """`_real(value)`, refusing nan and ±inf with DomainError: the constructors' number rule."""
+def _finite(value, error: str = "expected a finite number, got {!r}") -> float:
+    """`_real(value)`, refusing nan and ±inf with DomainError(error): the library's number rule."""
     x = _real(value)
     if not math.isfinite(x):
-        raise DomainError(f"expected a finite number, got {x!r}")
+        raise DomainError(error.format(x))
     return x
 
 
-def _repetition_count(n_cells) -> int:
-    """N as an int >= 1 by the `_integer` rule."""
+def _count(name: str, value, least: int) -> int:
+    """`value` as an int >= least (0 or 1) by the `_integer` rule; DomainError naming it."""
     try:
-        n = _integer(n_cells)
+        n = _integer(value)
     except DomainError:
-        n = 0
-    if n < 1:
-        raise DomainError(f"n_cells must be a positive integer, got {n_cells!r}")
+        n = least - 1
+    if n < least:
+        kind = "positive" if least else "non-negative"
+        raise DomainError(f"{name} must be a {kind} integer, got {value!r}")
     return n
+
+
+def _repetition_count(n_cells) -> int:
+    """N as an int >= 1 by the `_count` rule."""
+    return _count("n_cells", n_cells, 1)
 
 
 def _repetition_counts(n_list) -> list[int]:
@@ -193,30 +201,32 @@ def transfer_step(sample: SampleSpec, x: int, E: float) -> TransferMatrix2:
     x = _integer(x)
     if x < 1:
         raise DomainError("site index must be >= 1")
-    E = _finite_energy(E)
+    E = _finite(E, _NOT_FINITE)
     J = sample.hopping(x)
     lam = sample.onsite_at(x)
     return TransferMatrix2((E - lam) / J, -1.0 / J, J, 0.0, E)
 
 
-def _finite_energy(E) -> float:
-    """One energy as a float by the `_real` rule, refusing nan and ±inf as `_energies` does."""
-    E = _real(E)
-    if not math.isfinite(E):
-        raise DomainError("energies must be finite")
-    return E
+def _numbers(values, rule: str) -> np.ndarray:
+    """np.asarray(values); a bool in a list or tuple (read as 0 or 1) raises DomainError(rule)."""
+    arr = np.asarray(values)
+    if isinstance(values, (list, tuple)) and arr.dtype.kind in "fiuc":
+        for v in np.array(values, dtype=object).flat:
+            if isinstance(v, (bool, np.bool_)):
+                raise DomainError(f"{rule}, got {v!r} in a {type(values).__name__}")
+    return arr
 
 
 def _energies(E) -> tuple[np.ndarray, bool]:
     """(E as a float array, whether E was a scalar; a scalar becomes shape (1,)).
 
-    Refuses non-real dtypes (bool, string, object, complex) and non-finite
-    energies: the energy rule of every entry point.  A Python or numpy
-    float skips the asarray and dtype round trip.
+    Refuses non-real dtypes (bool, string, object, complex), a bool inside a
+    list or tuple, and non-finite energies: the energy rule of every entry
+    point.  A Python or numpy float skips the asarray and dtype round trip.
     """
     if isinstance(E, float):
-        return np.array([_finite_energy(E)]), True
-    E = np.asarray(E)
+        return np.array([_finite(E, _NOT_FINITE)]), True
+    E = _numbers(E, "energies must be real numbers")
     if E.dtype.kind not in "fiu":
         raise DomainError(f"energies must be real numbers, got dtype {E.dtype}")
     E = E.astype(float, copy=False)
@@ -224,7 +234,7 @@ def _energies(E) -> tuple[np.ndarray, bool]:
     if scalar:
         E = E.reshape(1)
     if not np.isfinite(E).all():
-        raise DomainError("energies must be finite")
+        raise DomainError(_NOT_FINITE)
     return E, scalar
 
 
@@ -271,7 +281,7 @@ def _trace_slope(sample: SampleSpec, E):
 
 def one_period_transfer(sample: SampleSpec, E: float) -> TransferMatrix2:
     """One-period transfer matrix T_L(E) = A_L(E) ... A_1(E), always unimodular."""
-    E = _finite_energy(E)
+    E = _finite(E, _NOT_FINITE)
     a, b, c, d = _one_period_abcd(sample, E)
     return TransferMatrix2(float(a), float(b), float(c), float(d), E)
 

@@ -11,11 +11,13 @@ absolutely continuous spectrum.  Three lead families are supported:
   onsite v0, Dirichlet boundary; F solves t^2 F^2 + (E - v0) F + 1 = 0.
 * ``TabulatedLead`` -- linear interpolation of user-supplied boundary data.
 
+``_support_edges`` gives the edges of each lead's support {Im F > 0}.
+
 ``_eigendata_values`` is the one source of one-period transfer data: from a
 single evaluation of T_L(E) it returns the entries of T_L, the growing
 off-band eigenvalue and the one band-edge exclusion rule (``in_band`` and
-``edge``), and, on their first read, the eigenvalue, in-band phase,
-m-functions and off-band eigenvectors that ``transport`` builds on.  Inside
+``edge``), and, on their first read, the in-band phase, m-functions and
+off-band eigenvectors that ``transport`` builds on.  Inside
 the bands the Herglotz root m_r is computed first and m_l follows from it,
 m_l = 1/(kappa_s^2 conj(m_r)); outside them both are read from the real
 eigenvectors.  ``transport`` reads the F of a ``CrystallineLead`` on its own
@@ -31,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, OffSpectrumError
-from .jacobi import SampleSpec, _energies, _finite, _one_period_abcd, _real_eigvec2
+from .jacobi import SampleSpec, _energies, _finite, _numbers, _one_period_abcd, _real_eigvec2
+from .jacobi import band_spectrum
 
 # Im F above this threshold counts as essential support.
 SUPPORT_TOL = 1e-12
@@ -83,7 +86,7 @@ class TabulatedLead:
 
     def __post_init__(self):
         E = _energies(self.energies)[0]
-        F = np.asarray(self.values)
+        F = _numbers(self.values, "tabulated values must be numbers")
         if F.dtype.kind not in "fiuc":
             raise DomainError(f"tabulated values must be numbers, got dtype {F.dtype}")
         F = F.astype(complex, copy=False)
@@ -126,20 +129,24 @@ def _check_kappa(kappa) -> float:
     return kappa
 
 
+@np.errstate(over="ignore", invalid="ignore")  # x^2 overflows past |x| = 1.3e154
 def _halfline_F(lead: HalfLineLead, E: np.ndarray) -> np.ndarray:
-    """Roots of t^2 F^2 + (E - v0) F + 1 = 0: Im > 0 inside the band, decaying outside."""
+    """Roots of t^2 F^2 + x F + 1 = 0, x = E - v0: Im > 0 inside the band, decaying outside.
+
+    The decaying root is -sign(x) / (h + sqrt(h - |t|) sqrt(h + |t|)), h = |x|/2:
+    its terms have one sign, so nothing cancels, and nothing overflows.
+    """
     t2 = lead.t * lead.t
     x = E - lead.v0
     disc = x * x - 4.0 * t2
-    sq = np.sqrt(np.abs(disc))
-    out = (-x + 1j * sq) / (2.0 * t2)
-    outside = ~(disc < 0.0)
-    if outside.any():
-        r1 = (-x + sq) / (2.0 * t2)
-        r2 = (-x - sq) / (2.0 * t2)
-        # product of roots is 1/t^2: the decaying solution is the root of smaller modulus
-        out = np.where(outside, np.where(np.abs(r1) <= np.abs(r2), r1, r2), out)
-    return out
+    F = (-x + 1j * np.sqrt(np.abs(disc))) / (2.0 * t2)
+    inside = disc < 0.0
+    if not inside.all():
+        outside = ~inside
+        xo = x[outside]
+        h, t = np.abs(xo) / 2.0, abs(lead.t)
+        F[outside] = -np.sign(xo) / (h + np.sqrt(np.maximum(h - t, 0.0)) * np.sqrt(h + t))
+    return F
 
 
 class _StagedData(dict):
@@ -166,11 +173,11 @@ def _eigendata_values(sample: SampleSpec, E: np.ndarray):
 
     Returns a dict of arrays: a, b, c, d (entries of T_L), in_band, edge
     (within the band-edge exclusion zone), alpha_off (the growing real
-    eigenvalue at the off-band entries, in order), and the deferred alpha (the
-    eigenvalue e^{i theta} in band, alpha_off off band), m_l, m_r, theta (nan
-    off band) and vec_off, the off-band eigenvectors (phi_+, kappa_s psi_+,
-    phi_-, kappa_s psi_-).  The deferred five are computed together on the first
-    read of any, so T_N, which reads only the eager keys, never pays for them.
+    eigenvalue at the off-band entries, in order), and the deferred m_l, m_r,
+    theta (nan off band) and vec_off, the off-band eigenvectors (phi_+,
+    kappa_s psi_+, phi_-, kappa_s psi_-).  The deferred four are computed
+    together on the first read of any, so T_N, which reads only the eager
+    keys, never pays for them.
     No errors are raised; callers decide how to treat flagged entries.
 
     Inside the bands m_r is the root with Im > 0 of c z^2 + (a - d) z - b and
@@ -190,7 +197,6 @@ def _eigendata_values(sample: SampleSpec, E: np.ndarray):
 
     def m_stage():
         kS2 = sample.kappa_s**2
-        alpha = np.empty(E.shape, dtype=complex)
         m_l = np.empty(E.shape, dtype=complex)
         m_r = np.empty(E.shape, dtype=complex)
         theta = np.full(E.shape, np.nan)
@@ -201,7 +207,6 @@ def _eigendata_values(sample: SampleSpec, E: np.ndarray):
         sin_th = sign_b * np.sqrt(-disc[in_band]) / 2.0
         th = np.arctan2(sin_th, tr[in_band] / 2.0)
         theta[in_band] = th
-        alpha[in_band] = np.exp(1j * th)
         mr_in = ((d[in_band] - a[in_band]) / 2.0 - 1j * sin_th) / c[in_band]
         m_r[in_band] = mr_in
         m_l[in_band] = mr_in / (kS2 * np.abs(mr_in) ** 2)
@@ -211,13 +216,12 @@ def _eigendata_values(sample: SampleSpec, E: np.ndarray):
             ao, bo, co, do = a[off], b[off], c[off], d[off]
             vec = (*_real_eigvec2(ao, bo, co, do, al), *_real_eigvec2(ao, bo, co, do, 1.0 / al))
             ph_p, w_p, ph_m, w_m = vec
-            alpha[off] = al
             # the quadratic root of eigenvector (phi, w) is -phi/w: the decaying
             # one gives m_r, the growing one 1/(kappa_s^2 m_l)
             with np.errstate(divide="ignore", invalid="ignore"):
                 m_r[off] = -ph_m / w_m
                 m_l[off] = -w_p / (kS2 * ph_p)
-        return {"alpha": alpha, "m_l": m_l, "m_r": m_r, "theta": theta, "vec_off": vec}
+        return {"m_l": m_l, "m_r": m_r, "theta": theta, "vec_off": vec}
 
     eager = {"a": a, "b": b, "c": c, "d": d, "in_band": in_band, "edge": edge, "alpha_off": al}
     return _StagedData(eager, m_stage)
@@ -270,6 +274,19 @@ def _lead_F_values(lead: LeadModel, E: np.ndarray) -> np.ndarray:
     else:
         raise TypeError(f"unknown lead model {type(lead).__name__}")
     return _clamp_im(F)
+
+
+def _support_edges(sample: SampleSpec, lead: LeadModel) -> list[float]:
+    """Edges of {Im F > 0}, where T has a square-root kink inside `sample`'s bands.
+
+    A half-line gives v0 ± 2|t|, a crystalline lead its own sample's band edges
+    unless that is `sample`, whose bands end there anyway; a tabulated lead none.
+    """
+    if isinstance(lead, HalfLineLead):
+        return [lead.v0 - 2.0 * abs(lead.t), lead.v0 + 2.0 * abs(lead.t)]
+    if isinstance(lead, CrystallineLead) and lead.sample != sample:
+        return [E for band in band_spectrum(lead.sample).bands for E in band]
+    return []
 
 
 def _clamp_im(F: np.ndarray) -> np.ndarray:

@@ -34,7 +34,7 @@ import functools
 
 import numpy as np
 
-from .errors import SampleEigenvalueError, SingularEnergyError
+from .errors import SingularEnergyError
 from .jacobi import GreenMatrix2, SampleSpec, _energies, _repetition_count, _sample_key
 from .jacobi import periodized_parameters
 from .leads import LeadModel, _check_kappa, _lead_F_values, _one_energy
@@ -154,22 +154,6 @@ def resolvent_green(
     *corners, ok = _coupled_corners(_n_cell_system(sample, n_cells), kappa, E_one, f_l, f_r)
     if not ok[0]:
         raise SingularEnergyError(f"the solve at E={E} fails the residual gate {_RESIDUAL_TOL:g}")
-    return GreenMatrix2(*(complex(g[0]) for g in corners), float(E), n_cells)
-
-
-def dirichlet_sample_green(sample: SampleSpec, n_cells: int, E: float) -> GreenMatrix2:
-    """2x2 Green matrix of the decoupled Dirichlet N-cell sample by direct solve.
-
-    Raises SampleEigenvalueError at an eigenvalue and DomainError at a
-    non-finite E.
-    """
-    n_cells = _repetition_count(n_cells)
-    diag, off = _n_cell_system(sample, n_cells)
-    *corners, ok = _corner_green((diag - _one_energy(E))[None, :], off)
-    if not ok[0]:
-        raise SampleEigenvalueError(
-            f"E={E} is (numerically) an eigenvalue of the {n_cells}-cell sample"
-        )
     return GreenMatrix2(*(complex(g[0]) for g in corners), float(E), n_cells)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .currents import QuadratureConfig, ThermoState, crystalline_currents, thouless_currents
 from .errors import SampleEigenvalueError
-from .jacobi import SampleSpec, band_spectrum, transfer_step
+from .jacobi import SampleSpec, _count, band_spectrum, transfer_step
 from .leads import CrystallineLead, HalfLineLead, _crystal_m_values
 from .oracle import _coupled_corners, _n_cell_system, transmittance_oracle
 from .transport import sample_green, transmittance_n
@@ -222,6 +222,8 @@ def check_matched_reflectionless(rng: np.random.Generator, n_configs: int = 5) -
 
 def run_selfcheck(seed: int = 0, ensemble: int = 50) -> tuple[bool, list[CheckResult]]:
     """Run the full battery on a seeded ensemble; returns (all_passed, results)."""
+    # integers, seed >= 0 and ensemble >= 1: a battery over no configuration passes unchecked
+    seed, ensemble = _count("seed", seed, 0), _count("ensemble", ensemble, 1)
     rng = np.random.default_rng(seed)
     n_small = max(5, ensemble // 5)
     results = [

@@ -85,14 +85,16 @@ def transfer_eigendata(sample: SampleSpec, E: float) -> TransferEigenData:
         raise DegeneratePivotError(f"b(E) degenerate inside a band at E={E}")
     kS = sample.kappa_s
     if in_band:
+        alpha = np.exp(1j * ed["theta"])[0]
         phi_p = phi_m = 1.0
         kpsi_p = complex(-1.0 / ed["m_r"][0])
         kpsi_m = kpsi_p.conjugate()
     else:
+        alpha = ed["alpha_off"][0]
         phi_p, kpsi_p, phi_m, kpsi_m = (v[0] for v in ed["vec_off"])
     return TransferEigenData(
         energy=float(E),
-        alpha=complex(ed["alpha"][0]),
+        alpha=complex(alpha),
         phi_plus=complex(phi_p),
         phi_minus=complex(phi_m),
         psi_plus=complex(kpsi_p) / kS,

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -7,6 +8,7 @@ from thouless_lab import (
     DomainError,
     HalfLineLead,
     OffSpectrumError,
+    SampleSpec,
     TabulatedLead,
     band_spectrum,
     crystal_m_functions,
@@ -14,7 +16,7 @@ from thouless_lab import (
     lead_F_values,
     load_tabulated_csv,
 )
-from thouless_lab.leads import SUPPORT_TOL, _clamp_im, _halfline_F
+from thouless_lab.leads import SUPPORT_TOL, _clamp_im, _halfline_F, _support_edges
 from thouless_lab.selfcheck import band_interior_grid, random_sample
 
 
@@ -105,6 +107,59 @@ def test_halfline_F_is_unchanged_by_the_clamp(t, v0):
         F = _halfline_F(lead, E)
         np.testing.assert_array_equal(_bits(_clamp_im(F)), _bits(F))
     np.testing.assert_array_equal(_bits(lead_F_values(lead, E[:81])), _bits(F[:81]))
+
+
+@pytest.mark.parametrize("t, v0", [(1.0, 0.0), (1.3, 0.2), (-0.7, -0.4), (4.5, 17.0)])
+def test_halfline_off_band_root_matches_mpmath(t, v0):
+    # far off band the decaying root is about -1/x, which a difference of the
+    # two roots would cancel.  The 50-digit reference is 1/(t^2 r_big), r_big
+    # the large root, since (-x + sqrt(x^2 - 4 t^2)) / (2 t^2) cancels at 50
+    # digits too: every digit is gone by |x| = 1e25.
+    lead = HalfLineLead(t, v0)
+    x = np.logspace(3.0, 300.0, 199)
+    worst = 0.0
+    with mpmath.workdps(50):
+        for E in np.concatenate([v0 + x, v0 - x]):
+            F = lead_F(lead, float(E))  # a RuntimeWarning fails this suite
+            xm = mpmath.mpf(float(E)) - mpmath.mpf(v0)
+            r_big = (-xm - mpmath.sign(xm) * mpmath.sqrt(xm * xm - 4 * mpmath.mpf(t) ** 2)) / (
+                2 * mpmath.mpf(t) ** 2
+            )
+            ref = 1 / (mpmath.mpf(t) ** 2 * r_big)
+            assert F.imag == 0.0
+            worst = max(worst, float(abs((mpmath.mpf(F.real) - ref) / ref)))
+    assert worst <= 1e-15
+
+
+_OTHER = SampleSpec((0.7520, 0.5952), (-0.7737, -0.4388, 0.1850), 0.8432)
+
+
+@pytest.mark.parametrize(
+    "make_lead",
+    [lambda s: HalfLineLead(0.4, 0.3), lambda s: HalfLineLead(-2.5, -1.0),
+     lambda s: CrystallineLead(_OTHER, "l"), lambda s: CrystallineLead(_OTHER, "r"),
+     lambda s: CrystallineLead(s, "r")],
+    ids=["half_line_inside", "half_line_covering", "crystalline_l", "crystalline_r",
+         "crystalline_self"],
+)
+def test_support_edges_bound_the_support_of_F(dimer, make_lead):
+    # Im F > 0 a relative 1e-8 inside each edge and Im F = 0 as far outside;
+    # a lead on the sample itself gives no edges, since its support ends at the
+    # sample's own band edges, where every band integral already ends
+    lead = make_lead(dimer)
+    edges = _support_edges(dimer, lead)
+    if lead == CrystallineLead(dimer, "r"):
+        assert edges == []
+        edges = [E for band in band_spectrum(dimer).bands for E in band]
+    assert edges and len(edges) % 2 == 0 and edges == sorted(edges)
+    # each (lo, hi) pair bounds one interval of the support: inside is above lo, below hi
+    step = 1e-8 * max(1.0, *map(abs, edges)) * np.tile([1.0, -1.0], len(edges) // 2)
+    assert np.all(lead_F_values(lead, np.add(edges, step)).imag > SUPPORT_TOL)
+    assert np.all(lead_F_values(lead, np.subtract(edges, step)).imag == 0.0)
+
+
+def test_tabulated_lead_has_no_support_edges(dimer):
+    assert _support_edges(dimer, TabulatedLead([-2.0, 2.0], [0.25j * np.pi] * 2)) == []
 
 
 def test_clamp_im_zeroes_only_rounding_below_the_axis():

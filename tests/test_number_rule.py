@@ -5,6 +5,7 @@ library takes a real number; numpy reals are accepted and stored as Python float
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from thouless_lab import (
 )
 from thouless_lab.jacobi import transfer_step
 from thouless_lab.leads import _check_kappa
+from thouless_lab.selfcheck import run_selfcheck
 
 DIMER = SampleSpec((1.0,), (0.0, 0.0), 0.5)
 SITE = SampleSpec((), (0.0,), 1.0)  # Brillouin zone [-pi, pi], so k = 2 lies inside
@@ -149,3 +151,55 @@ def test_transport_computes_with_the_float_the_rule_reads():
                               T(DIMER, LEAD, LEAD, float(kappa), 4, E))
     assert np.array_equal(transmittance_inf(DIMER, LEAD, LEAD, kappa, E),
                           transmittance_inf(DIMER, LEAD, LEAD, float(kappa), E))
+
+
+@pytest.mark.parametrize(
+    "energies", [[0.0, True], (0.3, np.True_), [[0.1], [False]], [1, True]],
+    ids=["list", "tuple_numpy_bool", "nested", "int_list"],
+)
+def test_a_bool_in_a_list_of_energies_is_not_a_number(energies):
+    # np.asarray reads [0.0, True] as [0.0, 1.0]: T_N would be evaluated at E = 1.0
+    match = r"energies must be real numbers, got (np\.)?(True|False)_? in a (list|tuple)"
+    for call in (
+        lambda: transmittance_n(DIMER, LEAD, LEAD, 1.0, 2, energies),
+        lambda: transmittance_oracle(DIMER, LEAD, LEAD, 1.0, 2, energies),
+        lambda: weights(ThermoState(1.0, 0.0, 2.0, 0.0), energies),
+        lambda: TabulatedLead(energies, [0.5j] * len(energies)),
+    ):
+        with pytest.raises(DomainError, match=match):
+            call()
+
+
+def test_a_bool_in_a_list_of_tabulated_values_is_not_a_number():
+    with pytest.raises(DomainError, match="tabulated values must be numbers, got True in a list"):
+        TabulatedLead([0.0, 1.0], [0.5j, True])
+    with pytest.raises(DomainError, match="tabulated values must be numbers, got np.False_ in a"):
+        TabulatedLead([0.0, 1.0], (np.False_, 0.5j))
+
+
+def test_real_lists_and_arrays_keep_their_reading():
+    # numbers in a list pass as before; an ndarray is judged by its dtype alone
+    E = [0.1, 1, np.float32(0.25)]
+    expected = transmittance_n(DIMER, LEAD, LEAD, 1.0, 2, np.array(E, dtype=float))
+    assert np.array_equal(transmittance_n(DIMER, LEAD, LEAD, 1.0, 2, E), expected)
+    assert np.array_equal(transmittance_n(DIMER, LEAD, LEAD, 1.0, 2, tuple(E)), expected)
+    with pytest.raises(DomainError, match="got dtype bool"):
+        transmittance_n(DIMER, LEAD, LEAD, 1.0, 2, np.array([False, True]))
+    lead = TabulatedLead((0.0, 1.0), [np.pi * 1j, np.pi * 1j])
+    assert lead.values.dtype == complex and lead.energies.tolist() == [0.0, 1.0]
+
+
+@pytest.mark.parametrize(
+    "seed, ensemble, message",
+    [(0, 0, "ensemble must be a positive integer, got 0"),
+     (0, -3, "ensemble must be a positive integer, got -3"),
+     (0, 2.0, "ensemble must be a positive integer, got 2.0"),
+     (0, True, "ensemble must be a positive integer, got True"),
+     (-1, 1, "seed must be a non-negative integer, got -1"),
+     (0.5, 1, "seed must be a non-negative integer, got 0.5"),
+     ("1", 1, "seed must be a non-negative integer, got '1'")],
+)
+def test_selfcheck_refuses_an_empty_battery_and_a_bad_seed(seed, ensemble, message):
+    # zero configurations would pass every check with a worst error of 0.000e+00
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        run_selfcheck(seed, ensemble)

@@ -22,9 +22,11 @@ from thouless_lab import (
 from thouless_lab import oracle
 from thouless_lab.jacobi import periodized_parameters
 from thouless_lab.leads import lead_F_values
-from thouless_lab.oracle import _corner_green, dirichlet_sample_green
+from thouless_lab.oracle import _corner_green
 from thouless_lab.selfcheck import band_interior_grid, random_configuration, random_sample
 from thouless_lab.transport import _full_green_lr_values, _transport_inputs, sample_green
+
+from dense_green import dirichlet_sample_green
 
 
 def test_single_site_scalar_resolvent(free_chain, free_lead):

@@ -37,13 +37,15 @@ from thouless_lab.selfcheck import (
 )
 from thouless_lab.jacobi import transfer_step
 from thouless_lab.leads import _eigendata_values
-from thouless_lab.oracle import dirichlet_sample_green, resolvent_green
+from thouless_lab.oracle import resolvent_green
 from thouless_lab.transport import (
     _chebyshev_factors,
     _full_green_lr_values,
     _transport_inputs,
     sample_green,
 )
+
+from dense_green import dirichlet_sample_green
 
 SQRT2 = np.sqrt(2.0)
 
@@ -225,9 +227,9 @@ def test_m_functions_are_computed_only_when_read(monkeypatch, dimer, wide_lead):
     sample_green(dimer, 3, 0.0)
     assert calls == []
     ed = _eigendata_values(dimer, grid)
-    assert {"m_l", "m_r", "alpha", "theta"}.isdisjoint(ed)
+    assert {"m_l", "m_r", "theta"}.isdisjoint(ed)
     m_r = ed["m_r"]
-    assert len(calls) == 2 and ed["m_r"] is m_r and {"m_l", "alpha", "theta"} <= set(ed)
+    assert len(calls) == 2 and ed["m_r"] is m_r and {"m_l", "theta"} <= set(ed)
     with pytest.raises(KeyError):
         ed["no_such_key"]
     transmittance_inf(dimer, wide_lead, wide_lead, 0.7, grid)
