@@ -37,7 +37,7 @@ from .currents import (
     thouless_currents,
 )
 from .errors import ConfigError, DomainError, ThoulessLabError
-from .jacobi import SampleSpec, _finite, _integer, _real, _repetition_count
+from .jacobi import SampleSpec, _count, _finite, _integer, _real, _repetition_count
 from .jacobi import _repetition_counts, band_spectrum, bloch_eigenvalues
 from .leads import CrystallineLead, HalfLineLead, LeadModel, _check_kappa, load_tabulated_csv
 from .selfcheck import run_selfcheck
@@ -200,9 +200,7 @@ def parse_config(data) -> RunConfig:
                 raise ConfigError(f"output.format: expected csv|json, got {out_format!r}")
 
         with _Section("seed", root):
-            seed = _integer(root.get("seed", 0))
-        if seed < 0:
-            raise ConfigError(f"seed: must be >= 0, got {seed}")
+            seed = _count("seed", root.get("seed", 0), 0)
 
     return RunConfig(
         sample=sample, lead_l=lead_l, lead_r=lead_r, kappa=kappa, thermo=thermo,
@@ -409,10 +407,8 @@ def _check_flags(args: argparse.Namespace) -> None:
     if getattr(args, "N", None) is not None:
         with _Section("--N", vars(args)):  # the library's rule, named by the flag
             _repetition_count(args.N)
-    for flag, least in (("dispersion", 1), ("ensemble", 1), ("seed", 0)):
-        value = getattr(args, flag, None)
-        if value is not None and value < least:
-            raise ConfigError(f"--{flag}: must be >= {least}, got {value}")
+    if getattr(args, "dispersion", None) is not None and args.dispersion < 1:
+        raise ConfigError(f"--dispersion: must be >= 1, got {args.dispersion}")
     if args.command == "converge":
         with _Section("--N-list", vars(args)):
             args.N_list = _repetition_counts(_parse_n_list(args.N_list))

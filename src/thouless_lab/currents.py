@@ -88,9 +88,9 @@ class CurrentReport:
 
     conservation_residuals = (|phi_l + phi_r|, |i_l + i_r|), zero by
     construction: Delta_r = -Delta_l, so the right currents are the exact
-    negations of the left ones.  The entropy balance residual is nan when
-    either beta is infinite (the balance identity involves
-    beta * (phi - mu i), ill-defined there).
+    negations of the left ones.  entropy_balance_residual = |J + sum_s beta_s
+    (phi_s - mu_s i_s)| measures rounding only (zeta is linear in E, so on the
+    same nodes the J row is that sum of the other rows); nan if a beta is inf.
     error_estimate is the largest quadrature error estimate among the finite
     currents (in the currents' units: the summed panel differences; inf if
     none is finite), and evaluations the number of integrand energies used.

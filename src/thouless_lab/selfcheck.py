@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .currents import QuadratureConfig, ThermoState, crystalline_currents, thouless_currents
+from .currents import QuadratureConfig, ThermoState, crystalline_currents, sign_change_energy
+from .currents import thouless_currents, weights
 from .errors import SampleEigenvalueError
 from .jacobi import SampleSpec, _count, band_spectrum, transfer_step
 from .leads import CrystallineLead, HalfLineLead, _crystal_m_values
@@ -164,44 +165,60 @@ _CHECK_STATES = (
     ThermoState(1.5, 0.4, 4.0, -0.2),
 )
 _ABS_TOL = QuadratureConfig().abs_tol  # the current checks use the default quadrature
+_DELTA_ROUNDING = 8.0 * float(np.finfo(float).eps)  # see check_conservation_entropy
 
 
 def check_conservation_entropy(rng: np.random.Generator, n_configs: int = 10) -> CheckResult:
-    """Conservation, entropy positivity and balance for crystalline currents."""
-    worst_cons = 0.0
-    worst_bal = 0.0
-    worst_j = 0.0
+    """Pointwise `weights`: Delta_r = -Delta_l exactly, varsigma >= 0 up to rounding; no report.
+
+    Each _CHECK_STATES state runs on each configuration's band-interior grid,
+    plus E_c = `sign_change_energy` where beta_l != beta_r.  The rounding rule:
+    rho is computed from the same float as zeta, and the computed zeta_r - zeta_l
+    has the exact sign of the computed zetas' difference, so varsigma < 0 means a
+    wrong sign of rho_l - rho_r.  Each rho is an exp (within 3 ulps), an addition
+    and a division from exact, off by <= 4 eps rho <= 4 eps, so a wrong sign needs
+    |Delta_l| <= 8 eps.  At some E_c correct code gives varsigma = -6.2e-33.
+    """
+    worst = 0.0
+    wrong = energies = 0
     for _ in range(n_configs):
-        sample, lead_l, lead_r, kappa = random_configuration(rng, max_sites=5)
+        sample = random_configuration(rng, max_sites=5)[0]
+        grid = band_interior_grid(band_spectrum(sample), 200)
         for thermo in _CHECK_STATES:
-            rep = crystalline_currents(sample, lead_l, lead_r, kappa, thermo)
-            worst_cons = max(worst_cons, *rep.conservation_residuals)
-            worst_bal = max(worst_bal, rep.entropy_balance_residual)
-            worst_j = min(worst_j, rep.entropy_j)
-    ok = (
-        worst_cons <= 2.0 * _ABS_TOL
-        and worst_bal <= 3.0 * _ABS_TOL
-        and worst_j >= -_ABS_TOL
-    )
-    return CheckResult(
-        "conservation_entropy",
-        ok,
-        f"conservation {worst_cons:.3e}, balance {worst_bal:.3e}, min J {worst_j:.3e}",
-    )
+            E = grid
+            if thermo.beta_l != thermo.beta_r:
+                E = np.append(grid, sign_change_energy(thermo))
+            _, _, delta_l, delta_r, varsigma = weights(thermo, E)
+            worst = max(worst, float(np.max(np.abs(delta_l + delta_r))))
+            wrong += int(np.count_nonzero(~(varsigma >= 0.0) & (np.abs(delta_l) > _DELTA_ROUNDING)))
+            energies += E.size
+    return CheckResult("conservation_entropy", worst == 0.0 and wrong == 0,
+                       f"max |Delta_l + Delta_r| = {worst:.3e}, varsigma < 0 beyond rounding "
+                       f"at {wrong} of {energies} energies")
 
 
 def check_thouless_dominance(rng: np.random.Generator, n_configs: int = 10) -> CheckResult:
-    """Entropy dominance <J>_infty <= <J>_Th for random reservoir realizations."""
+    """Entropy dominance <J>_infty <= <J>_Th for random reservoir realizations.
+
+    Both reports also meet the report bounds: conservation residuals <= 2 abs_tol,
+    entropy balance residual <= 3 abs_tol and <J> >= -abs_tol.
+    """
     worst = -math.inf
+    cons = bal = min_j = 0.0
     for _ in range(n_configs):
         sample, lead_l, lead_r, kappa = random_configuration(rng, max_sites=5)
         thermo = _CHECK_STATES[int(rng.integers(len(_CHECK_STATES)))]
         rep_inf = crystalline_currents(sample, lead_l, lead_r, kappa, thermo)
         rep_th = thouless_currents(sample, thermo)
         worst = max(worst, rep_inf.entropy_j - rep_th.entropy_j)
-    return CheckResult(
-        "thouless_dominance", worst <= _ABS_TOL, f"max <J>_inf - <J>_Th = {worst:.3e}"
-    )
+        for rep in (rep_inf, rep_th):
+            cons = max(cons, *rep.conservation_residuals)
+            bal = max(bal, rep.entropy_balance_residual)
+            min_j = min(min_j, rep.entropy_j)
+    bounds = (worst <= _ABS_TOL, cons <= 2.0 * _ABS_TOL, bal <= 3.0 * _ABS_TOL, min_j >= -_ABS_TOL)
+    return CheckResult("thouless_dominance", all(bounds),
+                       f"max <J>_inf - <J>_Th = {worst:.3e}; "
+                       f"conservation {cons:.3e}, balance {bal:.3e}, min J {min_j:.3e}")
 
 
 def check_matched_reflectionless(rng: np.random.Generator, n_configs: int = 5) -> CheckResult:

@@ -428,8 +428,8 @@ MALFORMED = {
         (HALF_LINE, {"type": "tabulated", "path": 0}), [], f"{HALF_LINE}.path: "
     ),
     "output_path_number": (("output", {"path": 7}), [], "output.path: "),
-    "seed_string": (("seed", "s"), [], "seed: "),
-    "seed_negative": (("seed", -1), [], "seed: "),
+    "seed_string": (("seed", "s"), [], "seed: seed must be a non-negative integer, got 's'"),
+    "seed_negative": (("seed", -1), [], "seed: seed must be a non-negative integer, got -1"),
     "thermo_missing_key": (("thermo.mu_l", DELETE), [], "thermo: missing required key 'mu_l'"),
     "thermo_bad_beta": (("thermo.beta_l", "hot"), [], "thermo: expected a number or 'inf'"),
     "half_line_missing_t": (
@@ -439,9 +439,17 @@ MALFORMED = {
     "quadrature_list": (("quadrature", [1]), [], "quadrature: expected an object"),
     "dispersion_negative": (None, ["--dispersion", "-3"], "--dispersion: "),
     "dispersion_zero": (None, ["--dispersion", "0"], "--dispersion: "),
-    "ensemble_zero": (None, ["selfcheck", "--ensemble", "0"], "--ensemble: "),
-    "ensemble_negative": (None, ["selfcheck", "--ensemble", "-5"], "--ensemble: "),
-    "seed_flag_negative": (None, ["selfcheck", "--ensemble", "1", "--seed", "-2"], "--seed: "),
+    # run_selfcheck owns the seed and ensemble rule: its DomainError is the one line
+    "ensemble_zero": (
+        None, ["selfcheck", "--ensemble", "0"], "ensemble must be a positive integer, got 0"
+    ),
+    "ensemble_negative": (
+        None, ["selfcheck", "--ensemble", "-5"], "ensemble must be a positive integer, got -5"
+    ),
+    "seed_flag_negative": (
+        None, ["selfcheck", "--ensemble", "1", "--seed", "-2"],
+        "seed must be a non-negative integer, got -2",
+    ),
     "n_list_repeated": (
         None, ["converge", "--N-list", "1,1"], "--N-list: n_list must be nonempty and strictly"
     ),
@@ -452,8 +460,8 @@ MALFORMED = {
     # integer keys take JSON integers only: int() would truncate 1.5 to the sample's L = 1
     "length_fraction": (("sample.L", 1.5), [], "sample: expected an integer, got 1.5"),
     "length_bool": (("sample.L", True), [], "sample: expected an integer, got True"),
-    "seed_fraction": (("seed", 2.7), [], "seed: expected an integer, got 2.7"),
-    "seed_bool": (("seed", True), [], "seed: expected an integer, got True"),
+    "seed_fraction": (("seed", 2.7), [], "seed: seed must be a non-negative integer, got 2.7"),
+    "seed_bool": (("seed", True), [], "seed: seed must be a non-negative integer, got True"),
     "count_fraction": (("energy_grid.count", 400.9), [], "energy_grid: expected an integer"),
     # the panel count and Gauss order are constants of the library: their former keys are refused
     "panels_fraction": (
@@ -516,8 +524,8 @@ def test_malformed_config_or_flag_is_one_config_error(tmp_path, monkeypatch, cap
     assert not out.exists()
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"config error: {start}"), lines
-    # the section or flag is named once
-    where, rest = lines[0].removeprefix("config error: ").split(": ", 1)
+    # the section or flag, if the line names one, is named once
+    where, _, rest = lines[0].removeprefix("config error: ").partition(": ")
     assert not rest.startswith(f"{where}:"), lines
 
 

@@ -25,7 +25,7 @@ from thouless_lab import (
     weights,
     zero_temperature_conductance,
 )
-from thouless_lab import currents
+from thouless_lab import currents, selfcheck
 from thouless_lab.currents import _adaptive_panels
 from thouless_lab.selfcheck import _CHECK_STATES, random_configuration
 
@@ -472,6 +472,68 @@ def test_thouless_dominance_entropy(rng):
         assert rep_inf.entropy_j <= rep_th.entropy_j + 1e-8
         assert max(rep_th.conservation_residuals) <= 2e-8
         assert rep_th.entropy_balance_residual <= 3e-8
+
+
+def _inject(monkeypatch, defect):
+    """A defect in `weights`, seen wherever the library binds the function."""
+    true_weights = currents.weights
+
+    def defective(thermo, E):
+        return defect(*true_weights(thermo, E))
+
+    monkeypatch.setattr(currents, "weights", defective)
+    monkeypatch.setattr(selfcheck, "weights", defective)
+
+
+@pytest.mark.parametrize(
+    "defect, caught_by",
+    [
+        (lambda zl, zr, dl, dr, vs: (zl, zr, dl, dr, vs * 1.001), "thouless_dominance"),
+        (lambda zl, zr, dl, dr, vs: (zl, zr, dl, -dl * (1.0 + 1e-12), vs), "conservation_entropy"),
+        (lambda zl, zr, dl, dr, vs: (zl, zr, dl, dr, -vs), "conservation_entropy"),
+    ],
+    ids=["varsigma_scaled", "delta_r_perturbed", "varsigma_flipped"],
+)
+def test_selfcheck_catches_a_defect_in_weights(monkeypatch, defect, caught_by):
+    check = getattr(selfcheck, f"check_{caught_by}")
+    assert check(np.random.default_rng(0), 5).passed
+    _inject(monkeypatch, defect)
+    result = check(np.random.default_rng(0), 5)
+    assert not result.passed, result
+    if caught_by == "thouless_dominance":
+        # both reports scale alike, so only the entropy balance residual sees it
+        balance = float(result.detail.split("balance ")[1].split(",")[0])
+        assert balance > 3.0 * QuadratureConfig().abs_tol, result
+
+
+def test_conservation_entropy_builds_no_report(monkeypatch):
+    calls = []
+
+    def counted(module, name):
+        true = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, **k: calls.append(name) or true(*a, **k))
+
+    counted(selfcheck, "crystalline_currents")
+    counted(selfcheck, "thouless_currents")
+    counted(currents, "_adaptive_panels")
+    assert selfcheck.check_conservation_entropy(np.random.default_rng(0), 5).passed
+    assert calls == []
+    assert selfcheck.check_thouless_dominance(np.random.default_rng(0), 1).passed
+    assert sorted(set(calls)) == ["_adaptive_panels", "crystalline_currents", "thouless_currents"]
+
+
+# at E_c the computed zetas are 1 ulp apart and the computed occupations 1 ulp
+# apart the wrong way round: correct weights give varsigma = -6.2e-33 and -1.2e-32
+SIGN_CHANGE_STATES = (ThermoState(2.5, 0.96, 1.0, 0.51), ThermoState(0.9, -0.08, 3.3, 0.64))
+
+
+def test_conservation_entropy_allows_rounding_at_the_sign_change(monkeypatch):
+    for state in SIGN_CHANGE_STATES:
+        assert weights(state, sign_change_energy(state))[4] < 0.0
+    monkeypatch.setattr(selfcheck, "_CHECK_STATES", SIGN_CHANGE_STATES)
+    assert selfcheck.check_conservation_entropy(np.random.default_rng(0), 2).passed
+    monkeypatch.setattr(selfcheck, "_DELTA_ROUNDING", 0.0)
+    assert not selfcheck.check_conservation_entropy(np.random.default_rng(0), 2).passed
 
 
 def test_thouless_conductance_gap_only_enlargement(dimer):
