@@ -33,15 +33,20 @@ from .errors import DomainError, NumericalError, QuadratureError
 from .jacobi import BandSpectrum, SampleSpec, _energies, _finite, _real, _repetition_count
 from .jacobi import _repetition_counts, band_spectrum, thouless_conductance
 from .leads import LeadModel, _support_edges
-from .transport import transmittance_inf, transmittance_n
+from .transport import _tinf_plan, transmittance_n
+# Not called here; kept importable because bench/tracer.py wraps this name.
+from .transport import transmittance_inf  # noqa: F401
 
 log = logging.getLogger(__name__)
 
-# First-level panels per band piece (see `_transmittance_profile`); Gauss nodes per panel.
+# First-level panels per band piece (see `_transmittance_profile`): _FIRST_PANELS + 2N
+# for T_N, _SMOOTH_PANELS for T_infty and T = 1; Gauss nodes per panel.
 _FIRST_PANELS = 8
+_SMOOTH_PANELS = 1
 _GAUSS_POINTS = 12
-# Finest panel: initial width / 2^13.  Refinement is local, so the deepest
-# levels cost only the few panels that reach them (N = 64 band-edge resonances).
+# Finest panel: pi / (_FIRST_PANELS * 2^13) in phi, whatever the start.  Refinement
+# is local, so the deepest levels cost only the few panels that reach them
+# (N = 64 band-edge resonances).
 _MAX_HALVINGS = 13
 
 
@@ -71,7 +76,10 @@ class QuadratureConfig:
     """The error budget abs_tol of every band integral: a positive finite real, stored as a float.
 
     `_adaptive_panels` halves the first-level panels of `_transmittance_profile`
-    locally until abs_tol is met.  abs_tol follows the `_finite` number rule.
+    locally until abs_tol is met: _FIRST_PANELS + 2N panels per band piece for
+    T_N, and one (_SMOOTH_PANELS) for T_infty and the Thouless T = 1, each
+    down to the same finest panel, pi / (_FIRST_PANELS 2^_MAX_HALVINGS) in
+    phi.  abs_tol follows the `_finite` number rule.
     """
 
     abs_tol: float = 1e-8
@@ -116,22 +124,20 @@ def fermi_dirac(beta: float, mu: float, E):
     """
     state = ThermoState(beta, mu, beta, mu)
     E_arr, scalar = _energies(E)
-    out = _occupation(state.beta_l, state.mu_l, E_arr)
+    out = _occupation_zeta(state.beta_l, state.mu_l, E_arr)[0]
     return float(out[0]) if scalar else out
 
 
-def _occupation(beta: float, mu: float, E: np.ndarray) -> np.ndarray:
+def _occupation_zeta(beta: float, mu: float, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rho, zeta) of one reservoir: rho = 1/(1 + e^zeta) from the same zeta = beta (E - mu)."""
     if math.isinf(beta):
-        return np.where(E < mu, 1.0, np.where(E > mu, 0.0, 0.5))
-    x = beta * (E - mu)
-    ex = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, ex / (1.0 + ex), 1.0 / (1.0 + ex))
-
-
-def _zeta(beta: float, mu: float, E: np.ndarray) -> np.ndarray:
-    if math.isinf(beta):
-        return np.where(E > mu, np.inf, np.where(E < mu, -np.inf, 0.0))
-    return beta * (E - mu)
+        above, below = E > mu, E < mu
+        return (np.where(below, 1.0, np.where(above, 0.0, 0.5)),
+                np.where(above, np.inf, np.where(below, -np.inf, 0.0)))
+    zeta = beta * (E - mu)
+    ex = np.exp(-np.abs(zeta))
+    one_ex = 1.0 + ex
+    return np.where(zeta >= 0.0, ex / one_ex, 1.0 / one_ex), zeta
 
 
 def weights(thermo: ThermoState, E):
@@ -143,10 +149,8 @@ def weights(thermo: ThermoState, E):
     the bias window.  Accepts finite scalars or arrays.
     """
     E_arr, scalar = _energies(E)
-    rho_l = _occupation(thermo.beta_l, thermo.mu_l, E_arr)
-    rho_r = _occupation(thermo.beta_r, thermo.mu_r, E_arr)
-    zeta_l = _zeta(thermo.beta_l, thermo.mu_l, E_arr)
-    zeta_r = _zeta(thermo.beta_r, thermo.mu_r, E_arr)
+    rho_l, zeta_l = _occupation_zeta(thermo.beta_l, thermo.mu_l, E_arr)
+    rho_r, zeta_r = _occupation_zeta(thermo.beta_r, thermo.mu_r, E_arr)
     delta_l = rho_l - rho_r
     delta_r = -delta_l
     with np.errstate(invalid="ignore"):
@@ -189,7 +193,15 @@ def _gauss_legendre(points: int) -> tuple[np.ndarray, np.ndarray]:
     return xg, wg
 
 
-def _adaptive_panels(spectrum, integrand_vec, quad: QuadratureConfig, breakpoints=(), panels=None):
+@functools.lru_cache(maxsize=None)
+def _first_edges(panels: int) -> np.ndarray:
+    """Read-only edges of `panels` equal panels of [0, pi], built once per count."""
+    edges = np.linspace(0.0, np.pi, panels + 1)
+    edges.flags.writeable = False
+    return edges
+
+
+def _adaptive_panels(spectrum, integrand_vec, quad: QuadratureConfig, breakpoints, panels: int):
     """Panel-local adaptive composite Gauss-Legendre, _GAUSS_POINTS nodes per panel.
 
     integrand_vec maps an energy array of length n to an (m, n) array.  Each
@@ -197,84 +209,102 @@ def _adaptive_panels(spectrum, integrand_vec, quad: QuadratureConfig, breakpoint
     in [0, pi] with E = c - h cos(phi), c = (s0 + s1)/2, h = (s1 - s0)/2 and
     Jacobian h sin(phi), so a square-root end sqrt(E - s0) = sqrt(2h) sin(phi/2)
     is analytic and no node touches an edge.  A piece starts with `panels`
-    panels in phi (see `_transmittance_profile`).  The first integrand_vec call
-    carries the nodes of these coarse panels and of their halves, since the
-    first halving is never skipped; every later level halves the active
-    panels (each carrying its piece's c and h) in one call, and their
-    half-sums become the next level's coarse sums.  A panel is locked once
-    every finite component has |fine - coarse| < abs_tol * (its energy width)
-    / (total width).  The integral stops when every finite component's sum
-    |fine - coarse| over all panels, its error estimate, is below abs_tol.
+    panels in phi, the first level of `_transmittance_profile`.  The first
+    integrand_vec call carries the nodes of these coarse panels and of their
+    halves, since the first halving is never skipped; every later level halves
+    the active panels (each carrying its piece's c and h) in one call, and
+    their half-sums become the next level's coarse sums.  A panel is locked
+    once every finite component has |fine - coarse| < abs_tol * (its energy
+    width) / (total width).  The integral stops when every finite component's
+    sum |fine - coarse| over all panels, its error estimate, is below abs_tol.
     Non-finite components (infinite entropy weights) are skipped while coarse
     and fine agree on which are finite, and get an inf error estimate.
-    Returns (values (m,), error_estimates (m,)); raises QuadratureError with
-    the partial result if panels are still active after _MAX_HALVINGS levels,
-    or if a level would outgrow the finest grid of a _FIRST_PANELS start,
-    _FIRST_PANELS << _MAX_HALVINGS per piece; `panels` is capped at a quarter
-    of it, so no call holds more.
+
+    The finest panel is pi / (_FIRST_PANELS 2^_MAX_HALVINGS) whatever the
+    start: a start of `panels` < _FIRST_PANELS panels may halve
+    ceil(log2(_FIRST_PANELS / panels)) more times, so a one-panel start
+    halves up to 16 times.  Returns (values (m,), error_estimates (m,));
+    raises QuadratureError with the partial result if panels are still
+    active after the last halving, or if a level would outgrow the finest
+    grid of a _FIRST_PANELS start, _FIRST_PANELS << _MAX_HALVINGS per piece;
+    `panels` is capped at a quarter of it, so no call holds more.
     """
     pieces = _pieces(spectrum, breakpoints)
     if not pieces.size:
         m = np.atleast_2d(integrand_vec(np.empty(0))).shape[0]
         return np.zeros(m), np.zeros(m)
     xg, wg = _gauss_legendre(_GAUSS_POINTS)
-    centre, half_width = pieces.mean(axis=1), (pieces[:, 1] - pieces[:, 0]) / 2.0
+    centre, half_width = (pieces[:, 0] + pieces[:, 1]) / 2.0, (pieces[:, 1] - pieces[:, 0]) / 2.0
     budget = quad.abs_tol / (2.0 * half_width.sum())
     finest = len(pieces) * (_FIRST_PANELS << _MAX_HALVINGS)
+    n = min(panels, _FIRST_PANELS << (_MAX_HALVINGS - 2))
+    halvings = _MAX_HALVINGS + ((_FIRST_PANELS - 1) // n).bit_length()
     # the first call always has panels, so reshape can infer m there (-1);
     # later levels reshape with m, which still works when no panel is active
     m = -1
 
-    def panel_sums(lo, hi, c, h):
+    # a level's panels are the columns of one (4, k) array with rows lo, hi, c, h
+    def panel_sums(level):
+        lo, hi, c, h = level[0], level[1], level[2], level[3]
         half = (hi - lo) / 2.0
         phi = (lo + half)[:, None] + half[:, None] * xg
-        vals = np.atleast_2d(integrand_vec((c[:, None] - h[:, None] * np.cos(phi)).ravel()))
+        vals = integrand_vec((c[:, None] - h[:, None] * np.cos(phi)).ravel())
         with np.errstate(invalid="ignore"):
             return (vals.reshape(m, lo.size, xg.size) * ((h * half)[:, None] * np.sin(phi))) @ wg
 
-    def halve(lo, hi, c, h):
-        mid = (lo + hi) / 2.0
-        return (np.column_stack([lo, mid]).ravel(), np.column_stack([mid, hi]).ravel(),
-                np.repeat(c, 2), np.repeat(h, 2))
+    def halve(level):
+        children = np.repeat(level, 2, axis=1)
+        mid = (level[0] + level[1]) / 2.0
+        children[1, ::2] = mid
+        children[0, 1::2] = mid
+        return children
 
-    n = min(panels or _FIRST_PANELS, _FIRST_PANELS << (_MAX_HALVINGS - 2))
-    edges = np.linspace(0.0, np.pi, n + 1)
-    lo, hi = np.tile(edges[:-1], len(pieces)), np.tile(edges[1:], len(pieces))
-    c, h = np.repeat(centre, n), np.repeat(half_width, n)
-    children = halve(lo, hi, c, h)
+    edges = _first_edges(n)
+    level = np.empty((4, len(pieces), n))
+    level[0], level[1], level[2], level[3] = edges[:-1], edges[1:], centre[:, None], half_width[:, None]
+    level = level.reshape(4, -1)
+    children = halve(level)
     # the first halving is never skipped: one call sums the coarse panels and their halves
-    sums = panel_sums(*(np.concatenate(pair) for pair in zip((lo, hi, c, h), children)))
-    coarse, halves = sums[:, : lo.size], sums[:, lo.size :]
+    sums = panel_sums(np.concatenate([level, children], axis=1))
+    k = level.shape[1]
+    coarse, halves = sums[:, :k], sums[:, k:]
     m = coarse.shape[0]
-    locked_fine, locked_coarse, locked_diff = np.zeros(m), np.zeros(m), np.zeros(m)
-    for level in range(_MAX_HALVINGS):
-        if level:
-            children = halve(lo, hi, c, h)
-            halves = panel_sums(*children)
-        child_lo, child_hi, c, h = children
-        fine = halves.reshape(m, lo.size, 2).sum(axis=2)
+    locked = np.zeros((3, m))  # fine and coarse sums, and |fine - coarse|, of the locked panels
+    for depth in range(halvings):
+        if depth:
+            children = halve(level)
+            halves = panel_sums(children)
+        fine = halves.reshape(m, -1, 2).sum(axis=2)
         with np.errstate(invalid="ignore"):
             diff = np.abs(fine - coarse)
-            total = locked_fine + fine.sum(axis=1)
-            err = locked_diff + diff.sum(axis=1)
-            finite = np.isfinite(total)
-            same_mask = np.array_equal(finite, np.isfinite(locked_coarse + coarse.sum(axis=1)))
-            if same_mask and np.all(err[finite] < quad.abs_tol):
-                return total, np.where(finite, err, np.inf)
-            width = h[::2] * (np.cos(lo) - np.cos(hi))
-            ok = (diff < budget * width) | ~(np.isfinite(fine) | np.isfinite(coarse))
+            # each (m, k) part is reduced by itself: numpy's sum order depends on the shape
+            parts = (fine, coarse, diff)
+            totals = locked + [x.sum(axis=1) for x in parts]
+            total, coarse_total, err = totals
+            # finite sums have finite terms: then no component or panel is skipped
+            all_finite = np.isfinite(totals[:2]).all()
+            if all_finite:
+                if (err < quad.abs_tol).all():
+                    return total, err
+            else:
+                finite = np.isfinite(total)
+                if np.array_equal(finite, np.isfinite(coarse_total)) and np.all(err[finite] < quad.abs_tol):
+                    return total, np.where(finite, err, np.inf)
+            ok = diff < budget * (level[3] * (np.cos(level[0]) - np.cos(level[1])))
+            if not all_finite:
+                ok |= ~(np.isfinite(fine) | np.isfinite(coarse))
             lock = ok.all(axis=0)
-            locked_fine += fine[:, lock].sum(axis=1)
-            locked_coarse += coarse[:, lock].sum(axis=1)
-            locked_diff += diff[:, lock].sum(axis=1)
-        split = np.repeat(~lock, 2)
-        lo, hi, c, h, coarse = child_lo[split], child_hi[split], c[split], h[split], halves[:, split]
-        if 2 * lo.size > finest:  # the next level would outgrow the finest grid
+        if lock.any():
+            locked += [x[:, lock].sum(axis=1) for x in parts]
+            split = np.repeat(~lock, 2)
+            children, halves = children[:, split], halves[:, split]
+        level, coarse = children, halves
+        if 2 * level.shape[1] > finest:  # the next level would outgrow the finest grid
             break
     raise QuadratureError(
-        f"quadrature did not converge to {quad.abs_tol} after {level + 1} panel halvings",
+        f"quadrature did not converge to {quad.abs_tol} after {depth + 1} panel halvings",
         value=total,
-        error_estimate=np.where(finite, err, np.inf),
+        error_estimate=np.where(np.isfinite(total), err, np.inf),
     )
 
 
@@ -284,9 +314,9 @@ def _mu_breakpoints(thermo: ThermoState) -> list[float]:
 
 
 def _current_report(
-    thermo: ThermoState, quad: QuadratureConfig, T_of_E, spectrum, breakpoints=(), panels=None
+    thermo: ThermoState, quad: QuadratureConfig, T_of_E, spectrum, breakpoints, panels
 ) -> CurrentReport:
-    """Assemble all five current integrals for a given transmittance profile.
+    """Assemble all five current integrals for a `_transmittance_profile` (T_of_E None: T = 1).
 
     Panels split at `breakpoints` and at zero-temperature chemical potentials.
     """
@@ -295,11 +325,13 @@ def _current_report(
     def integrand(E: np.ndarray) -> np.ndarray:
         nonlocal evaluations
         evaluations += E.size
-        T = T_of_E(E)
+        T = None if T_of_E is None else T_of_E(E)
         _, _, delta_l, _, varsigma = weights(thermo, E)
+        if T is None:
+            return np.array([E * delta_l, delta_l, varsigma])
         with np.errstate(invalid="ignore"):
             ent = np.where(T == 0.0, 0.0, T * varsigma)
-        return np.vstack([T * E * delta_l, T * delta_l, ent])
+        return np.array([T * E * delta_l, T * delta_l, ent])
 
     cuts = [*breakpoints, *_mu_breakpoints(thermo)]
     vals, errs = _adaptive_panels(spectrum, integrand, quad, cuts, panels)
@@ -325,17 +357,24 @@ def _current_report(
     )
 
 
-def _transmittance_profile(sample, lead_l, lead_r, kappa, n, breakpoints=()):
-    """(T, spectrum, breakpoints, first level) of ∫ T_N (n = N >= 1) or ∫ T_infty (n None).
+def _transmittance_profile(sample, couplings=None, n=None, breakpoints=()):
+    """(T, spectrum, breakpoints, first level) of a band integral of T over `sample`'s bands.
 
-    The first-level panel rule of every band integral: each piece starts with
-    _FIRST_PANELS panels, and a T_N piece, with about N resonances, with
-    _FIRST_PANELS + 2N.  The leads' support edges join `breakpoints`.
+    couplings = (lead_l, lead_r, kappa) gives T = T_N (n = N >= 1) or T_infty
+    (n None), and couplings None the Thouless T = 1, returned as T None.  The
+    leads' support edges join `breakpoints`.  This is the first-level panel
+    rule of every band integral: a T_N piece, with about N resonances, starts
+    with _FIRST_PANELS + 2N panels; a T_infty or T = 1 piece, analytic in phi
+    on every piece, with _SMOOTH_PANELS (one).  `_adaptive_panels` refines
+    each down to the same finest panel, pi / (_FIRST_PANELS 2^_MAX_HALVINGS).
     """
     spectrum = band_spectrum(sample)
+    if couplings is None:
+        return None, spectrum, [*breakpoints], _SMOOTH_PANELS
+    lead_l, lead_r, kappa = couplings
     cuts = [*breakpoints, *_support_edges(sample, lead_l), *_support_edges(sample, lead_r)]
     if n is None:
-        return lambda E: transmittance_inf(sample, lead_l, lead_r, kappa, E), spectrum, cuts, None
+        return _tinf_plan(sample, lead_l, lead_r, kappa), spectrum, cuts, _SMOOTH_PANELS
     panels = _FIRST_PANELS + 2 * n
     return lambda E: transmittance_n(sample, lead_l, lead_r, kappa, n, E), spectrum, cuts, panels
 
@@ -354,7 +393,8 @@ def lb_currents(
     The first level follows `_transmittance_profile`.
     """
     n = _repetition_count(n_cells)
-    return _current_report(thermo, quad, *_transmittance_profile(sample, lead_l, lead_r, kappa, n))
+    profile = _transmittance_profile(sample, (lead_l, lead_r, kappa), n)
+    return _current_report(thermo, quad, *profile)
 
 
 def crystalline_currents(
@@ -366,7 +406,7 @@ def crystalline_currents(
     quad: QuadratureConfig = QuadratureConfig(),
 ) -> CurrentReport:
     """Crystalline-limit steady currents (T = T_infty over the band spectrum)."""
-    profile = _transmittance_profile(sample, lead_l, lead_r, kappa, None)
+    profile = _transmittance_profile(sample, (lead_l, lead_r, kappa))
     return _current_report(thermo, quad, *profile)
 
 
@@ -376,7 +416,7 @@ def thouless_currents(
     quad: QuadratureConfig = QuadratureConfig(),
 ) -> CurrentReport:
     """Thouless currents: reflectionless transport, T = 1 on the band spectrum."""
-    return _current_report(thermo, quad, np.ones_like, band_spectrum(sample))
+    return _current_report(thermo, quad, *_transmittance_profile(sample))
 
 
 def zero_temperature_conductance(
@@ -442,7 +482,7 @@ def convergence_study(
 
     def integral(n_cells) -> float:
         T, spectrum, cuts, panels = _transmittance_profile(
-            sample, lead_l, lead_r, kappa, n_cells, breakpoints
+            sample, (lead_l, lead_r, kappa), n_cells, breakpoints
         )
         vals, _ = _adaptive_panels(
             spectrum, lambda E: (T(E) * weight(E))[None, :], quad, cuts, panels

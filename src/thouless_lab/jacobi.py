@@ -239,21 +239,20 @@ def _energies(E) -> tuple[np.ndarray, bool]:
 
 
 def _one_period_abcd(sample: SampleSpec, E):
-    """Entries (a, b, c, d) of T_L(E) = A_L ... A_1, vectorized over E."""
+    """Entries (a, b, c, d) of T_L(E) = A_L ... A_1, vectorized over E.
+
+    A_1 is applied to the identity in closed form, with the bits of the
+    general step: (x * 1 - 0)/J = x/J and J * 1 = J exactly.
+    """
     E = np.asarray(E, dtype=float)
-    a = np.ones_like(E)
-    b = np.zeros_like(E)
-    c = np.zeros_like(E)
-    d = np.ones_like(E)
-    L = sample.length
-    for x in range(1, L + 1):
-        J = sample.hopping(x)
-        lam = sample.onsite_at(x)
+    hops = (*sample.hop, sample.kappa_s)  # J_1 ... J_L, with J_L = kappa_s
+    x, J = E - sample.onsite[0], hops[0]
+    a, b = x / J, (x * 0.0 - 1.0) / J
+    c, d = np.full_like(E, J), np.full_like(E, J * 0.0)
+    for J, lam in zip(hops[1:], sample.onsite[1:]):
         # left-multiply by A_x
-        na = ((E - lam) * a - c) / J
-        nb = ((E - lam) * b - d) / J
-        c, d = J * a, J * b
-        a, b = na, nb
+        x = E - lam
+        a, b, c, d = (x * a - c) / J, (x * b - d) / J, J * a, J * b
     return a, b, c, d
 
 

@@ -15,14 +15,16 @@ absolutely continuous spectrum.  Three lead families are supported:
 
 ``_eigendata_values`` is the one source of one-period transfer data: from a
 single evaluation of T_L(E) it returns the entries of T_L, the growing
-off-band eigenvalue and the one band-edge exclusion rule (``in_band`` and
-``edge``), and, on their first read, the in-band phase, m-functions and
-off-band eigenvectors that ``transport`` builds on.  Inside
-the bands the Herglotz root m_r is computed first and m_l follows from it,
-m_l = 1/(kappa_s^2 conj(m_r)); outside them both are read from the real
-eigenvectors.  ``transport`` reads the F of a ``CrystallineLead`` on its own
-sample from that data, through ``_clamp_im``, the Im-floor clamp of
-``lead_F_values``.
+off-band eigenvalue and the one band-edge exclusion rule of
+``_transfer_band`` (``in_band`` and ``edge``), and, on their first read,
+the in-band phase, m-functions and off-band eigenvectors that ``transport``
+builds on.  Inside the bands the Herglotz root m_r is computed first and
+m_l follows from it, m_l = 1/(kappa_s^2 conj(m_r)) (``_band_m_values``);
+outside them both are read from the real eigenvectors.  T_infty, which
+needs only the band interior, reads the same in-band values from
+``_interior_m_values`` without the rest.  ``transport`` reads the F of a
+``CrystallineLead`` on its own sample from that data, through
+``_clamp_im``, the Im-floor clamp of ``lead_F_values``.
 """
 
 from __future__ import annotations
@@ -168,28 +170,66 @@ class _StagedData(dict):
         return self[key]
 
 
-def _eigendata_values(sample: SampleSpec, E: np.ndarray):
-    """Vectorized transfer eigendata and Weyl m-functions, one T_L(E) evaluation.
+def _transfer_band(sample: SampleSpec, E: np.ndarray):
+    """(a, b, c, d, tr, disc, in_band, edge) from one T_L(E) evaluation: the one band-edge rule.
 
-    Returns a dict of arrays: a, b, c, d (entries of T_L), in_band, edge
-    (within the band-edge exclusion zone), alpha_off (the growing real
-    eigenvalue at the off-band entries, in order), and the deferred m_l, m_r,
-    theta (nan off band) and vec_off, the off-band eigenvectors (phi_+,
-    kappa_s psi_+, phi_-, kappa_s psi_-).  The deferred four are computed
-    together on the first read of any, so T_N, which reads only the eager
-    keys, never pays for them.
-    No errors are raised; callers decide how to treat flagged entries.
-
-    Inside the bands m_r is the root with Im > 0 of c z^2 + (a - d) z - b and
-    m_l = 1/(kappa_s^2 conj(m_r)).  Outside the bands (or exactly at an edge)
-    the eigenvectors (phi, kappa_s psi) are real, and m_r = -phi/(kappa_s psi)
-    is read from the decaying one, m_l from the growing one.
+    disc = tr^2 - 4 < 0 marks the bands, and `edge` the exclusion zone where
+    |tr T_L| is within EDGE_TOL of 2.
     """
     a, b, c, d = _one_period_abcd(sample, E)
     tr = a + d
     disc = tr * tr - 4.0
-    in_band = disc < 0.0
-    edge = np.abs(np.abs(tr) - 2.0) < EDGE_TOL
+    return a, b, c, d, tr, disc, disc < 0.0, np.abs(np.abs(tr) - 2.0) < EDGE_TOL
+
+
+def _band_m_values(a, b, c, d, disc, kS2: float):
+    """(m_l, m_r, sin theta) from in-band entries of T_L and their disc = tr^2 - 4 < 0.
+
+    cos theta = tr/2 and sign(theta) = sign(b); b*c < 0 in band, so b, c != 0.
+    m_r is the root with Im > 0 of c z^2 + (a - d) z - b, and m_l = 1/(kappa_s^2 conj(m_r)).
+    """
+    sin_th = np.where(b >= 0.0, 1.0, -1.0) * np.sqrt(-disc) / 2.0
+    m_r = ((d - a) / 2.0 - 1j * sin_th) / c
+    return m_r / (kS2 * np.abs(m_r) ** 2), m_r, sin_th
+
+
+def _interior_m_values(sample: SampleSpec, E: np.ndarray):
+    """(interior, m_l, m_r): the band-interior m-functions of one T_L(E) evaluation.
+
+    They are bit for bit those of `_eigendata_values`.  interior marks the
+    entries in band and outside the edge zone.  It is None when that is
+    every entry, and m_l, m_r then cover the whole array without a masked
+    copy; otherwise they cover the interior entries in order.  No in-band
+    phase and no off-band eigenvector is computed.
+    """
+    a, b, c, d, _, disc, in_band, edge = _transfer_band(sample, E)
+    interior = in_band & ~edge
+    if interior.all():
+        interior = None
+    else:
+        a, b, c, d, disc = (x[interior] for x in (a, b, c, d, disc))
+    m_l, m_r, _ = _band_m_values(a, b, c, d, disc, sample.kappa_s**2)
+    return interior, m_l, m_r
+
+
+def _eigendata_values(sample: SampleSpec, E: np.ndarray):
+    """Vectorized transfer eigendata and Weyl m-functions, one T_L(E) evaluation.
+
+    Returns a dict of arrays: a, b, c, d (entries of T_L), in_band, edge
+    (within the band-edge exclusion zone of `_transfer_band`), alpha_off (the
+    growing real eigenvalue at the off-band entries, in order), and the
+    deferred m_l, m_r, theta (nan off band) and vec_off, the off-band
+    eigenvectors (phi_+, kappa_s psi_+, phi_-, kappa_s psi_-).  The deferred
+    four are computed together on the first read of any, so T_N, which reads
+    only the eager keys, never pays for them.
+    No errors are raised; callers decide how to treat flagged entries.
+
+    Inside the bands m_l and m_r follow `_band_m_values`.  Outside the bands
+    (or exactly at an edge) the eigenvectors (phi, kappa_s psi) are real, and
+    m_r = -phi/(kappa_s psi) is read from the decaying one, m_l from the
+    growing one.
+    """
+    a, b, c, d, tr, disc, in_band, edge = _transfer_band(sample, E)
     off = ~in_band
     tro = tr[off]
     # the growing eigenvalue, |alpha| >= 1
@@ -201,15 +241,13 @@ def _eigendata_values(sample: SampleSpec, E: np.ndarray):
         m_r = np.empty(E.shape, dtype=complex)
         theta = np.full(E.shape, np.nan)
 
-        # in band: cos theta = tr/2, sign(theta) = sign(b); b*c < 0 there, so b, c != 0.
-        # theta takes the same sine as m_r, so phase and m-functions agree at the edges.
-        sign_b = np.where(b[in_band] >= 0.0, 1.0, -1.0)
-        sin_th = sign_b * np.sqrt(-disc[in_band]) / 2.0
-        th = np.arctan2(sin_th, tr[in_band] / 2.0)
-        theta[in_band] = th
-        mr_in = ((d[in_band] - a[in_band]) / 2.0 - 1j * sin_th) / c[in_band]
+        # theta takes the same sine as m_r, so phase and m-functions agree at the edges
+        ml_in, mr_in, sin_th = _band_m_values(
+            a[in_band], b[in_band], c[in_band], d[in_band], disc[in_band], kS2
+        )
+        theta[in_band] = np.arctan2(sin_th, tr[in_band] / 2.0)
         m_r[in_band] = mr_in
-        m_l[in_band] = mr_in / (kS2 * np.abs(mr_in) ** 2)
+        m_l[in_band] = ml_in
 
         vec = (np.empty(0),) * 4
         if al.size:

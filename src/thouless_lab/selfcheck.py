@@ -8,6 +8,7 @@ The battery backs the CLI ``selfcheck`` command and the acceptance tests.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .currents import QuadratureConfig, ThermoState, crystalline_currents, sign_change_energy
 from .currents import thouless_currents, weights
-from .errors import SampleEigenvalueError
+from .errors import NumericalError, QuadratureError, SampleEigenvalueError
 from .jacobi import SampleSpec, _count, band_spectrum, transfer_step
 from .leads import CrystallineLead, HalfLineLead, _crystal_m_values
 from .oracle import _coupled_corners, _n_cell_system, transmittance_oracle
@@ -27,6 +28,24 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+
+
+def _reported(check):
+    """The check, made to report and never raise.
+
+    A library NumericalError or QuadratureError becomes a failed CheckResult
+    whose detail is the error's type and message.
+    """
+    name = check.__name__.removeprefix("check_")
+
+    @functools.wraps(check)
+    def run(*args, **kwargs) -> CheckResult:
+        try:
+            return check(*args, **kwargs)
+        except (NumericalError, QuadratureError) as exc:
+            return CheckResult(name, False, f"{type(exc).__name__}: {exc}")
+
+    return run
 
 
 def random_sample(rng: np.random.Generator, max_sites: int = 8) -> SampleSpec:
@@ -68,6 +87,7 @@ def band_interior_grid(spectrum, points: int) -> np.ndarray:
     return np.concatenate(grids)
 
 
+@_reported
 def check_oracle_equivalence(
     rng: np.random.Generator, n_configs: int = 50, grid_points: int = 200
 ) -> CheckResult:
@@ -92,6 +112,7 @@ def _transfer_product(sample: SampleSpec, n_sites: int, E: float) -> np.ndarray:
     return T
 
 
+@_reported
 def check_graph_map(rng: np.random.Generator, n_triples: int = 50) -> CheckResult:
     """T_{NL}(E) maps the graph of G_S^(N)(E) as (x,y,u,v) -> (u,-x,-y/kappa_s,kappa_s v)."""
     worst = 0.0
@@ -120,6 +141,7 @@ def check_graph_map(rng: np.random.Generator, n_triples: int = 50) -> CheckResul
     return CheckResult("graph_map", worst <= 1e-9, f"max graph-map residual = {worst:.3e}")
 
 
+@_reported
 def check_m_identities(rng: np.random.Generator, n_samples: int = 25) -> CheckResult:
     """Weyl m-functions are Herglotz and fixed points of one period's Schur complement.
 
@@ -168,6 +190,7 @@ _ABS_TOL = QuadratureConfig().abs_tol  # the current checks use the default quad
 _DELTA_ROUNDING = 8.0 * float(np.finfo(float).eps)  # see check_conservation_entropy
 
 
+@_reported
 def check_conservation_entropy(rng: np.random.Generator, n_configs: int = 10) -> CheckResult:
     """Pointwise `weights`: Delta_r = -Delta_l exactly, varsigma >= 0 up to rounding; no report.
 
@@ -197,6 +220,7 @@ def check_conservation_entropy(rng: np.random.Generator, n_configs: int = 10) ->
                        f"at {wrong} of {energies} energies")
 
 
+@_reported
 def check_thouless_dominance(rng: np.random.Generator, n_configs: int = 10) -> CheckResult:
     """Entropy dominance <J>_infty <= <J>_Th for random reservoir realizations.
 
@@ -221,6 +245,7 @@ def check_thouless_dominance(rng: np.random.Generator, n_configs: int = 10) -> C
                        f"conservation {cons:.3e}, balance {bal:.3e}, min J {min_j:.3e}")
 
 
+@_reported
 def check_matched_reflectionless(rng: np.random.Generator, n_configs: int = 5) -> CheckResult:
     """Matched crystalline leads (kappa = kappa_s) transmit perfectly: T_N = 1 in band."""
     worst = 0.0

@@ -37,7 +37,8 @@ from .jacobi import GreenMatrix2, SampleSpec, _energies, _repetition_count
 # Not called here; kept importable because bench/tracer.py wraps this name.
 from .jacobi import _one_period_abcd  # noqa: F401
 from .leads import EDGE_TOL, SUPPORT_TOL, CrystallineLead, LeadModel, lead_F_values
-from .leads import _check_kappa, _clamp_im, _eigendata_values, _one_energy
+from .leads import _check_kappa, _clamp_im, _eigendata_values, _interior_m_values, _lead_F_values
+from .leads import _one_energy
 # Not called here; kept importable because bench/tracer.py wraps this name.
 from .leads import _crystal_m_values  # noqa: F401
 
@@ -225,12 +226,13 @@ def _clamp_unit(T: np.ndarray, what: str) -> np.ndarray:
     """Clamp to [0, 1]; violations beyond CLAMP_TOL are implementation bugs."""
     worst = 0.0
     if T.size:
-        worst = max(float(np.max(T) - 1.0), float(-np.min(T)), 0.0)
+        worst = max(float(T.max() - 1.0), float(-T.min()), 0.0)
     if worst > CLAMP_TOL:
         raise NumericalError(f"{what} outside [0,1] by {worst:.3e} (beyond {CLAMP_TOL})")
     if worst > 1e-12:
         log.debug("%s clamped by %.3e", what, worst)
-    return np.clip(T, 0.0, 1.0)
+    # nothing outside [0, 1] (or a nan, which the clip keeps): T is returned as it is
+    return np.clip(T, 0.0, 1.0) if worst > 0.0 else T
 
 
 def _tn_values(sample, n_cells, kappa, ed, F_l, F_r) -> np.ndarray:
@@ -271,18 +273,64 @@ def _crystal_live(ed, F_l, F_r) -> np.ndarray:
     return ed["in_band"] & ~ed["edge"] & (F_l.imag > SUPPORT_TOL) & (F_r.imag > SUPPORT_TOL)
 
 
+def _tinf_live(sample, kappa, m_l, m_r, F_l, F_r) -> np.ndarray:
+    """T_infty = 1/(1 + (term_l + term_r)/4) from m-functions and F at live entries."""
+    kS2, k2 = sample.kappa_s**2, kappa**2
+    sm_r, sm_l = kS2 * m_r, kS2 * m_l
+    sF_r, sF_l = k2 * F_r, k2 * F_l
+    term_r = np.abs(sm_r - sF_r) ** 2 / (sm_r.imag * sF_r.imag)
+    term_l = np.abs(sm_l - sF_l) ** 2 / (sm_l.imag * sF_l.imag)
+    return 1.0 / (1.0 + 0.25 * (term_r + term_l))
+
+
 def _tinf_values(sample, kappa, ed, F_l, F_r) -> np.ndarray:
     """T_infty from the transport inputs; 0 off `_crystal_live`."""
     live = _crystal_live(ed, F_l, F_r)
     T = np.zeros(live.shape)
     if np.any(live):
-        kS2, k2 = sample.kappa_s**2, kappa**2
-        sm_r, sm_l = kS2 * ed["m_r"][live], kS2 * ed["m_l"][live]
-        sF_r, sF_l = k2 * F_r[live], k2 * F_l[live]
-        term_r = np.abs(sm_r - sF_r) ** 2 / (sm_r.imag * sF_r.imag)
-        term_l = np.abs(sm_l - sF_l) ** 2 / (sm_l.imag * sF_l.imag)
-        T[live] = 1.0 / (1.0 + 0.25 * (term_r + term_l))
+        T[live] = _tinf_live(sample, kappa, ed["m_l"][live], ed["m_r"][live], F_l[live], F_r[live])
     return _clamp_unit(T, "T_inf")
+
+
+def _tinf_plan(sample, lead_l, lead_r, kappa):
+    """T_infty as a function of a checked energy array, bit for bit `_tinf_values`.
+
+    kappa is checked and each lead's F resolved once, so a call does only
+    array work.  A call reads `leads._interior_m_values`: no in-band phase, no
+    off-band eigenvector, and no masked copy where every energy is interior.
+    A CrystallineLead on this sample takes F from those m-functions; any
+    other lead evaluates F on the whole array, as `_transport_inputs` does.
+    """
+    kappa = _check_kappa(kappa)
+
+    def boundary_values(lead):
+        if isinstance(lead, CrystallineLead) and lead.sample == sample:
+            side = 0 if lead.side == "l" else 1
+            return lambda E, interior, m: _clamp_im(m[side])
+
+        def values(E, interior, m):
+            F = _lead_F_values(lead, E)
+            return F if interior is None else F[interior]
+
+        return values
+
+    F_of_l, F_of_r = boundary_values(lead_l), boundary_values(lead_r)
+
+    def tinf(E: np.ndarray) -> np.ndarray:
+        interior, *m = _interior_m_values(sample, E)
+        F_l, F_r = F_of_l(E, interior, m), F_of_r(E, interior, m)
+        live = (F_l.imag > SUPPORT_TOL) & (F_r.imag > SUPPORT_TOL)
+        if live.all():
+            T = _tinf_live(sample, kappa, *m, F_l, F_r)
+        else:
+            T = np.zeros(live.shape)
+            T[live] = _tinf_live(sample, kappa, *(x[live] for x in (*m, F_l, F_r)))
+        if interior is not None:
+            T, T_interior = np.zeros(E.shape), T
+            T[interior] = T_interior
+        return _clamp_unit(T, "T_inf")
+
+    return tinf
 
 
 def transmittance_inf(
@@ -298,7 +346,7 @@ def transmittance_inf(
     exclusion zone (a measure-zero set).  Accepts scalars or arrays.
     """
     E_arr, scalar = _energies(E)
-    T = _tinf_values(sample, *_transport_inputs(sample, lead_l, lead_r, kappa, E_arr))
+    T = _tinf_plan(sample, lead_l, lead_r, kappa)(E_arr)
     return float(T[0]) if scalar else T
 
 

@@ -280,6 +280,32 @@ def test_selfcheck_passes(tmp_path, capsys):
     assert "all checks passed" in captured.out
 
 
+def test_selfcheck_library_error_is_a_failed_check_not_a_numerical_exit(tmp_path, capsys):
+    # seed 256 puts a matched-lead T_N beyond CLAMP_TOL: exit 1 with a FAIL line, not 3
+    cfg = write_config(tmp_path, MATCHED)
+    assert main(["selfcheck", "--config", cfg, "--seed", "256", "--ensemble", "4"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL matched_reflectionless: NumericalError: T_N outside [0,1]" in out
+    assert out.endswith("selfcheck: FAILURES detected\n")
+
+
+@pytest.mark.parametrize("half_line", [True, False], ids=["half_line", "crystalline"])
+def test_transmit_inf_t_column_is_the_same_with_diagnostics(tmp_path, half_line):
+    # the diagnostics T column reads the full eigendata, plain --inf the T_infty plan
+    payload = dict(DIMER, kappa=0.7, energy_grid={"count": 401})
+    if half_line:
+        payload["leads"] = {"left": {"type": "half_line", "t": 1.2, "v0": 0.1},
+                            "right": {"type": "half_line", "t": 1.1, "v0": -0.1}}
+    cfg = write_config(tmp_path, payload)
+    plain, diag = tmp_path / "t.csv", tmp_path / "d.csv"
+    assert main(["transmit", "--config", cfg, "--out", str(plain), "--inf"]) == 0
+    assert main(["transmit", "--config", cfg, "--out", str(diag), "--inf", "--diagnostics"]) == 0
+    plain_rows = plain.read_text().splitlines()[2:]
+    diag_rows = diag.read_text().splitlines()[2:]
+    assert len(plain_rows) == len(diag_rows) > 100
+    assert [row.rsplit(",", 2)[0] for row in diag_rows] == plain_rows
+
+
 def test_config_rejects_unknown_keys(tmp_path):
     payload = dict(MATCHED)
     payload["extra"] = 1

@@ -36,7 +36,8 @@ ROUNDING = 8 * np.finfo(float).eps
 
 @contextlib.contextmanager
 def _gauss_rule(monkeypatch, panels, points):
-    """Band integrals start from `panels` first-level panels of `points` nodes inside the block."""
+    """Inside the block, panels carry `points` nodes, T_N pieces start from `panels` + 2N panels
+    and every piece refines down to pi / (panels 2^13)."""
     with monkeypatch.context() as m:
         m.setattr(currents, "_FIRST_PANELS", panels)
         m.setattr(currents, "_GAUSS_POINTS", points)
@@ -113,14 +114,14 @@ def test_weights_infinite_beta_entropy():
 
 def test_integrate_bands_constant(free_chain):
     spectrum = band_spectrum(free_chain)
-    (value,), (err,) = _adaptive_panels(spectrum, lambda E: np.ones_like(E), QuadratureConfig())
+    (value,), (err,) = _adaptive_panels(spectrum, lambda E: np.ones_like(E), QuadratureConfig(), (), 1)
     assert value == pytest.approx(4.0, abs=1e-12)
     assert err >= abs(value - 4.0) - ROUNDING * 4.0
 
 
 def test_integrate_bands_odd_function(free_chain):
     spectrum = band_spectrum(free_chain)
-    (value,), _ = _adaptive_panels(spectrum, lambda E: E, QuadratureConfig())
+    (value,), _ = _adaptive_panels(spectrum, lambda E: E, QuadratureConfig(), (), 1)
     assert value == pytest.approx(0.0, abs=1e-8)
 
 
@@ -131,7 +132,8 @@ def test_integrate_bands_indicator_measures_thouless(dimer):
         spectrum,
         lambda E: ((E >= lo) & (E <= hi)).astype(float),
         QuadratureConfig(),
-        breakpoints=(lo, hi),
+        (lo, hi),
+        1,
     )
     expected = thouless_conductance(dimer, (lo, hi)) * 2.0 * np.pi * (hi - lo)
     assert value == pytest.approx(expected, abs=1e-12)
@@ -148,7 +150,7 @@ def test_repeated_breakpoint_splits_once(free_chain):
             sizes.append(E.size)
             return np.sqrt(np.abs(E - 0.3))
 
-        (value,), _ = _adaptive_panels(spectrum, integrand, QuadratureConfig(), cuts)
+        (value,), _ = _adaptive_panels(spectrum, integrand, QuadratureConfig(), cuts, 1)
         results.append((value, sum(sizes)))
     assert results[0] == results[1]
 
@@ -157,7 +159,7 @@ def test_integrate_bands_failure_carries_partial(free_chain, monkeypatch):
     spectrum = band_spectrum(free_chain)
     quad = QuadratureConfig(abs_tol=1e-12)
     with _gauss_rule(monkeypatch, panels=1, points=2), pytest.raises(QuadratureError) as exc_info:
-        _adaptive_panels(spectrum, lambda E: np.sin(3.0e5 * E + 0.7), quad)
+        _adaptive_panels(spectrum, lambda E: np.sin(3.0e5 * E + 0.7), quad, (), 1)
     assert exc_info.value.value is not None
 
 
@@ -171,7 +173,9 @@ def test_integrate_bands_narrow_lorentzian_refines_locally(free_chain):
         sizes.append(E.size)
         return gamma / ((E - e0) ** 2 + gamma**2)
 
-    (value,), (err,) = _adaptive_panels(band_spectrum(free_chain), lorentzian, quad)
+    (value,), (err,) = _adaptive_panels(
+        band_spectrum(free_chain), lorentzian, quad, (), currents._FIRST_PANELS
+    )
     exact = math.atan((2.0 - e0) / gamma) - math.atan((-2.0 - e0) / gamma)
     assert value == pytest.approx(exact, abs=quad.abs_tol)
     assert err >= abs(value - exact) - ROUNDING * exact
@@ -226,7 +230,9 @@ def test_quadrature_never_evaluates_an_empty_array(dimer, wide_lead, monkeypatch
 
 def test_quadrature_without_segments_returns_zeros_of_the_integrand_shape():
     spectrum = BandSpectrum(((0.3, 0.3),))
-    vals, errs = _adaptive_panels(spectrum, lambda E: np.vstack([E, E, E]), QuadratureConfig())
+    vals, errs = _adaptive_panels(
+        spectrum, lambda E: np.vstack([E, E, E]), QuadratureConfig(), (), 1
+    )
     np.testing.assert_array_equal(vals, np.zeros(3))
     np.testing.assert_array_equal(errs, np.zeros(3))
 
@@ -259,12 +265,54 @@ def test_report_evaluations_are_pinned(free_chain, dimer, wide_lead):
         crystalline_currents(dimer, wide_lead, own_r, 0.7, window),
         lb_currents(dimer, wide_lead, wide_lead, 0.7, 4, th),
     ]
-    assert [r.evaluations for r in reports] == [288, 1152, 576, 1152, 1152]
+    # T_infty and Thouless pieces start from one panel, T_N pieces from 8 + 2N
+    assert [r.evaluations for r in reports] == [132, 144, 72, 240, 1152]
+
+
+@pytest.mark.parametrize("report", ["crystalline", "thouless"])
+def test_one_panel_start_meets_its_error_estimate(report):
+    # against the same report at abs_tol = 1e-13: the true error was at most
+    # 3.1e-11 and 0.024 of the estimate over these 120 reports of each kind
+    rng = np.random.default_rng(5)
+    quad, ref_quad = QuadratureConfig(), QuadratureConfig(abs_tol=1e-13)
+    for _ in range(40):
+        sample, lead_l, lead_r, kappa = random_configuration(rng)
+        for thermo in _CHECK_STATES:
+            if report == "crystalline":
+                rep, ref = (crystalline_currents(sample, lead_l, lead_r, kappa, thermo, q)
+                            for q in (quad, ref_quad))
+            else:
+                rep, ref = (thouless_currents(sample, thermo, q) for q in (quad, ref_quad))
+            error = max(abs(getattr(rep, f) - getattr(ref, f)) for f in ("phi_l", "i_l", "entropy_j"))
+            assert error <= rep.error_estimate <= quad.abs_tol
+
+
+@pytest.mark.parametrize("panels, halvings", [(1, 16), (currents._FIRST_PANELS, 13)])
+def test_a_start_of_any_size_halves_down_to_the_same_finest_panel(free_chain, panels, halvings):
+    # a jump inside the band never converges: the panel holding it halves to
+    # the full depth, and the last call halves that panel's two children into
+    # four panels, each pi / 2^16 wide in phi
+    sizes, last = [], []
+
+    def step(E):
+        sizes.append(E.size)
+        last[:] = [E]
+        return (E < 0.3137).astype(float)
+
+    spectrum = band_spectrum(free_chain)  # [-2, 2]: E = -2 cos(phi)
+    with pytest.raises(QuadratureError, match=f"after {halvings} panel halvings"):
+        _adaptive_panels(spectrum, step, QuadratureConfig(), (), panels)
+    assert len(sizes) == halvings and sizes[-1] == 4 * currents._GAUSS_POINTS
+    phi = np.arccos(-last[0] / 2.0)
+    finest = np.pi / (currents._FIRST_PANELS << currents._MAX_HALVINGS)
+    assert 3.0 * finest < np.ptp(phi) < 4.0 * finest
 
 
 def test_report_integrand_calls_are_pinned(free_chain, dimer, wide_lead, monkeypatch):
-    # the coarse level and the first halving share one call, and a T_N piece
-    # starts with 8 + 2N panels, so every report here converges in that call
+    # the coarse level and the first halving share one call; a T_N piece
+    # starts with 8 + 2N panels and converges in that call, while a one-panel
+    # start may take more levels: two more for the free chain's Thouless
+    # report, one more for the dimer's crystalline window
     calls = []
     weights_orig = currents.weights
 
@@ -287,7 +335,7 @@ def test_report_integrand_calls_are_pinned(free_chain, dimer, wide_lead, monkeyp
     for report in reports:
         calls.append(0)
         report()
-    assert calls == [1, 1, 1, 1, 1, 1]
+    assert calls == [3, 1, 1, 2, 1, 1]
 
 
 def test_lb_currents_on_a_resonant_narrow_band_case_meet_abs_tol():
@@ -506,6 +554,29 @@ def test_selfcheck_catches_a_defect_in_weights(monkeypatch, defect, caught_by):
         assert balance > 3.0 * QuadratureConfig().abs_tol, result
 
 
+def test_a_check_reports_a_library_error_as_a_failure(monkeypatch):
+    # a flipped varsigma makes a crystalline report raise NumericalError, and a
+    # rule with one panel level raises QuadratureError; the check reports both
+    _inject(monkeypatch, lambda zl, zr, dl, dr, vs: (zl, zr, dl, dr, -vs))
+    result = selfcheck.check_thouless_dominance(np.random.default_rng(0), 5)
+    assert (result.name, result.passed) == ("thouless_dominance", False)
+    assert result.detail.startswith("NumericalError: entropy production")
+    monkeypatch.undo()
+    monkeypatch.setattr(currents, "_MAX_HALVINGS", 2)
+    monkeypatch.setattr(currents, "_GAUSS_POINTS", 2)
+    result = selfcheck.check_thouless_dominance(np.random.default_rng(0), 5)
+    assert not result.passed and result.detail.startswith("QuadratureError: quadrature did not")
+
+
+def test_selfcheck_seed_256_reports_the_matched_lead_error():
+    # matched leads on the seed-256 sample put T_N 4.2e-9 above 1, beyond CLAMP_TOL
+    passed, results = selfcheck.run_selfcheck(256, 4)
+    assert not passed
+    failed = [r for r in results if not r.passed]
+    assert [r.name for r in failed] == ["matched_reflectionless"]
+    assert failed[0].detail.startswith("NumericalError: T_N outside [0,1] by 4.")
+
+
 def test_conservation_entropy_builds_no_report(monkeypatch):
     calls = []
 
@@ -719,8 +790,8 @@ def test_convergence_rows_match_series_oracle(free_chain, free_lead):
             spectrum,
             lambda E: series_integrand(E, row.n_cells),
             QuadratureConfig(abs_tol=1e-8),
-            breakpoints=window,
-            panels=currents._FIRST_PANELS + 2 * row.n_cells,
+            window,
+            currents._FIRST_PANELS + 2 * row.n_cells,
         )
         assert row.integral_n == pytest.approx(oracle, abs=1e-6)
 

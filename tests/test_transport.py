@@ -232,8 +232,9 @@ def test_m_functions_are_computed_only_when_read(monkeypatch, dimer, wide_lead):
     assert len(calls) == 2 and ed["m_r"] is m_r and {"m_l", "theta"} <= set(ed)
     with pytest.raises(KeyError):
         ed["no_such_key"]
+    # T_infty reads only the band-interior m-functions: no off-band eigenvector
     transmittance_inf(dimer, wide_lead, wide_lead, 0.7, grid)
-    assert len(calls) == 4
+    assert len(calls) == 2
 
 
 def _repetition_count_calls(dimer, lead):
@@ -630,18 +631,39 @@ def test_tinf_matches_an_oracle_fit_with_both_contacts_mismatched():
     assert errors.size > 250 and np.max(errors) <= 1e-6
 
 
+def test_tinf_plan_keeps_the_bits_of_the_full_eigendata_path():
+    # the plan reads only band-interior m-functions; the full eigendata path
+    # (`_transport_inputs`, as under transmit --diagnostics) gives the same bits
+    # on grids across gaps and edges, and on all-interior grids that take no masked copy
+    rng = np.random.default_rng(7)
+    for _ in range(30):
+        s, lead_l, lead_r, kappa = random_configuration(rng)
+        spectrum = band_spectrum(s)
+        lo, hi = spectrum.hull
+        edges = np.array([E for band in spectrum.bands for E in band])
+        grids = [np.concatenate([np.linspace(lo - 1.0, hi + 1.0, 301), edges]),
+                 band_interior_grid(spectrum, 200)]
+        other = random_sample(rng, 4)
+        pairs = [(lead_l, lead_r), (CrystallineLead(s, "l"), CrystallineLead(s, "r")),
+                 (lead_l, CrystallineLead(s, "r")), (CrystallineLead(other, "l"), lead_r)]
+        for pair in pairs:
+            plan = transport._tinf_plan(s, *pair, kappa)
+            for E in grids:
+                full = transport._tinf_values(s, *_transport_inputs(s, *pair, kappa, E))
+                assert plan(E).tobytes() == full.tobytes()
+                assert transmittance_inf(s, *pair, kappa, E).tobytes() == full.tobytes()
+            assert transmittance_inf(s, *pair, kappa, float(grids[1][7])) == full[7]
+
+
 def weighted_tinf(weight_r, weight_l):
-    """transport._tinf_values with the contact terms weighted by weight_r and weight_l."""
-    def tinf(sample, kappa, ed, F_l, F_r):
-        live = transport._crystal_live(ed, F_l, F_r)
-        T = np.zeros(live.shape)
+    """transport._tinf_live, the one T_infty formula, with the contact terms weighted."""
+    def tinf(sample, kappa, m_l, m_r, F_l, F_r):
         kS2, k2 = sample.kappa_s**2, kappa**2
-        sm_r, sm_l = kS2 * ed["m_r"][live], kS2 * ed["m_l"][live]
-        sF_r, sF_l = k2 * F_r[live], k2 * F_l[live]
+        sm_r, sm_l = kS2 * m_r, kS2 * m_l
+        sF_r, sF_l = k2 * F_r, k2 * F_l
         term_r = np.abs(sm_r - sF_r) ** 2 / (sm_r.imag * sF_r.imag)
         term_l = np.abs(sm_l - sF_l) ** 2 / (sm_l.imag * sF_l.imag)
-        T[live] = 1.0 / (1.0 + weight_r * term_r + weight_l * term_l)
-        return T
+        return 1.0 / (1.0 + weight_r * term_r + weight_l * term_l)
 
     return tinf
 
@@ -651,7 +673,7 @@ def weighted_tinf(weight_r, weight_l):
     ids=["0.2497_for_0.25", "left_contact_dropped", "right_contact_dropped"],
 )
 def test_oracle_fit_catches_a_wrong_tinf(monkeypatch, weights_rl):
-    monkeypatch.setattr(transport, "_tinf_values", weighted_tinf(*weights_rl))
+    monkeypatch.setattr(transport, "_tinf_live", weighted_tinf(*weights_rl))
     assert np.median(tinf_errors_against_the_oracle()) > 1e-4
 
 
