@@ -11,7 +11,8 @@ selfcheck  seeded property battery; exit 1 on any failure
 
 Exit codes: 0 success, 1 check failure, 2 usage/config error or refused
 input, 3 numerical failure.  CSV output carries a ``# schema=1`` line and
-17-significant-digit fields; identical config + seed reproduce identical bytes.
+fields written as "%.17g" % x (17 significant digits, trailing zeros
+dropped); identical config + seed reproduce identical bytes.
 """
 
 from __future__ import annotations
@@ -47,8 +48,9 @@ from .transport import _r_theta_values  # noqa: F401
 
 SCHEMA_LINE = "# schema=1"
 
-# Energies per _parallel_grid chunk and rows per formatted table chunk; bounds
-# the temporaries of the grid evaluation and of the table text.
+# Energies per _parallel_grid chunk and rows per formatted JSON chunk (CSV
+# blocks are a quarter of it, _CSV_BLOCK); bounds the temporaries of the grid
+# evaluation and of the table text, so a table peaks at about twice its text.
 GRID_CHUNK = 2**14
 
 EXIT_OK = 0
@@ -269,16 +271,197 @@ def _chunks(arr: np.ndarray):
     return (arr[i : i + GRID_CHUNK] for i in range(0, arr.shape[0], GRID_CHUNK))
 
 
-def _csv_table(header: list[str], rows) -> str:
-    """CSV text of a 2-D float array-like; each field is f"{x:.17g}".
+# The exact "%.17g" of the CSV tables, for whole arrays.  A finite x with
+# |x| in [_G17_MIN, _G17_MAX] is scaled to y = |x|·10^(16−X) in [1e16, 1e17) as a
+# double-double product, good to ~1e-15 absolute, so its correctly rounded
+# 17 digits are decided unless y's fraction lies within _G17_TIE of ½ (every
+# exact 18th-digit tie does).  Those values, and |x| outside the range, go to
+# Python's "%.17g"; 0, nan and inf are constant strings.
+_G17_MIN, _G17_MAX = 1e-280, 1e280  # keeps every 10^k half and product normal
+_G17_TIE = 1e-9
+_POW10_MIN, _POW10_MAX = -265, 298  # 16 − X over the range, X off by one either way
+_X_MIN, _X_MAX = 16 - _POW10_MAX, 16 - _POW10_MIN
+_E16, _E17 = 10**16, 10**17
+_DEKKER = 134217729.0  # 2**27 + 1
+# Each field is laid out in _SLOTS bytes, the unused ones 0 and dropped:
+# [0:8] a right-aligned prefix (sign, "0.000" or a constant string), [8:26]
+# the digits with their point, [26:31] the exponent "e±hTU", [31] the separator.
+_SLOTS = 32
+_PREFIXES = ("", "-", "0.", "-0.", "0.0", "-0.0", "0.00", "-0.00", "0.000", "-0.000",
+             "nan", "inf", "-inf", "0", "-0")  # 2k + sign for X = −k in −1..−4, then constants
+_NAN, _INF, _ZERO = 10, 11, 13  # + 1 for a negative sign
+# Rows per formatted CSV block.  A block's byte matrices take about 240 bytes
+# a field, 12 times its text; at 2^12 rows they stay below the text of a
+# 4-column GRID_CHUNK-row table, so the final join (twice the text) sets the peak.
+_CSV_BLOCK = GRID_CHUNK // 4
 
-    Rows are formatted GRID_CHUNK at a time, so only one chunk's float objects
-    are alive at once, and the parts are joined once.
+
+def _dekker_split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    c = _DEKKER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _ascii_rows(texts, width: int, right: bool = False) -> np.ndarray:
+    """Each text as a uint8 row of `width` bytes, 0-padded on the right (or on the left)."""
+    pad = str.rjust if right else str.ljust
+    return np.frombuffer("".join(pad(t, width, "\0") for t in texts).encode(), np.uint8).reshape(-1, width)
+
+
+@functools.cache
+def _g17_tables() -> dict:
+    """Lookup tables of the vectorized %.17g, built on first use (about 1 ms).
+
+    pow10: 10^k as hi + lo doubles from exact Python integers (hi correctly
+    rounded, lo = 10^k − hi to a few ulps), and hi's Dekker halves.
+    digit_words: the ASCII of each 4-digit group, kept as uint8 rows and only
+    moved as 4-byte words, so the text does not depend on byte order.
+    trailing_zeros: of each 4-digit group.  prefixes: _PREFIXES right-aligned
+    in 8 bytes.  exponents: "e±hTU" of each X, empty where X is in fixed
+    notation.  left, keep, dot: byte masks over a digit row that put the point
+    after digit p (p = 17: no point) and keep its first n characters (row 19p + n).
+    """
+    hi, lo = [], []
+    power = 10**-_POW10_MIN
+    for k in range(_POW10_MIN, _POW10_MAX + 1):
+        if k < 0:  # 10^k = 1 / power
+            h = 1 / power
+            h_num, h_den = h.as_integer_ratio()
+            lo.append(float(h_den - h_num * power) / float(power) / h_den)
+            power //= 10
+        else:  # 10^k = power
+            h = float(power)
+            lo.append(float(power - int(h)))
+            power *= 10
+        hi.append(h)
+    hi = np.array(hi)
+    n = np.arange(10**4)
+    digits4 = np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], axis=1)
+    trailing_zeros = sum((n % 10**i == 0).astype(np.uint8) for i in (1, 2, 3, 4))
+    exponents = ("" if -4 <= X < 17 else f"e{X:+03d}" for X in range(_X_MIN, _X_MAX + 1))
+    cols, p = np.arange(-3, 21), np.arange(18)[:, None]  # a digit row's 24 bytes
+    keep = (cols >= 0) & (cols < np.arange(19)[:, None]) & (cols != p[:, :, None] + 1)
+    return dict(
+        pow10=(hi, np.array(lo), *_dekker_split(hi)),
+        digit_words=(48 + digits4).astype(np.uint8).view(np.uint32).ravel(),
+        trailing_zeros=trailing_zeros,
+        prefixes=_ascii_rows(_PREFIXES, 8, right=True).view(np.uint64).ravel(),
+        exponents=_ascii_rows(exponents, 5),
+        left=(cols <= p).astype(np.uint8),
+        keep=keep.reshape(18 * 19, 24).astype(np.uint8),
+        dot=46 * (cols == p + 1).astype(np.uint8),
+    )
+
+
+def _scaled(a: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """floor(a·10^(16−X)) as int64 and its fraction, from Dekker's TwoProduct with 10^k's hi + lo."""
+    k = 16 - X - _POW10_MIN
+    hi, lo, hi1, hi2 = (t.take(k) for t in _g17_tables()["pow10"])
+    p = a * hi
+    a1, a2 = _dekker_split(a)
+    rest = (((a1 * hi1 - p) + a1 * hi2 + a2 * hi1) + a2 * hi2) + a * lo
+    whole = np.floor(rest)
+    # p is an integer wherever it can lie in [1e16, 1e17]; below 2^53 the floor
+    # is wrong, but still below 1e16, which is all the caller reads there
+    return p.astype(np.int64) + whole.astype(np.int64), rest - whole
+
+
+def _g17_digits(a: np.ndarray):
+    """17 correctly rounded digits D in [1e16, 1e17) and exponent X of positive a, and the undecided mask."""
+    X = np.floor(np.log10(a)).astype(np.int64)
+    D, frac = _scaled(a, X)
+    off = (D >= _E17).astype(np.int64) - (D < _E16)  # log10 near a power of ten
+    if off.any():
+        j = np.flatnonzero(off)
+        X[j] += off[j]
+        D[j], frac[j] = _scaled(a[j], X[j])
+    D += frac > 0.5  # a carry to 1e17 is left to Python
+    return D, X, (np.abs(frac - 0.5) < _G17_TIE) | (D < _E16) | (D >= _E17)
+
+
+def _g17_fields(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The _SLOTS-byte layout of "%.17g" for each x in range (no separator), and the undecided mask."""
+    tables = _g17_tables()
+    D, X, undecided = _g17_digits(np.abs(x))
+    upper = D // 10**8
+    lower = D - upper * 10**8
+    lead = upper // 10**8
+    halves = np.stack([upper - lead * 10**8, lower], axis=1)
+    groups = np.empty((x.size, 4), np.int64)  # the 16 digits after the leading one
+    groups[:, 0::2] = halves // 10**4
+    groups[:, 1::2] = halves - groups[:, 0::2] * 10**4
+    words = np.zeros((x.size, 6), np.uint32)  # bytes: 3 zeros, the 17 digits, 4 zeros
+    words[:, 1:5] = tables["digit_words"].take(groups)
+    digits = words.view(np.uint8)
+    digits[:, 3] = 48 + lead
+    trailing = tables["trailing_zeros"].take(groups[:, 3]).astype(np.int64)
+    for j in (2, 1, 0):  # only where every later group is 0000
+        z = np.flatnonzero(trailing == 4 * (3 - j))
+        trailing[z] += tables["trailing_zeros"].take(groups[z, j])
+    n_digits = 17 - trailing
+
+    # %g: fixed notation for −4 ≤ X < 17, trailing zeros and a bare point dropped
+    fixed = (X >= -4) & (X < 17)
+    below_one = fixed & (X < 0)
+    shown = np.where(fixed, np.maximum(n_digits, X + 1), n_digits)
+    point = np.where(fixed, X, 0)  # the point follows digit `point`
+    has_point = ~below_one & (n_digits > point + 1)
+    point[~has_point] = 17
+    right = np.empty_like(digits)  # digit c − 1 in column 3 + c
+    right.ravel()[1:] = digits.ravel()[:-1]
+    right[0, 0] = 0
+    body = right + (digits - right) * tables["left"].take(point, axis=0)
+    body *= tables["keep"].take(19 * point + shown + has_point, axis=0)
+    body += tables["dot"].take(point, axis=0)
+
+    out = np.zeros((x.size, _SLOTS), np.uint8)
+    out.view(np.uint64)[:, 0] = tables["prefixes"].take(np.signbit(x) + 2 * np.where(below_one, -X, 0))
+    out[:, 8:26] = body[:, 3:21]
+    out[:, 26:31] = tables["exponents"].take(X - _X_MIN, axis=0)
+    return out, undecided
+
+
+def _csv_rows(block: np.ndarray) -> str:
+    """CSV lines of a 2-D float block, each field exactly "%.17g" % x."""
+    n_rows, n_cols = block.shape
+    x = block.ravel()
+    a = np.abs(x)
+    in_range = (a >= _G17_MIN) & (a <= _G17_MAX)
+    if in_range.all():  # no index arrays and no row copies
+        slots, undecided = _g17_fields(x)
+        by_python = np.flatnonzero(undecided)
+    else:
+        slots = np.zeros((x.size, _SLOTS), np.uint8)
+        inside, outside = np.flatnonzero(in_range), np.flatnonzero(~in_range)
+        undecided = np.zeros(0, bool)
+        if inside.size:  # a block of 0, nan, inf or extreme values only has none
+            slots[inside], undecided = _g17_fields(x[inside])
+        rest = x[outside]
+        neg = np.signbit(rest)
+        code = np.where(np.isnan(rest), _NAN, np.where(np.isinf(rest), _INF + neg, _ZERO + neg))
+        slots.view(np.uint64)[outside, 0] = _g17_tables()["prefixes"].take(code)
+        by_python = np.concatenate([inside[undecided], outside[np.isfinite(rest) & (rest != 0)]])
+    slots.reshape(n_rows, n_cols, _SLOTS)[:, :, -1] = [44] * (n_cols - 1) + [10]  # "," and "\n"
+    for i in by_python.tolist():
+        text = "%.17g" % x[i]
+        slots[i, :-1] = 0
+        slots[i, : len(text)] = np.frombuffer(text.encode(), np.uint8)
+    return str(memoryview(slots[slots != 0]), "ascii")
+
+
+def _csv_table(header: list[str], rows) -> str:
+    """CSV text of a 2-D float array-like; each field is exactly "%.17g" % x.
+
+    %.17g keeps 17 significant digits and drops trailing zeros.  _csv_rows
+    computes the digits and their layout with numpy; exact ties at the 18th
+    digit and |x| outside [1e-280, 1e280] go through Python's "%.17g" one at
+    a time.  (JSON tables keep float.__repr__, see _json_table.)  Rows are
+    formatted _CSV_BLOCK at a time and the parts are joined once, so the peak
+    memory stays about twice the text.
     """
     arr = _as_table(rows, len(header))
-    row = ",".join(["%.17g"] * arr.shape[1]) + "\n"
     parts = [f"{SCHEMA_LINE}\n{','.join(header)}\n"]
-    parts += [(row * len(chunk)) % tuple(chunk.ravel().tolist()) for chunk in _chunks(arr)]
+    parts += [_csv_rows(arr[i : i + _CSV_BLOCK]) for i in range(0, arr.shape[0], _CSV_BLOCK)]
     return "".join(parts)
 
 

@@ -18,13 +18,29 @@ from thouless_lab import (
     transmittance_inf,
     transmittance_n,
 )
-from thouless_lab.cli import GRID_CHUNK, SCHEMA_LINE, _csv_table, _json_table, main
+from thouless_lab.cli import _CSV_BLOCK, _POW10_MAX, _POW10_MIN, GRID_CHUNK, SCHEMA_LINE
+from thouless_lab.cli import _csv_table, _g17_tables, _json_table, main
 from thouless_lab.transport import _r_theta_values
 
+POWERS_OF_TEN = np.array([float(f"1e{k}") for k in range(-323, 309)])
+# Values that take neither the vectorized digits nor the vectorized layout:
+# zeros, nan, infinities, exact 18th-digit ties and |x| outside [1e-280, 1e280].
+UNDECIDED = [
+    0.0, -0.0, np.nan, np.inf, -np.inf, 1049 / 2**20, -1974014629615873.75,
+    41899719538717.4375, 5e-324, -1e-300, 1e300,
+]
 SPECIAL = [
     np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
     1e16, 1e-5, 1e-300, 1.7976931308254e308, -1.7976931308254e308, 1e22, 1e23,
     0.1, 1 / 3, -2.5, 123456789012345678.0, 9.999999999999999e-5,
+    # every power of ten with both neighbours: log10 puts the decimal exponent
+    # off by one there (9.9999999999999997e-278 is not 1e-277)
+    *POWERS_OF_TEN, *np.nextafter(POWERS_OF_TEN, 0.0), *-np.nextafter(POWERS_OF_TEN, np.inf),
+    # exact ties at the 18th digit round half to even: 0.0010004043579101562
+    *UNDECIDED[5:8], 123456789012345.625, -1059 / 2**20, 9999 / 2**20,
+    # where %g switches between fixed and exponent notation
+    9.9999999999999991e-05, 1.0000000000000001e-05, 1e-4, -1e-4, 9999999999999998.0,
+    10000000000000000.0, 99999999999999984.0, 1e17,
 ]
 
 
@@ -42,7 +58,8 @@ def table_values(n_rows, n_cols, seed):
     """Special values first, then doubles from random bit patterns (any exponent).
 
     A table longer than GRID_CHUNK rows repeats the special values across the
-    first chunk boundary of the formatters.
+    first chunk boundary of the formatters, and its second CSV block holds
+    only UNDECIDED values.
     """
     rng = np.random.default_rng(seed)
     flat = rng.integers(0, 2**64, size=n_rows * n_cols, dtype=np.uint64).view(np.float64)
@@ -50,6 +67,8 @@ def table_values(n_rows, n_cols, seed):
     if n_rows > GRID_CHUNK:
         start = min(GRID_CHUNK * n_cols - len(SPECIAL) // 2, flat.size - len(SPECIAL))
         flat[start : start + len(SPECIAL)] = SPECIAL
+        block = slice(_CSV_BLOCK * n_cols, 2 * _CSV_BLOCK * n_cols)
+        flat[block] = np.resize(UNDECIDED, _CSV_BLOCK * n_cols)
     return flat.reshape(n_rows, n_cols)
 
 
@@ -59,11 +78,23 @@ def test_formatters_match_reference(n_rows, n_cols):
     arr = table_values(n_rows, n_cols, seed=100 * n_rows + n_cols)
     header = [f"c{j}" for j in range(n_cols)]
     scalar_rows = [list(row) for row in arr]  # numpy scalars, as zip over columns gives
-    assert _csv_table(header, arr) == ref_csv(header, scalar_rows)
-    assert _json_table(header, arr) == ref_json(header, scalar_rows)
+    assert_same_text(_csv_table(header, arr), ref_csv(header, scalar_rows))
+    assert_same_text(_json_table(header, arr), ref_json(header, scalar_rows))
     # list input, as `bands` and `converge` pass it
-    assert _csv_table(header, arr.tolist()) == ref_csv(header, arr.tolist())
-    assert _json_table(header, arr.tolist()) == ref_json(header, arr.tolist())
+    assert_same_text(_csv_table(header, arr.tolist()), ref_csv(header, arr.tolist()))
+    assert_same_text(_json_table(header, arr.tolist()), ref_json(header, arr.tolist()))
+
+
+def test_powers_of_ten_are_double_doubles():
+    # the CSV kernel scales by 10^k as hi + lo: hi correctly rounded, and
+    # hi + lo within 2^-104 of 10^k, relative; checked in exact integers
+    hi, lo = (t.tolist() for t in _g17_tables()["pow10"][:2])
+    for k, h, l in zip(range(_POW10_MIN, _POW10_MAX + 1), hi, lo, strict=True):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        assert h == num / den, k
+        (h_num, h_den), (l_num, l_den) = h.as_integer_ratio(), l.as_integer_ratio()
+        err = num * h_den * l_den - den * (h_num * l_den + l_num * h_den)
+        assert abs(err) * 2**104 <= num * h_den * l_den, k
 
 
 @pytest.mark.parametrize("formatter", [_csv_table, _json_table])
