@@ -12,7 +12,11 @@ selfcheck  seeded property battery; exit 1 on any failure
 Exit codes: 0 success, 1 check failure, 2 usage/config error or refused
 input, 3 numerical failure.  CSV output carries a ``# schema=1`` line and
 fields written as "%.17g" % x (17 significant digits, trailing zeros
-dropped); identical config + seed reproduce identical bytes.
+dropped); JSON output is json.dumps(indent=2, allow_nan=True), each number
+float.__repr__ (the shortest digits that read back).  One vectorized kernel
+writes the numbers of both; values on a rounding bound or tie, and |x|
+outside [1e-280, 1e280], go through Python's own formatting one at a time.
+Identical config + seed reproduce identical bytes.
 """
 
 from __future__ import annotations
@@ -48,9 +52,9 @@ from .transport import _r_theta_values  # noqa: F401
 
 SCHEMA_LINE = "# schema=1"
 
-# Energies per _parallel_grid chunk and rows per formatted JSON chunk (CSV
-# blocks are a quarter of it, _CSV_BLOCK); bounds the temporaries of the grid
-# evaluation and of the table text, so a table peaks at about twice its text.
+# Energies per _parallel_grid chunk; bounds the temporaries of the grid
+# evaluation.  CSV and JSON tables are formatted in blocks of a quarter of it
+# (_TABLE_BLOCK rows), so a table peaks at about twice its text.
 GRID_CHUNK = 2**14
 
 EXIT_OK = 0
@@ -266,34 +270,37 @@ def _as_table(rows, width: int) -> np.ndarray:
     return np.asarray(rows, dtype=float).reshape(-1, width)
 
 
-def _chunks(arr: np.ndarray):
-    """The table's rows in GRID_CHUNK-row slices."""
-    return (arr[i : i + GRID_CHUNK] for i in range(0, arr.shape[0], GRID_CHUNK))
-
-
-# The exact "%.17g" of the CSV tables, for whole arrays.  A finite x with
-# |x| in [_G17_MIN, _G17_MAX] is scaled to y = |x|·10^(16−X) in [1e16, 1e17) as a
-# double-double product, good to ~1e-15 absolute, so its correctly rounded
-# 17 digits are decided unless y's fraction lies within _G17_TIE of ½ (every
-# exact 18th-digit tie does).  Those values, and |x| outside the range, go to
-# Python's "%.17g"; 0, nan and inf are constant strings.
+# The table numbers, for whole arrays: a CSV field is exactly "%.17g" % x and
+# a JSON value exactly float.__repr__(x), the json encoder's float form.  A
+# finite x with |x| in [_G17_MIN, _G17_MAX] is scaled to y = |x|·10^(16−X) in
+# [1e16, 1e17) as a double-double product, good to ~1e-15 absolute, and its
+# digits are read off y (_g17_digits, _shortest_digits).  Where y lies within
+# _G17_TIE of a rounding boundary, and for |x| outside the range, the value
+# goes to Python's own formatting; 0, nan and inf are constant fields.
 _G17_MIN, _G17_MAX = 1e-280, 1e280  # keeps every 10^k half and product normal
 _G17_TIE = 1e-9
 _POW10_MIN, _POW10_MAX = -265, 298  # 16 − X over the range, X off by one either way
 _X_MIN, _X_MAX = 16 - _POW10_MAX, 16 - _POW10_MIN
 _E16, _E17 = 10**16, 10**17
 _DEKKER = 134217729.0  # 2**27 + 1
-# Each field is laid out in _SLOTS bytes, the unused ones 0 and dropped:
-# [0:8] a right-aligned prefix (sign, "0.000" or a constant string), [8:26]
-# the digits with their point, [26:31] the exponent "e±hTU", [31] the separator.
+# Each number is laid out in _SLOTS bytes, the unused ones 0 and dropped:
+# [0:8] a right-aligned prefix (sign or "0.000"), [8:26] the digits with their
+# point, [26:31] the exponent "e±hTU", [31] free for a separator.  A constant
+# field is right-aligned in [0:16] instead.
 _SLOTS = 32
-_PREFIXES = ("", "-", "0.", "-0.", "0.0", "-0.0", "0.00", "-0.00", "0.000", "-0.000",
-             "nan", "inf", "-inf", "0", "-0")  # 2k + sign for X = −k in −1..−4, then constants
-_NAN, _INF, _ZERO = 10, 11, 13  # + 1 for a negative sign
-# Rows per formatted CSV block.  A block's byte matrices take about 240 bytes
-# a field, 12 times its text; at 2^12 rows they stay below the text of a
-# 4-column GRID_CHUNK-row table, so the final join (twice the text) sets the peak.
-_CSV_BLOCK = GRID_CHUNK // 4
+_PREFIXES = ("", "-", "0.", "-0.", "0.0", "-0.0", "0.00", "-0.00", "0.000", "-0.000")  # 2k + sign for X = −k
+# nan, inf, −inf, 0 and −0 of the CSV (False) and JSON (True) tables
+_CONSTANTS = {False: ("nan", "inf", "-inf", "0", "-0"),
+              True: ("NaN", "Infinity", "-Infinity", "0.0", "-0.0")}
+# A JSON row as 8-byte words: the opener, then per value the line break and
+# indent before it and its _SLOTS bytes, each but the last with "," in its
+# separator byte, then the closer; the table's last row closes without ",".
+_JSON_FRAME = ("\n      ", "\n    [", "\n    ],", "\n    ]")
+# Rows per formatted block, CSV and JSON.  A block's byte matrices take about
+# 300 bytes a value, 10 (JSON) to 15 (CSV) times its text; at 2^12 rows they
+# stay below the text of a 4-column GRID_CHUNK-row table, so the final join
+# (twice the text) sets the peak.
+_TABLE_BLOCK = GRID_CHUNK // 4
 
 
 def _dekker_split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -310,16 +317,18 @@ def _ascii_rows(texts, width: int, right: bool = False) -> np.ndarray:
 
 @functools.cache
 def _g17_tables() -> dict:
-    """Lookup tables of the vectorized %.17g, built on first use (about 1 ms).
+    """Lookup tables of the vectorized number formats, built on first use (about 1 ms).
 
     pow10: 10^k as hi + lo doubles from exact Python integers (hi correctly
     rounded, lo = 10^k − hi to a few ulps), and hi's Dekker halves.
     digit_words: the ASCII of each 4-digit group, kept as uint8 rows and only
     moved as 4-byte words, so the text does not depend on byte order.
     trailing_zeros: of each 4-digit group.  prefixes: _PREFIXES right-aligned
-    in 8 bytes.  exponents: "e±hTU" of each X, empty where X is in fixed
-    notation.  left, keep, dot: byte masks over a digit row that put the point
-    after digit p (p = 17: no point) and keep its first n characters (row 19p + n).
+    in 8 bytes; constants: _CONSTANTS right-aligned in 16.  exponents: "e±hTU"
+    of X in row X − _X_MIN + 1, and an empty row 0 for fixed notation.  left,
+    keep, dot: byte masks over a digit row that put the point after digit p
+    (p = 17: no point) and keep its first n characters (row 19p + n).
+    json_frame: _JSON_FRAME as 8-byte words.
     """
     hi, lo = [], []
     power = 10**-_POW10_MIN
@@ -338,7 +347,7 @@ def _g17_tables() -> dict:
     n = np.arange(10**4)
     digits4 = np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], axis=1)
     trailing_zeros = sum((n % 10**i == 0).astype(np.uint8) for i in (1, 2, 3, 4))
-    exponents = ("" if -4 <= X < 17 else f"e{X:+03d}" for X in range(_X_MIN, _X_MAX + 1))
+    exponents = ("", *(f"e{X:+03d}" for X in range(_X_MIN, _X_MAX + 1)))
     cols, p = np.arange(-3, 21), np.arange(18)[:, None]  # a digit row's 24 bytes
     keep = (cols >= 0) & (cols < np.arange(19)[:, None]) & (cols != p[:, :, None] + 1)
     return dict(
@@ -346,10 +355,12 @@ def _g17_tables() -> dict:
         digit_words=(48 + digits4).astype(np.uint8).view(np.uint32).ravel(),
         trailing_zeros=trailing_zeros,
         prefixes=_ascii_rows(_PREFIXES, 8, right=True).view(np.uint64).ravel(),
+        constants={k: _ascii_rows(v, 16, right=True).view(np.uint64) for k, v in _CONSTANTS.items()},
         exponents=_ascii_rows(exponents, 5),
         left=(cols <= p).astype(np.uint8),
         keep=keep.reshape(18 * 19, 24).astype(np.uint8),
         dot=46 * (cols == p + 1).astype(np.uint8),
+        json_frame=_ascii_rows(_JSON_FRAME, 8).view(np.uint64).ravel(),
     )
 
 
@@ -366,23 +377,66 @@ def _scaled(a: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p.astype(np.int64) + whole.astype(np.int64), rest - whole
 
 
-def _g17_digits(a: np.ndarray):
-    """17 correctly rounded digits D in [1e16, 1e17) and exponent X of positive a, and the undecided mask."""
+def _scaled17(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """floor(y) in [1e16, 1e17), its fraction and the exponent X, for y = a·10^(16−X) and positive a."""
     X = np.floor(np.log10(a)).astype(np.int64)
-    D, frac = _scaled(a, X)
-    off = (D >= _E17).astype(np.int64) - (D < _E16)  # log10 near a power of ten
+    whole, frac = _scaled(a, X)
+    off = (whole >= _E17).astype(np.int64) - (whole < _E16)  # log10 near a power of ten
     if off.any():
         j = np.flatnonzero(off)
         X[j] += off[j]
-        D[j], frac[j] = _scaled(a[j], X[j])
+        whole[j], frac[j] = _scaled(a[j], X[j])
+    return whole, frac, X
+
+
+def _g17_digits(a: np.ndarray):
+    """17 correctly rounded digits D in [1e16, 1e17) and exponent X of positive a, and the undecided mask."""
+    D, frac, X = _scaled17(a)
     D += frac > 0.5  # a carry to 1e17 is left to Python
     return D, X, (np.abs(frac - 0.5) < _G17_TIE) | (D < _E16) | (D >= _E17)
 
 
-def _g17_fields(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The _SLOTS-byte layout of "%.17g" for each x in range (no separator), and the undecided mask."""
+def _shortest_digits(a: np.ndarray):
+    """float.__repr__'s digits of positive a as D in [1e16, 1e17) (trailing zeros padded), X and the undecided mask.
+
+    repr prints the shortest digits that read back to a, the nearest to a
+    among those.  a reads back from (y − w_lo, y + w): w is half the gap to
+    the next double above, w_lo the one below, in units of y's last digit, and
+    0.55 < w < 11.1.  So the interval holds at most one multiple of 100 (every
+    output of 15 digits or fewer, and the carry to 1e17); else the nearer
+    multiple of 10 that it holds; else the correctly rounded y, within ½ < w.
+    A distance within _G17_TIE of a bound, of 5 between two multiples of 10
+    or of ½ (an 18th-digit tie) is undecided.
+    """
+    y, frac, X = _scaled17(a)
+    m, e = np.frexp(a)
+    w = np.ldexp(_g17_tables()["pow10"][0].take(16 - X - _POW10_MIN), e - 54)
+    w_lo = np.where(m == 0.5, 0.5 * w, w)  # below a power of two the gap halves
+    below100, below10 = y % 100, y % 10
+    r100, r10 = below100 + frac, below10 + frac  # y above the multiple below it
+    lo100, hi100, lo10, hi10 = r100 < w_lo, 100 - r100 < w, r10 < w_lo, 10 - r10 < w
+    by100, by10 = lo100 | hi100, lo10 | hi10
+    up10 = np.where(lo10 & hi10, r10 > 5, hi10)  # the nearer one where both read back
+    D = np.where(by100, y - below100 + 100 * hi100,
+                 np.where(by10, y - below10 + 10 * up10, y + (frac > 0.5)))
+
+    def near(d, bound):
+        return np.abs(d - bound) < _G17_TIE
+
+    undecided = near(r100, w_lo) | near(100 - r100, w) | ~by100 & (
+        near(r10, w_lo) | near(10 - r10, w) | lo10 & hi10 & near(r10, 5) | ~by10 & near(frac, 0.5))
+    carry = D == _E17  # 1 at the next exponent
+    return np.where(carry, _E16, D), X + carry, undecided
+
+
+def _g17_fields(x: np.ndarray, shortest: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The _SLOTS-byte layout of each x in range (no separator), and the undecided mask.
+
+    "%.17g", or with `shortest` float.__repr__: its digits, fixed
+    notation for −4 ≤ X < 16 instead of 17, and ".0" after an integral value.
+    """
     tables = _g17_tables()
-    D, X, undecided = _g17_digits(np.abs(x))
+    D, X, undecided = (_shortest_digits if shortest else _g17_digits)(np.abs(x))
     upper = D // 10**8
     lower = D - upper * 10**8
     lead = upper // 10**8
@@ -400,12 +454,12 @@ def _g17_fields(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         trailing[z] += tables["trailing_zeros"].take(groups[z, j])
     n_digits = 17 - trailing
 
-    # %g: fixed notation for −4 ≤ X < 17, trailing zeros and a bare point dropped
-    fixed = (X >= -4) & (X < 17)
+    # trailing zeros and a bare point dropped; repr keeps one zero after the point
+    fixed = (X >= -4) & (X < (16 if shortest else 17))
     below_one = fixed & (X < 0)
-    shown = np.where(fixed, np.maximum(n_digits, X + 1), n_digits)
+    shown = np.where(fixed, np.maximum(n_digits, X + 1 + shortest), n_digits)
     point = np.where(fixed, X, 0)  # the point follows digit `point`
-    has_point = ~below_one & (n_digits > point + 1)
+    has_point = ~below_one & (shown > point + 1)
     point[~has_point] = 17
     right = np.empty_like(digits)  # digit c − 1 in column 3 + c
     right.ravel()[1:] = digits.ravel()[:-1]
@@ -417,36 +471,52 @@ def _g17_fields(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     out = np.zeros((x.size, _SLOTS), np.uint8)
     out.view(np.uint64)[:, 0] = tables["prefixes"].take(np.signbit(x) + 2 * np.where(below_one, -X, 0))
     out[:, 8:26] = body[:, 3:21]
-    out[:, 26:31] = tables["exponents"].take(X - _X_MIN, axis=0)
+    out[:, 26:31] = tables["exponents"].take(np.where(fixed, 0, X - _X_MIN + 1), axis=0)
     return out, undecided
 
 
-def _csv_rows(block: np.ndarray) -> str:
-    """CSV lines of a 2-D float block, each field exactly "%.17g" % x."""
-    n_rows, n_cols = block.shape
-    x = block.ravel()
+def _number_fields(x: np.ndarray, shortest: bool) -> np.ndarray:
+    """The _SLOTS-byte layout of every value of flat x, "%.17g" or (`shortest`) float.__repr__.
+
+    Undecided values and finite ones outside [_G17_MIN, _G17_MAX] are written
+    by Python, one at a time.
+    """
     a = np.abs(x)
     in_range = (a >= _G17_MIN) & (a <= _G17_MAX)
     if in_range.all():  # no index arrays and no row copies
-        slots, undecided = _g17_fields(x)
+        slots, undecided = _g17_fields(x, shortest)
         by_python = np.flatnonzero(undecided)
     else:
         slots = np.zeros((x.size, _SLOTS), np.uint8)
         inside, outside = np.flatnonzero(in_range), np.flatnonzero(~in_range)
         undecided = np.zeros(0, bool)
         if inside.size:  # a block of 0, nan, inf or extreme values only has none
-            slots[inside], undecided = _g17_fields(x[inside])
+            slots[inside], undecided = _g17_fields(x[inside], shortest)
         rest = x[outside]
         neg = np.signbit(rest)
-        code = np.where(np.isnan(rest), _NAN, np.where(np.isinf(rest), _INF + neg, _ZERO + neg))
-        slots.view(np.uint64)[outside, 0] = _g17_tables()["prefixes"].take(code)
+        code = np.where(np.isnan(rest), 0, np.where(np.isinf(rest), 1 + neg, 3 + neg))
+        slots.view(np.uint64)[outside, :2] = _g17_tables()["constants"][shortest].take(code, axis=0)
         by_python = np.concatenate([inside[undecided], outside[np.isfinite(rest) & (rest != 0)]])
-    slots.reshape(n_rows, n_cols, _SLOTS)[:, :, -1] = [44] * (n_cols - 1) + [10]  # "," and "\n"
-    for i in by_python.tolist():
-        text = "%.17g" % x[i]
-        slots[i, :-1] = 0
+    python = float.__repr__ if shortest else "%.17g".__mod__
+    for i, value in zip(by_python.tolist(), x[by_python].tolist()):
+        text = python(value)
+        slots[i] = 0
         slots[i, : len(text)] = np.frombuffer(text.encode(), np.uint8)
-    return str(memoryview(slots[slots != 0]), "ascii")
+    return slots
+
+
+def _text(layout: np.ndarray) -> str:
+    """The nonzero bytes of a layout, in order, as text."""
+    layout = layout.view(np.uint8)
+    return str(memoryview(layout[layout != 0]), "ascii")
+
+
+def _csv_rows(block: np.ndarray) -> str:
+    """CSV lines of a 2-D float block, each field exactly "%.17g" % x."""
+    n_rows, n_cols = block.shape
+    slots = _number_fields(block.ravel(), shortest=False)
+    slots.reshape(n_rows, n_cols, _SLOTS)[:, :, -1] = [44] * (n_cols - 1) + [10]  # "," and "\n"
+    return _text(slots)
 
 
 def _csv_table(header: list[str], rows) -> str:
@@ -455,42 +525,51 @@ def _csv_table(header: list[str], rows) -> str:
     %.17g keeps 17 significant digits and drops trailing zeros.  _csv_rows
     computes the digits and their layout with numpy; exact ties at the 18th
     digit and |x| outside [1e-280, 1e280] go through Python's "%.17g" one at
-    a time.  (JSON tables keep float.__repr__, see _json_table.)  Rows are
-    formatted _CSV_BLOCK at a time and the parts are joined once, so the peak
-    memory stays about twice the text.
+    a time.  (JSON tables share the kernel with float.__repr__'s digits, see
+    _json_table.)  Rows are formatted _TABLE_BLOCK at a time and the parts are
+    joined once, so the peak memory stays about twice the text.
     """
     arr = _as_table(rows, len(header))
     parts = [f"{SCHEMA_LINE}\n{','.join(header)}\n"]
-    parts += [_csv_rows(arr[i : i + _CSV_BLOCK]) for i in range(0, arr.shape[0], _CSV_BLOCK)]
+    parts += [_csv_rows(arr[i : i + _TABLE_BLOCK]) for i in range(0, arr.shape[0], _TABLE_BLOCK)]
     return "".join(parts)
 
 
-def _json_values(flat: np.ndarray) -> tuple:
-    """Python floats of `flat`, with the json encoder's NaN/Infinity tokens for non-finite values."""
-    values = flat.astype(object)
-    if not np.isfinite(flat).all():
-        values[np.isnan(flat)] = "NaN"
-        values[flat == np.inf] = "Infinity"
-        values[flat == -np.inf] = "-Infinity"
-    return tuple(values.tolist())
+def _json_rows(block: np.ndarray, last: bool) -> str:
+    """The json.dumps(indent=2) lines of a 2-D float block's rows; `last` closes the table's last row."""
+    n_rows, n_cols = block.shape
+    indent, opener, closer, end = _g17_tables()["json_frame"]
+    fields = _number_fields(block.ravel(), shortest=True)
+    fields.reshape(n_rows, n_cols, _SLOTS)[:, :-1, -1] = 44  # ","
+    words = np.empty((n_rows, 2 + n_cols * (1 + _SLOTS // 8)), np.uint64)
+    words[:, 0] = opener
+    lines = words[:, 1:-1].reshape(n_rows, n_cols, -1)
+    lines[:, :, 0] = indent
+    lines[:, :, 1:] = fields.view(np.uint64).reshape(n_rows, n_cols, -1)
+    words[:, -1] = closer
+    if last:
+        words[-1, -1] = end
+    return _text(words)
 
 
 def _json_table(header: list[str], rows) -> str:
     """json.dumps({"schema", "columns", "rows"}, indent=2, allow_nan=True) text.
 
-    Row values go through %s, which for a float is float.__repr__, the json
-    encoder's own float form; non-finite values become its NaN/Infinity tokens.
-    Rows are formatted GRID_CHUNK at a time, as in _csv_table.
+    Each row value is exactly float.__repr__, the json encoder's own float
+    form, or its NaN/Infinity tokens.  The digits come from the CSV kernel's
+    scaled y, as the shortest that read back (_shortest_digits); values within
+    1e-9 of a rounding bound or of a tie, and |x| outside [1e-280, 1e280], go
+    through float.__repr__ one at a time.  Rows are formatted _TABLE_BLOCK at
+    a time, as in _csv_table.
     """
     arr = _as_table(rows, len(header))
+    n = arr.shape[0]
     head = json.dumps({"schema": 1, "columns": header, "rows": []}, indent=2)
-    if arr.shape[0] == 0:
+    if n == 0:
         return head + "\n"
-    row = "    [\n      " + ",\n      ".join(["%s"] * arr.shape[1]) + "\n    ]"
-    parts = [head[: -len("[]\n}")] + "[\n"]
-    for chunk in _chunks(arr):
-        parts += [",\n".join([row] * len(chunk)) % _json_values(chunk.ravel()), ",\n"]
-    parts[-1] = "\n  ]\n}\n"  # the last chunk's separator closes the rows
+    parts = [head[: -len("[]\n}")] + "["]
+    parts += [_json_rows(arr[i : i + _TABLE_BLOCK], i + _TABLE_BLOCK >= n) for i in range(0, n, _TABLE_BLOCK)]
+    parts.append("\n  ]\n}\n")
     return "".join(parts)
 
 

@@ -18,16 +18,20 @@ from thouless_lab import (
     transmittance_inf,
     transmittance_n,
 )
-from thouless_lab.cli import _CSV_BLOCK, _POW10_MAX, _POW10_MIN, GRID_CHUNK, SCHEMA_LINE
+from thouless_lab.cli import _TABLE_BLOCK, _POW10_MAX, _POW10_MIN, GRID_CHUNK, SCHEMA_LINE
 from thouless_lab.cli import _csv_table, _g17_tables, _json_table, main
 from thouless_lab.transport import _r_theta_values
 
 POWERS_OF_TEN = np.array([float(f"1e{k}") for k in range(-323, 309)])
+POWERS_OF_TWO = np.array([2.0**k for k in range(-1074, 1024)])
 # Values that take neither the vectorized digits nor the vectorized layout:
-# zeros, nan, infinities, exact 18th-digit ties and |x| outside [1e-280, 1e280].
+# zeros, nan, infinities, exact 18th-digit ties and |x| outside [1e-280, 1e280];
+# then values whose repr digits fall back: a candidate exactly on a rounding
+# bound, among them powers of two and their neighbours.
 UNDECIDED = [
     0.0, -0.0, np.nan, np.inf, -np.inf, 1049 / 2**20, -1974014629615873.75,
     41899719538717.4375, 5e-324, -1e-300, 1e300,
+    9999999999999998.0, 1e23, 2.0**-25, -(2.0**53), 2251799813685247.8,
 ]
 SPECIAL = [
     np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
@@ -41,6 +45,16 @@ SPECIAL = [
     # where %g switches between fixed and exponent notation
     9.9999999999999991e-05, 1.0000000000000001e-05, 1e-4, -1e-4, 9999999999999998.0,
     10000000000000000.0, 99999999999999984.0, 1e17,
+    # float.__repr__: short digits whose %.17g is not; where it switches to
+    # exponent form (1e15 stays fixed, with ".0"); integral values
+    0.2, 0.3, 1e15, -1e15, 100.0, 123.0, 1.7976931348623157e308,
+    # the shortest that reads back: two 16-digit candidates read back and the
+    # nearer is above (8.095858330855638) or below; a 15-digit one is inside
+    # though a multiple of 10 is nearer (9.66578120598905)
+    8.095858330855638, 9.826634798211147, 9.66578120598905, -9.66578120598905,
+    # every power of two with both neighbours: the gap below one is half the gap above
+    *POWERS_OF_TWO, *np.nextafter(POWERS_OF_TWO, 0.0), *-np.nextafter(POWERS_OF_TWO, np.inf),
+    *UNDECIDED[11:],
 ]
 
 
@@ -67,8 +81,8 @@ def table_values(n_rows, n_cols, seed):
     if n_rows > GRID_CHUNK:
         start = min(GRID_CHUNK * n_cols - len(SPECIAL) // 2, flat.size - len(SPECIAL))
         flat[start : start + len(SPECIAL)] = SPECIAL
-        block = slice(_CSV_BLOCK * n_cols, 2 * _CSV_BLOCK * n_cols)
-        flat[block] = np.resize(UNDECIDED, _CSV_BLOCK * n_cols)
+        block = slice(_TABLE_BLOCK * n_cols, 2 * _TABLE_BLOCK * n_cols)
+        flat[block] = np.resize(UNDECIDED, _TABLE_BLOCK * n_cols)
     return flat.reshape(n_rows, n_cols)
 
 
