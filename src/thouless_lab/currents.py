@@ -33,9 +33,7 @@ from .errors import DomainError, NumericalError, QuadratureError
 from .jacobi import BandSpectrum, SampleSpec, _energies, _finite, _real, _repetition_count
 from .jacobi import _repetition_counts, band_spectrum, thouless_conductance
 from .leads import LeadModel, _support_edges
-from .transport import _tinf_plan, transmittance_n
-# Not called here; kept importable because bench/tracer.py wraps this name.
-from .transport import transmittance_inf  # noqa: F401
+from .transport import transmittance_inf, transmittance_n
 
 log = logging.getLogger(__name__)
 
@@ -374,9 +372,9 @@ def _transmittance_profile(sample, couplings=None, n=None, breakpoints=()):
     lead_l, lead_r, kappa = couplings
     cuts = [*breakpoints, *_support_edges(sample, lead_l), *_support_edges(sample, lead_r)]
     if n is None:
-        return _tinf_plan(sample, lead_l, lead_r, kappa), spectrum, cuts, _SMOOTH_PANELS
+        return lambda E: transmittance_inf(sample, *couplings, E), spectrum, cuts, _SMOOTH_PANELS
     panels = _FIRST_PANELS + 2 * n
-    return lambda E: transmittance_n(sample, lead_l, lead_r, kappa, n, E), spectrum, cuts, panels
+    return lambda E: transmittance_n(sample, *couplings, n, E), spectrum, cuts, panels
 
 
 def lb_currents(

@@ -278,10 +278,21 @@ def _trace_slope(sample: SampleSpec, E):
     return a + d, da + dd
 
 
+@contextlib.contextmanager
+def _refusing_overflow(E):
+    """Raise DomainError, not return inf or nan, where transfer data at E overflow float64."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise DomainError(f"the one-period transfer data overflow float64 at E={E}") from exc
+
+
 def one_period_transfer(sample: SampleSpec, E: float) -> TransferMatrix2:
     """One-period transfer matrix T_L(E) = A_L(E) ... A_1(E), always unimodular."""
     E = _finite(E, _NOT_FINITE)
-    a, b, c, d = _one_period_abcd(sample, E)
+    with _refusing_overflow(E):
+        a, b, c, d = _one_period_abcd(sample, E)
     return TransferMatrix2(float(a), float(b), float(c), float(d), E)
 
 

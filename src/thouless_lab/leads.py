@@ -13,18 +13,17 @@ absolutely continuous spectrum.  Three lead families are supported:
 
 ``_support_edges`` gives the edges of each lead's support {Im F > 0}.
 
-``_eigendata_values`` is the one source of one-period transfer data: from a
-single evaluation of T_L(E) it returns the entries of T_L, the growing
-off-band eigenvalue and the one band-edge exclusion rule of
-``_transfer_band`` (``in_band`` and ``edge``), and, on their first read,
-the in-band phase, m-functions and off-band eigenvectors that ``transport``
-builds on.  Inside the bands the Herglotz root m_r is computed first and
-m_l follows from it, m_l = 1/(kappa_s^2 conj(m_r)) (``_band_m_values``);
-outside them both are read from the real eigenvectors.  T_infty, which
-needs only the band interior, reads the same in-band values from
-``_interior_m_values`` without the rest.  ``transport`` reads the F of a
-``CrystallineLead`` on its own sample from that data, through
-``_clamp_im``, the Im-floor clamp of ``lead_F_values``.
+``_transfer_band`` is the one source of one-period transfer data: one
+evaluation of T_L(E) gives its entries and the one band-edge exclusion rule
+(``in_band`` and ``edge``).  ``_band_m_values`` is the one source of
+in-band m-functions: the Herglotz root m_r first, then
+m_l = 1/(kappa_s^2 conj(m_r)), and the sine of the phase, over the in-band
+entries.  ``transport`` builds T_N, T_infty and the diagnostics on these
+two; a ``CrystallineLead`` on the sample itself reads its F from the same
+in-band m_l or m_r, through ``_clamp_im``, the Im-floor clamp of
+``lead_F_values``.  ``_eigendata_values`` adds the phase and, off band, the
+growing eigenvalue and the real eigenvectors that give m there: the full
+eigendata of ``transfer_eigendata`` and of a crystalline lead's own F.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, OffSpectrumError
 from .jacobi import SampleSpec, _energies, _finite, _numbers, _one_period_abcd, _real_eigvec2
-from .jacobi import band_spectrum
+from .jacobi import _refusing_overflow, band_spectrum
 
 # Im F above this threshold counts as essential support.
 SUPPORT_TOL = 1e-12
@@ -151,118 +150,76 @@ def _halfline_F(lead: HalfLineLead, E: np.ndarray) -> np.ndarray:
     return F
 
 
-class _StagedData(dict):
-    """A dict whose deferred keys are filled by one call of `stage` on the first read of any.
+def _transfer_band(sample: SampleSpec, E: np.ndarray) -> dict:
+    """One T_L(E) evaluation and the one band-edge rule, as a dict of arrays.
 
-    Item access (``d[key]``) runs the stage; ``in``, ``get`` and iteration see
-    only the keys filled so far.
-    """
-
-    def __init__(self, eager: dict, stage):
-        super().__init__(eager)
-        self._stage = stage
-
-    def __missing__(self, key):
-        stage, self._stage = self._stage, None
-        if stage is None:
-            raise KeyError(key)
-        self.update(stage())
-        return self[key]
-
-
-def _transfer_band(sample: SampleSpec, E: np.ndarray):
-    """(a, b, c, d, tr, disc, in_band, edge) from one T_L(E) evaluation: the one band-edge rule.
-
-    disc = tr^2 - 4 < 0 marks the bands, and `edge` the exclusion zone where
+    a, b, c, d are the entries of T_L, tr its trace and disc = tr^2 - 4;
+    in_band (disc < 0) marks the bands, and edge the exclusion zone where
     |tr T_L| is within EDGE_TOL of 2.
     """
     a, b, c, d = _one_period_abcd(sample, E)
     tr = a + d
     disc = tr * tr - 4.0
-    return a, b, c, d, tr, disc, disc < 0.0, np.abs(np.abs(tr) - 2.0) < EDGE_TOL
+    return dict(a=a, b=b, c=c, d=d, tr=tr, disc=disc, in_band=disc < 0.0,
+                edge=np.abs(np.abs(tr) - 2.0) < EDGE_TOL)
 
 
-def _band_m_values(a, b, c, d, disc, kS2: float):
-    """(m_l, m_r, sin theta) from in-band entries of T_L and their disc = tr^2 - 4 < 0.
+def _band_m_values(sample: SampleSpec, band: dict):
+    """(mask, m_l, m_r, sin theta) at the in-band entries of `_transfer_band` data, in order.
 
-    cos theta = tr/2 and sign(theta) = sign(b); b*c < 0 in band, so b, c != 0.
-    m_r is the root with Im > 0 of c z^2 + (a - d) z - b, and m_l = 1/(kappa_s^2 conj(m_r)).
+    mask is in_band, or None when every entry is in band: the values then
+    cover the whole array without a masked copy.  cos theta = tr/2 and
+    sign(theta) = sign(b); b*c < 0 in band, so b, c != 0.  m_r is the root
+    with Im > 0 of c z^2 + (a - d) z - b, and m_l = 1/(kappa_s^2 conj(m_r)).
     """
+    mask = None if band["in_band"].all() else band["in_band"]
+    keys = ("a", "b", "c", "d", "disc")
+    a, b, c, d, disc = (band[k] if mask is None else band[k][mask] for k in keys)
     sin_th = np.where(b >= 0.0, 1.0, -1.0) * np.sqrt(-disc) / 2.0
     m_r = ((d - a) / 2.0 - 1j * sin_th) / c
-    return m_r / (kS2 * np.abs(m_r) ** 2), m_r, sin_th
+    return mask, m_r / (sample.kappa_s**2 * np.abs(m_r) ** 2), m_r, sin_th
 
 
-def _interior_m_values(sample: SampleSpec, E: np.ndarray):
-    """(interior, m_l, m_r): the band-interior m-functions of one T_L(E) evaluation.
-
-    They are bit for bit those of `_eigendata_values`.  interior marks the
-    entries in band and outside the edge zone.  It is None when that is
-    every entry, and m_l, m_r then cover the whole array without a masked
-    copy; otherwise they cover the interior entries in order.  No in-band
-    phase and no off-band eigenvector is computed.
-    """
-    a, b, c, d, _, disc, in_band, edge = _transfer_band(sample, E)
-    interior = in_band & ~edge
-    if interior.all():
-        interior = None
-    else:
-        a, b, c, d, disc = (x[interior] for x in (a, b, c, d, disc))
-    m_l, m_r, _ = _band_m_values(a, b, c, d, disc, sample.kappa_s**2)
-    return interior, m_l, m_r
+def _alpha_off(band: dict, off: np.ndarray) -> np.ndarray:
+    """The growing eigenvalue of T_L, |alpha| >= 1, at the `_transfer_band` entries `off`."""
+    tr = band["tr"][off]
+    return (tr + np.sign(tr) * np.sqrt(np.maximum(band["disc"][off], 0.0))) / 2.0
 
 
-def _eigendata_values(sample: SampleSpec, E: np.ndarray):
+def _eigendata_values(sample: SampleSpec, E: np.ndarray) -> dict:
     """Vectorized transfer eigendata and Weyl m-functions, one T_L(E) evaluation.
 
-    Returns a dict of arrays: a, b, c, d (entries of T_L), in_band, edge
-    (within the band-edge exclusion zone of `_transfer_band`), alpha_off (the
-    growing real eigenvalue at the off-band entries, in order), and the
-    deferred m_l, m_r, theta (nan off band) and vec_off, the off-band
-    eigenvectors (phi_+, kappa_s psi_+, phi_-, kappa_s psi_-).  The deferred
-    four are computed together on the first read of any, so T_N, which reads
-    only the eager keys, never pays for them.
-    No errors are raised; callers decide how to treat flagged entries.
+    Returns the `_transfer_band` dict together with alpha_off (`_alpha_off`
+    at the off-band entries, in order), m_l, m_r, theta (nan off band) and
+    vec_off, the off-band eigenvectors (phi_+, kappa_s psi_+, phi_-,
+    kappa_s psi_-).  No errors are raised; callers decide how to treat
+    flagged entries.
 
-    Inside the bands m_l and m_r follow `_band_m_values`.  Outside the bands
-    (or exactly at an edge) the eigenvectors (phi, kappa_s psi) are real, and
-    m_r = -phi/(kappa_s psi) is read from the decaying one, m_l from the
-    growing one.
+    Inside the bands m_l, m_r and the sine of theta = atan2(sin theta, tr/2)
+    come from `_band_m_values`, so phase and m-functions agree at the edges.
+    Outside the bands (or exactly at an edge) the eigenvectors
+    (phi, kappa_s psi) are real, and m_r = -phi/(kappa_s psi) is read from
+    the decaying one, m_l from the growing one.
     """
-    a, b, c, d, tr, disc, in_band, edge = _transfer_band(sample, E)
-    off = ~in_band
-    tro = tr[off]
-    # the growing eigenvalue, |alpha| >= 1
-    al = (tro + np.sign(tro) * np.sqrt(np.maximum(disc[off], 0.0))) / 2.0
-
-    def m_stage():
-        kS2 = sample.kappa_s**2
-        m_l = np.empty(E.shape, dtype=complex)
-        m_r = np.empty(E.shape, dtype=complex)
-        theta = np.full(E.shape, np.nan)
-
-        # theta takes the same sine as m_r, so phase and m-functions agree at the edges
-        ml_in, mr_in, sin_th = _band_m_values(
-            a[in_band], b[in_band], c[in_band], d[in_band], disc[in_band], kS2
-        )
-        theta[in_band] = np.arctan2(sin_th, tr[in_band] / 2.0)
-        m_r[in_band] = mr_in
-        m_l[in_band] = ml_in
-
-        vec = (np.empty(0),) * 4
-        if al.size:
-            ao, bo, co, do = a[off], b[off], c[off], d[off]
-            vec = (*_real_eigvec2(ao, bo, co, do, al), *_real_eigvec2(ao, bo, co, do, 1.0 / al))
-            ph_p, w_p, ph_m, w_m = vec
-            # the quadratic root of eigenvector (phi, w) is -phi/w: the decaying
-            # one gives m_r, the growing one 1/(kappa_s^2 m_l)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                m_r[off] = -ph_m / w_m
-                m_l[off] = -w_p / (kS2 * ph_p)
-        return {"m_l": m_l, "m_r": m_r, "theta": theta, "vec_off": vec}
-
-    eager = {"a": a, "b": b, "c": c, "d": d, "in_band": in_band, "edge": edge, "alpha_off": al}
-    return _StagedData(eager, m_stage)
+    ed = _transfer_band(sample, E)
+    in_band, off = ed["in_band"], ~ed["in_band"]
+    m_l, m_r = np.empty((2, *E.shape), dtype=complex)
+    theta = np.full(E.shape, np.nan)
+    _, m_l[in_band], m_r[in_band], sin_th = _band_m_values(sample, ed)
+    theta[in_band] = np.arctan2(sin_th, ed["tr"][in_band] / 2.0)
+    al = _alpha_off(ed, off)
+    vec = (np.empty(0),) * 4
+    if al.size:
+        ao, bo, co, do = (ed[k][off] for k in ("a", "b", "c", "d"))
+        vec = (*_real_eigvec2(ao, bo, co, do, al), *_real_eigvec2(ao, bo, co, do, 1.0 / al))
+        ph_p, w_p, ph_m, w_m = vec
+        # the quadratic root of eigenvector (phi, w) is -phi/w: the decaying
+        # one gives m_r, the growing one 1/(kappa_s^2 m_l)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            m_r[off] = -ph_m / w_m
+            m_l[off] = -w_p / (sample.kappa_s**2 * ph_p)
+    ed.update(alpha_off=al, m_l=m_l, m_r=m_r, theta=theta, vec_off=vec)
+    return ed
 
 
 def _crystal_m_values(sample: SampleSpec, E: np.ndarray):
@@ -277,9 +234,11 @@ def crystal_m_functions(sample: SampleSpec, E: float) -> tuple[complex, complex]
     Raises OffSpectrumError where the eigendata flags E as off band or in
     the band-edge exclusion zone, |tr T_L(E)| within EDGE_TOL of 2 (where the
     values are near-singular in derivative and all downstream quantities are
-    only a.e.-defined), and DomainError at a non-finite E.
+    only a.e.-defined), and DomainError at a non-finite E or where the
+    transfer data overflow float64.
     """
-    m_l, m_r, ed = _crystal_m_values(sample, _one_energy(E))
+    with _refusing_overflow(E):
+        m_l, m_r, ed = _crystal_m_values(sample, _one_energy(E))
     if not ed["in_band"][0] or ed["edge"][0]:
         tr = float(ed["a"][0] + ed["d"][0])
         raise OffSpectrumError(
@@ -341,8 +300,13 @@ def _clamp_im(F: np.ndarray) -> np.ndarray:
 
 
 def lead_F(lead: LeadModel, E: float) -> complex:
-    """Boundary value F(E) of a lead at a single finite energy; Im F >= 0."""
-    return complex(_lead_F_values(lead, _one_energy(E))[0])
+    """Boundary value F(E) of a lead at a single finite energy; Im F >= 0.
+
+    A crystalline lead raises DomainError where its transfer data overflow.
+    """
+    E = _one_energy(E)
+    with _refusing_overflow(E[0]):
+        return complex(_lead_F_values(lead, E)[0])
 
 
 def _parse_rows(path, lines) -> np.ndarray:

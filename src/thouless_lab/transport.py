@@ -1,9 +1,8 @@
 """Closed-form transmittances of N-fold repeated samples and their crystalline limit.
 
 Everything is driven by one-period transfer data T_L(E) = [[a, b], [c, d]],
-computed once per energy array by ``leads._eigendata_values`` together with
-the Weyl m-functions of the periodized half-lines.  The N-cell sample enters
-through the Cayley-Hamilton power
+computed once per energy array by ``leads._transfer_band``.  The N-cell
+sample enters through the Cayley-Hamilton power
 
     T_L^N = U_{N-1}(x) T_L - U_{N-2}(x) I,      x = tr T_L / 2,
 
@@ -14,15 +13,20 @@ scaled by alpha^{-(N-1)} so nothing overflows.  The formula has no 0/0 at
 tr T_L = ±2, where T_L is a Jordan block, and raw matrix powers are never
 formed.  The Dirichlet sample's 2x2 Green matrix and the coupled system's
 end-to-end Green value, hence T_N, are read from the entries of T_L^N.
-T_infty and the (r, vartheta) oscillation diagnostics are read from the
-m-functions; a crystalline lead on the sample itself reads its F from the
-sample's m_l or m_r.
+
+T_infty and the (r, vartheta, theta) diagnostics read one band-interior
+record per energy array, ``_BandRecord``: the live mask (band interior
+within both leads' support) and, on the live entries, the m-functions of one
+``leads._band_m_values`` call, both leads' F and the sine of theta.
+``_tinf_live`` is the one T_infty formula.  A crystalline lead on the sample
+itself reads its F from the same in-band m_l or m_r, for T_N too.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,9 +40,10 @@ from .errors import (
 from .jacobi import GreenMatrix2, SampleSpec, _energies, _repetition_count
 # Not called here; kept importable because bench/tracer.py wraps this name.
 from .jacobi import _one_period_abcd  # noqa: F401
+from .jacobi import _refusing_overflow
 from .leads import EDGE_TOL, SUPPORT_TOL, CrystallineLead, LeadModel, lead_F_values
-from .leads import _check_kappa, _clamp_im, _eigendata_values, _interior_m_values, _lead_F_values
-from .leads import _one_energy
+from .leads import _alpha_off, _band_m_values, _check_kappa, _clamp_im, _eigendata_values
+from .leads import _one_energy, _transfer_band
 # Not called here; kept importable because bench/tracer.py wraps this name.
 from .leads import _crystal_m_values  # noqa: F401
 
@@ -74,9 +79,11 @@ def transfer_eigendata(sample: SampleSpec, E: float) -> TransferEigenData:
     Raises BandEdgeError within the |tr T_L| ~ 2 exclusion zone and
     DegeneratePivotError if b(E) degenerates inside a band (the latter
     cannot occur strictly inside a band, where b*c < 0; the guard protects
-    against rounding at the zone boundary).  A non-finite E raises DomainError.
+    against rounding at the zone boundary).  A non-finite E raises
+    DomainError, and so does an E where T_L or tr^2 overflows float64.
     """
-    ed = _eigendata_values(sample, _one_energy(E))
+    with _refusing_overflow(E):
+        ed = _eigendata_values(sample, _one_energy(E))
     if ed["edge"][0]:
         raise BandEdgeError(
             f"transfer eigendata at E={E}: |tr T_L| within {EDGE_TOL} of 2"
@@ -105,8 +112,8 @@ def transfer_eigendata(sample: SampleSpec, E: float) -> TransferEigenData:
     )
 
 
-def _chebyshev_factors(ed, n_cells: int):
-    """(p, q, w) with w T_L^N = p T_L - q I, elementwise over the eigendata.
+def _chebyshev_factors(band, n_cells: int):
+    """(p, q, w) with w T_L^N = p T_L - q I, elementwise over `_transfer_band` data.
 
     In band w = 1, p = U_{N-1}(x) and q = U_{N-2}(x), x = tr/2.  They are
     taken at the folded angle theta_f = atan2(sqrt(1 - x^2), |x|) in
@@ -119,12 +126,12 @@ def _chebyshev_factors(ed, n_cells: int):
     q = expm1(-2(N-1) gamma) / (alpha expm1(-2 gamma)), which are N and
     (N-1)/alpha at gamma = 0.
     """
-    in_band = ed["in_band"]
+    in_band = band["in_band"]
     p = np.empty(in_band.shape)
     q = np.empty(in_band.shape)
     w = np.ones(in_band.shape)
 
-    half_tr = (ed["a"][in_band] + ed["d"][in_band]) / 2.0
+    half_tr = (band["a"][in_band] + band["d"][in_band]) / 2.0
     th = np.arctan2(np.sqrt(1.0 - half_tr * half_tr), np.abs(half_tr))
     ph = np.mod(n_cells * th, 2.0 * np.pi)
     u1 = np.sin(ph) / np.sin(th)
@@ -135,7 +142,7 @@ def _chebyshev_factors(ed, n_cells: int):
 
     off = ~in_band
     if np.any(off):
-        al = ed["alpha_off"]
+        al = _alpha_off(band, off)
         gamma = np.log(np.abs(al))
         with np.errstate(divide="ignore", invalid="ignore"):
             den = np.expm1(-2.0 * gamma)
@@ -149,10 +156,10 @@ def _chebyshev_factors(ed, n_cells: int):
     return p, q, w
 
 
-def _power_entries(ed, n_cells: int):
+def _power_entries(band, n_cells: int):
     """(A, B, C, D, w) with w T_L^N = [[A, B], [C, D]], elementwise from `_chebyshev_factors`."""
-    p, q, w = _chebyshev_factors(ed, n_cells)
-    return p * ed["a"] - q, p * ed["b"], p * ed["c"], p * ed["d"] - q, w
+    p, q, w = _chebyshev_factors(band, n_cells)
+    return p * band["a"] - q, p * band["b"], p * band["c"], p * band["d"] - q, w
 
 
 def sample_green(sample: SampleSpec, n_cells: int, E: float) -> GreenMatrix2:
@@ -164,11 +171,13 @@ def sample_green(sample: SampleSpec, n_cells: int, E: float) -> GreenMatrix2:
 
     Raises SampleEigenvalueError when E sits at an eigenvalue of the N-cell
     sample, where A vanishes and the resolvent has a pole, and DomainError at
-    a non-finite E or an n_cells that is not an integer >= 1.
+    a non-finite E, where T_L or tr^2 overflows float64, or at an n_cells that
+    is not an integer >= 1.
     """
     n_cells = _repetition_count(n_cells)
-    ed = _eigendata_values(sample, _one_energy(E))
-    A, B, C, D, w = (float(v[0]) for v in _power_entries(ed, n_cells))
+    with _refusing_overflow(E):
+        band = _transfer_band(sample, _one_energy(E))
+    A, B, C, D, w = (float(v[0]) for v in _power_entries(band, n_cells))
     if abs(A) <= 1e-12 * (abs(B) + abs(D)):
         raise SampleEigenvalueError(
             f"E={E} is an eigenvalue of the {n_cells}-cell sample (A ~ 0)"
@@ -185,24 +194,38 @@ def sample_green(sample: SampleSpec, n_cells: int, E: float) -> GreenMatrix2:
     )
 
 
-def _transport_inputs(sample, lead_l, lead_r, kappa, E: np.ndarray):
-    """(kappa, eigendata, F_l, F_r) from one eigendata evaluation of the energy array.
+def _spread(mask, values: np.ndarray, fill: float) -> np.ndarray:
+    """values at the entries of `mask` in a whole array, `fill` elsewhere; mask None: values."""
+    if mask is None:
+        return values
+    out = np.full(mask.shape, fill, dtype=values.dtype)
+    out[mask] = values
+    return out
 
-    A CrystallineLead on a sample equal to this one takes F from its m_l or m_r.
-    Every transport quantity passes here first, which reads kappa by `_check_kappa`.
+
+def _transport_inputs(sample, lead_l, lead_r, kappa, E: np.ndarray, band_m: bool = False):
+    """(kappa, band, F_l, F_r, m) from one `_transfer_band` evaluation of the energy array.
+
+    m is the `_band_m_values` result, taken if band_m is set or a lead is a
+    CrystallineLead on this sample, which reads F from it: m_l or m_r in band,
+    nan off band, where that F is real and so never read.  Any other lead
+    evaluates F on the whole array.  kappa is read by `_check_kappa`.
     """
     kappa = _check_kappa(kappa)
-    ed = _eigendata_values(sample, E)
+    band = _transfer_band(sample, E)
+    own = [isinstance(lead, CrystallineLead) and lead.sample == sample for lead in (lead_l, lead_r)]
+    m = _band_m_values(sample, band) if band_m or any(own) else None
 
-    def boundary_values(lead):
-        if isinstance(lead, CrystallineLead) and lead.sample == sample:
-            return _clamp_im(ed["m_l"] if lead.side == "l" else ed["m_r"])
-        return lead_F_values(lead, E)
+    def boundary_values(lead, reads_m):
+        if not reads_m:
+            return lead_F_values(lead, E)
+        mask, m_l, m_r, _ = m
+        return _spread(mask, _clamp_im(m_l if lead.side == "l" else m_r), np.nan)
 
-    return kappa, ed, boundary_values(lead_l), boundary_values(lead_r)
+    return kappa, band, boundary_values(lead_l, own[0]), boundary_values(lead_r, own[1]), m
 
 
-def _full_green_lr_values(sample, n_cells, kappa, ed, F_l, F_r):
+def _full_green_lr_values(sample, n_cells, kappa, band, F_l, F_r):
     """Off-diagonal element G_lr^(N) of the coupled-system Green matrix, vectorized.
 
     With f = kappa^2 F and w T_L^N = [[A, B], [C, D]] from `_power_entries`,
@@ -212,7 +235,7 @@ def _full_green_lr_values(sample, n_cells, kappa, ed, F_l, F_r):
     Non-finite F (off the leads' support) gives non-finite entries, silently.
     """
     kS = sample.kappa_s
-    A, B, C, D, w = _power_entries(ed, n_cells)
+    A, B, C, D, w = _power_entries(band, n_cells)
     f_l, f_r = kappa**2 * F_l, kappa**2 * F_r
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # the temporary comes first in each complex product: numpy may reuse a
@@ -235,9 +258,9 @@ def _clamp_unit(T: np.ndarray, what: str) -> np.ndarray:
     return np.clip(T, 0.0, 1.0) if worst > 0.0 else T
 
 
-def _tn_values(sample, n_cells, kappa, ed, F_l, F_r) -> np.ndarray:
+def _tn_values(sample, n_cells, kappa, band, F_l, F_r) -> np.ndarray:
     """T_N on the whole array; 0 off the leads' common support and where singular."""
-    g_lr = _full_green_lr_values(sample, n_cells, kappa, ed, F_l, F_r)
+    g_lr = _full_green_lr_values(sample, n_cells, kappa, band, F_l, F_r)
     with np.errstate(invalid="ignore", over="ignore"):
         vals = 4.0 * kappa**4 * np.abs(g_lr) ** 2 * F_l.imag * F_r.imag
     live = (F_l.imag > SUPPORT_TOL) & (F_r.imag > SUPPORT_TOL)
@@ -264,13 +287,42 @@ def transmittance_n(
     """
     n_cells = _repetition_count(n_cells)
     E_arr, scalar = _energies(E)
-    T = _tn_values(sample, n_cells, *_transport_inputs(sample, lead_l, lead_r, kappa, E_arr))
+    inputs = _transport_inputs(sample, lead_l, lead_r, kappa, E_arr)
+    T = _tn_values(sample, n_cells, *inputs[:4])
     return float(T[0]) if scalar else T
 
 
-def _crystal_live(ed, F_l, F_r) -> np.ndarray:
-    """Band interior (outside the edge exclusion zone) within the leads' common support."""
-    return ed["in_band"] & ~ed["edge"] & (F_l.imag > SUPPORT_TOL) & (F_r.imag > SUPPORT_TOL)
+class _BandRecord(NamedTuple):
+    """Band-interior transport data of one energy array (`_band_record`).
+
+    live marks the entries in band, outside the edge zone and in both leads'
+    support, or is None for every entry; the arrays hold the live entries.
+    """
+
+    kappa: float
+    band: dict  # `_transfer_band` data of the whole array
+    live: np.ndarray | None
+    m_l: np.ndarray
+    m_r: np.ndarray
+    F_l: np.ndarray
+    F_r: np.ndarray
+    sin_th: np.ndarray  # read only by theta
+
+
+def _band_record(kappa, band, F_l, F_r, m) -> _BandRecord:
+    """The `_BandRecord` of a `_transport_inputs` result taken with band_m set."""
+    mask, m_l, m_r, sin_th = m
+    live = ~band["edge"] & (F_l.imag > SUPPORT_TOL) & (F_r.imag > SUPPORT_TOL)
+    fields = (m_l, m_r, F_l, F_r, sin_th)
+    if mask is not None:
+        live &= mask
+        in_band_live = live[mask]
+        fields = (m_l[in_band_live], m_r[in_band_live], F_l[live], F_r[live], sin_th[in_band_live])
+    elif live.all():
+        live = None
+    else:
+        fields = tuple(x[live] for x in fields)
+    return _BandRecord(kappa, band, live, *fields)
 
 
 def _tinf_live(sample, kappa, m_l, m_r, F_l, F_r) -> np.ndarray:
@@ -283,54 +335,10 @@ def _tinf_live(sample, kappa, m_l, m_r, F_l, F_r) -> np.ndarray:
     return 1.0 / (1.0 + 0.25 * (term_r + term_l))
 
 
-def _tinf_values(sample, kappa, ed, F_l, F_r) -> np.ndarray:
-    """T_infty from the transport inputs; 0 off `_crystal_live`."""
-    live = _crystal_live(ed, F_l, F_r)
-    T = np.zeros(live.shape)
-    if np.any(live):
-        T[live] = _tinf_live(sample, kappa, ed["m_l"][live], ed["m_r"][live], F_l[live], F_r[live])
-    return _clamp_unit(T, "T_inf")
-
-
-def _tinf_plan(sample, lead_l, lead_r, kappa):
-    """T_infty as a function of a checked energy array, bit for bit `_tinf_values`.
-
-    kappa is checked and each lead's F resolved once, so a call does only
-    array work.  A call reads `leads._interior_m_values`: no in-band phase, no
-    off-band eigenvector, and no masked copy where every energy is interior.
-    A CrystallineLead on this sample takes F from those m-functions; any
-    other lead evaluates F on the whole array, as `_transport_inputs` does.
-    """
-    kappa = _check_kappa(kappa)
-
-    def boundary_values(lead):
-        if isinstance(lead, CrystallineLead) and lead.sample == sample:
-            side = 0 if lead.side == "l" else 1
-            return lambda E, interior, m: _clamp_im(m[side])
-
-        def values(E, interior, m):
-            F = _lead_F_values(lead, E)
-            return F if interior is None else F[interior]
-
-        return values
-
-    F_of_l, F_of_r = boundary_values(lead_l), boundary_values(lead_r)
-
-    def tinf(E: np.ndarray) -> np.ndarray:
-        interior, *m = _interior_m_values(sample, E)
-        F_l, F_r = F_of_l(E, interior, m), F_of_r(E, interior, m)
-        live = (F_l.imag > SUPPORT_TOL) & (F_r.imag > SUPPORT_TOL)
-        if live.all():
-            T = _tinf_live(sample, kappa, *m, F_l, F_r)
-        else:
-            T = np.zeros(live.shape)
-            T[live] = _tinf_live(sample, kappa, *(x[live] for x in (*m, F_l, F_r)))
-        if interior is not None:
-            T, T_interior = np.zeros(E.shape), T
-            T[interior] = T_interior
-        return _clamp_unit(T, "T_inf")
-
-    return tinf
+def _tinf_of(sample, rec: _BandRecord) -> np.ndarray:
+    """T_infty on the whole array from its `_BandRecord`; 0 off the live entries."""
+    T = _tinf_live(sample, rec.kappa, rec.m_l, rec.m_r, rec.F_l, rec.F_r)
+    return _clamp_unit(_spread(rec.live, T, 0.0), "T_inf")
 
 
 def transmittance_inf(
@@ -346,42 +354,43 @@ def transmittance_inf(
     exclusion zone (a measure-zero set).  Accepts scalars or arrays.
     """
     E_arr, scalar = _energies(E)
-    T = _tinf_plan(sample, lead_l, lead_r, kappa)(E_arr)
+    inputs = _transport_inputs(sample, lead_l, lead_r, kappa, E_arr, band_m=True)
+    T = _tinf_of(sample, _band_record(*inputs))
     return float(T[0]) if scalar else T
 
 
-def _r_theta_from(sample, kappa, ed, F_l, F_r):
-    """(r, vartheta, theta, live) from the transport inputs; nan off `_crystal_live`."""
-    live = _crystal_live(ed, F_l, F_r)
-    eta2 = (kappa / sample.kappa_s) ** 2
-    r, vth, theta = (np.full(live.shape, np.nan) for _ in range(3))
-    if np.any(live):
-        ml, mr = ed["m_l"][live], ed["m_r"][live]
-        fl, fr = F_l[live], F_r[live]
-        prod = (
-            (ml - eta2 * fl)
-            / (np.conj(ml) - eta2 * fl)
-            * (mr - eta2 * fr)
-            / (np.conj(mr) - eta2 * fr)
-            * (np.conj(mr) / mr)
-        )
-        r[live] = np.abs(prod)
-        vth[live] = np.angle(prod)
-        theta[live] = ed["theta"][live]
-    return r, vth, theta, live
+def _r_theta_of(sample, rec: _BandRecord):
+    """(r, vartheta, theta, live) on the whole array from its `_BandRecord`; nan off live."""
+    eta2 = (rec.kappa / sample.kappa_s) ** 2
+    ml, mr, fl, fr = rec.m_l, rec.m_r, rec.F_l, rec.F_r
+    prod = (
+        (ml - eta2 * fl)
+        / (np.conj(ml) - eta2 * fl)
+        * (mr - eta2 * fr)
+        / (np.conj(mr) - eta2 * fr)
+        * (np.conj(mr) / mr)
+    )
+    tr, live = rec.band["tr"], rec.live
+    theta = np.arctan2(rec.sin_th, (tr if live is None else tr[live]) / 2.0)
+    r, vth, theta = (_spread(live, x, np.nan) for x in (np.abs(prod), np.angle(prod), theta))
+    return r, vth, theta, np.ones(tr.shape, dtype=bool) if live is None else live
 
 
 def _r_theta_values(sample, lead_l, lead_r, kappa, E: np.ndarray):
     """Vectorized (r, vartheta, theta, live) of the oscillation polar decomposition."""
-    return _r_theta_from(sample, *_transport_inputs(sample, lead_l, lead_r, kappa, E))
+    inputs = _transport_inputs(sample, lead_l, lead_r, kappa, E, band_m=True)
+    return _r_theta_of(sample, _band_record(*inputs))
 
 
 def _diagnostic_columns(sample, lead_l, lead_r, kappa, n_cells, E: np.ndarray):
-    """Columns (T, r, theta) of `transmit --diagnostics`; T is T_infty if n_cells is None."""
-    inputs = _transport_inputs(sample, lead_l, lead_r, kappa, E)
-    T = (_tinf_values(sample, *inputs) if n_cells is None
-         else _tn_values(sample, n_cells, *inputs))
-    r, _, theta, _ = _r_theta_from(sample, *inputs)
+    """Columns (T, r, theta) of `transmit --diagnostics` from one `_transport_inputs` call.
+
+    T is T_N, or T_infty if n_cells is None, which reads the `_BandRecord` of r and theta.
+    """
+    inputs = _transport_inputs(sample, lead_l, lead_r, kappa, E, band_m=True)
+    record = _band_record(*inputs)
+    T = _tinf_of(sample, record) if n_cells is None else _tn_values(sample, n_cells, *inputs[:4])
+    r, _, theta, _ = _r_theta_of(sample, record)
     return np.column_stack([T, r, theta])
 
 

@@ -10,6 +10,7 @@ from thouless_lab import (
     HalfLineLead,
     QuadratureConfig,
     SampleEigenvalueError,
+    SampleSpec,
     TabulatedLead,
     ThermoState,
     band_spectrum,
@@ -210,31 +211,47 @@ def test_one_kernel_call_per_evaluator_call(monkeypatch, dimer, wide_lead):
 
 
 def test_m_functions_are_computed_only_when_read(monkeypatch, dimer, wide_lead):
-    # T_N on half-line leads reads only T_L's entries and the growing off-band
-    # eigenvalue; the m-functions and in-band phase are computed on first read
+    # T_N on half-line leads and sample_green read only T_L's entries; T_infty,
+    # the diagnostics and a lead on the sample itself read the in-band
+    # m-functions of one _band_m_values call, and no off-band eigenvector
     from thouless_lab import leads
+    from thouless_lab.transport import _diagnostic_columns
 
-    calls = []
-    eigvec = leads._real_eigvec2
+    def counting(module, name):
+        calls, function = [], getattr(module, name)
 
-    def counting_eigvec(*args):
-        calls.append(1)
-        return eigvec(*args)
+        def counted(*args):
+            calls.append(1)
+            return function(*args)
 
-    monkeypatch.setattr(leads, "_real_eigvec2", counting_eigvec)
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
     grid = np.linspace(-2.0, 2.0, 41)  # in both bands, the gap and outside
-    transmittance_n(dimer, wide_lead, wide_lead, 0.7, 5, grid)
-    sample_green(dimer, 3, 0.0)
-    assert calls == []
-    ed = _eigendata_values(dimer, grid)
-    assert {"m_l", "m_r", "theta"}.isdisjoint(ed)
-    m_r = ed["m_r"]
-    assert len(calls) == 2 and ed["m_r"] is m_r and {"m_l", "theta"} <= set(ed)
-    with pytest.raises(KeyError):
-        ed["no_such_key"]
-    # T_infty reads only the band-interior m-functions: no off-band eigenvector
-    transmittance_inf(dimer, wide_lead, wide_lead, 0.7, grid)
-    assert len(calls) == 2
+    own_leads = (CrystallineLead(dimer, "l"), CrystallineLead(dimer, "r"))
+    # (evaluator, arguments, its _band_m_values calls)
+    cases = [(transmittance_n, (dimer, wide_lead, wide_lead, 0.7, 5, grid), 0),
+             (sample_green, (dimer, 3, 0.0), 0),
+             (transmittance_n, (dimer, *own_leads, 0.7, 3, grid), 1)]
+    for lead_pair in [(wide_lead, wide_lead), own_leads]:
+        cases += [
+            (transmittance_inf, (dimer, *lead_pair, 0.7, grid), 1),
+            (_diagnostic_columns, (dimer, *lead_pair, 0.7, 3, grid), 1),
+            (_diagnostic_columns, (dimer, *lead_pair, 0.7, None, grid), 1),
+        ]
+    eigvec_calls = counting(leads, "_real_eigvec2")
+    for evaluate, args, _ in cases:
+        evaluate(*args)
+        assert eigvec_calls == [], (evaluate.__name__, args[1:3])
+    band_m_calls = counting(transport, "_band_m_values")
+    for evaluate, args, expected in cases:
+        band_m_calls.clear()
+        evaluate(*args)
+        assert len(band_m_calls) == expected, (evaluate.__name__, args[1:3])
+    # the full eigendata of a crystalline lead on another sample reads both
+    # off-band eigenvectors
+    lead_F_values(CrystallineLead(dimer, "r"), grid)
+    assert len(eigvec_calls) == 2
 
 
 def _repetition_count_calls(dimer, lead):
@@ -391,6 +408,34 @@ def test_scalar_helper_refuses_non_finite_energy(dimer, wide_lead, evaluate, ene
         evaluate(dimer, wide_lead, energy)
 
 
+@pytest.mark.parametrize(
+    "evaluate, energy",
+    [
+        (lambda s, E: transfer_eigendata(s, E), 1e100),  # T_L finite, tr^2 overflows
+        (lambda s, E: transfer_eigendata(s, E), 1e155),
+        (lambda s, E: sample_green(s, 2, E), 1e155),
+        (lambda s, E: lead_F(CrystallineLead(s, "r"), E), 1e155),
+        (lambda s, E: one_period_transfer(s, E), 1e155),
+        (lambda s, E: crystal_m_functions(s, E), -1e155),
+    ],
+    ids=["transfer_eigendata_trace", "transfer_eigendata", "sample_green", "lead_F_crystalline",
+         "one_period_transfer", "crystal_m_functions"],
+)
+def test_scalar_helper_refuses_overflow(evaluate, energy):
+    # a DomainError that names the overflow, and no RuntimeWarning (an error under pytest here)
+    s = SampleSpec((1.0, 0.7), (0.1, 0.0, -0.2), 0.5)
+    with pytest.raises(DomainError, match="overflow float64 at E="):
+        evaluate(s, energy)
+
+
+def test_array_paths_read_zero_where_the_transfer_data_overflow(dimer, wide_lead):
+    E = np.array([1.0, 1e155])
+    with np.errstate(over="ignore", invalid="ignore"):
+        T_N = transmittance_n(dimer, wide_lead, wide_lead, 0.7, 2, E)
+        T_inf = transmittance_inf(dimer, wide_lead, wide_lead, 0.7, E)
+    assert T_N[0] > 0.0 and T_inf[0] > 0.0 and T_N[1] == T_inf[1] == 0.0
+
+
 def test_infinite_beta_stays_valid(dimer):
     th = ThermoState(INF, -1.0, INF, 1.0)
     assert th.beta_l == th.beta_r == INF
@@ -487,7 +532,7 @@ def test_full_green_reduces_to_greenfull_small_at_n1(rng):
         det = np.linalg.det(np.eye(2) - kappa**2 * gs.as_array() @ F)
         expected = gs.g_lr / det
         inputs = _transport_inputs(s, lead_l, lead_r, kappa, np.array([E]))
-        (got,) = _full_green_lr_values(s, 1, *inputs)
+        (got,) = _full_green_lr_values(s, 1, *inputs[:4])
         assert got == pytest.approx(expected, rel=1e-9)
 
 
@@ -498,7 +543,7 @@ def test_full_green_decoupling_limit(rng):
     E = float(grid[2])
     gs = sample_green(s, 3, E)
     inputs = _transport_inputs(s, lead_l, lead_r, 1e-9, np.array([E]))
-    (got,) = _full_green_lr_values(s, 3, *inputs)
+    (got,) = _full_green_lr_values(s, 3, *inputs[:4])
     assert got == pytest.approx(gs.g_lr, rel=1e-6)
 
 
@@ -631,10 +676,11 @@ def test_tinf_matches_an_oracle_fit_with_both_contacts_mismatched():
     assert errors.size > 250 and np.max(errors) <= 1e-6
 
 
-def test_tinf_plan_keeps_the_bits_of_the_full_eigendata_path():
-    # the plan reads only band-interior m-functions; the full eigendata path
-    # (`_transport_inputs`, as under transmit --diagnostics) gives the same bits
-    # on grids across gaps and edges, and on all-interior grids that take no masked copy
+def test_diagnostic_columns_keep_the_bits_of_the_evaluators():
+    # transmit --diagnostics reads T, r and theta from one band record: each
+    # column has the bits of transmittance_inf or transmittance_n and of
+    # _r_theta_values, whose m-functions are those of the full eigendata, on
+    # grids across gaps and edges and on all-interior grids that take no masked copy
     rng = np.random.default_rng(7)
     for _ in range(30):
         s, lead_l, lead_r, kappa = random_configuration(rng)
@@ -647,12 +693,20 @@ def test_tinf_plan_keeps_the_bits_of_the_full_eigendata_path():
         pairs = [(lead_l, lead_r), (CrystallineLead(s, "l"), CrystallineLead(s, "r")),
                  (lead_l, CrystallineLead(s, "r")), (CrystallineLead(other, "l"), lead_r)]
         for pair in pairs:
-            plan = transport._tinf_plan(s, *pair, kappa)
             for E in grids:
-                full = transport._tinf_values(s, *_transport_inputs(s, *pair, kappa, E))
-                assert plan(E).tobytes() == full.tobytes()
-                assert transmittance_inf(s, *pair, kappa, E).tobytes() == full.tobytes()
-            assert transmittance_inf(s, *pair, kappa, float(grids[1][7])) == full[7]
+                r, _, theta, live = transport._r_theta_values(s, *pair, kappa, E)
+                for n_cells, T in [(None, transmittance_inf(s, *pair, kappa, E)),
+                                   (3, transmittance_n(s, *pair, kappa, 3, E))]:
+                    columns = transport._diagnostic_columns(s, *pair, kappa, n_cells, E)
+                    for got, want in zip(columns.T, (T, r, theta)):
+                        assert got.tobytes() == want.tobytes()
+                record = transport._band_record(*_transport_inputs(s, *pair, kappa, E, True))
+                full = _eigendata_values(s, E)
+                assert record.m_l.tobytes() == full["m_l"][live].tobytes()
+                assert record.m_r.tobytes() == full["m_r"][live].tobytes()
+                assert theta[live].tobytes() == full["theta"][live].tobytes()
+            T_inf = transmittance_inf(s, *pair, kappa, grids[1])
+            assert transmittance_inf(s, *pair, kappa, float(grids[1][7])) == T_inf[7]
 
 
 def weighted_tinf(weight_r, weight_l):
