@@ -21,9 +21,10 @@ m_l = 1/(kappa_s^2 conj(m_r)), and the sine of the phase, over the in-band
 entries.  ``transport`` builds T_N, T_infty and the diagnostics on these
 two; a ``CrystallineLead`` on the sample itself reads its F from the same
 in-band m_l or m_r, through ``_clamp_im``, the Im-floor clamp of
-``lead_F_values``.  ``_eigendata_values`` adds the phase and, off band, the
-growing eigenvalue and the real eigenvectors that give m there: the full
-eigendata of ``transfer_eigendata`` and of a crystalline lead's own F.
+``lead_F_values``.  A crystalline lead on another sample reads
+``_crystal_m_values``: the same in-band value, and off band the real root
+from the one eigenvector its side needs, at the growing eigenvalue
+``_alpha_off`` or its inverse.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .jacobi import _refusing_overflow, band_spectrum
 SUPPORT_TOL = 1e-12
 # Numerical floor: Im F in [-floor, 0) is clamped to 0.
 _IM_FLOOR = 1e-12
-# Band-edge exclusion zone (the eigendata's `edge` flag): |tr T_L| within this of 2.
+# Band-edge exclusion zone (`_transfer_band`'s `edge` flag): |tr T_L| within this of 2.
 EDGE_TOL = 1e-9
 
 
@@ -186,64 +187,48 @@ def _alpha_off(band: dict, off: np.ndarray) -> np.ndarray:
     return (tr + np.sign(tr) * np.sqrt(np.maximum(band["disc"][off], 0.0))) / 2.0
 
 
-def _eigendata_values(sample: SampleSpec, E: np.ndarray) -> dict:
-    """Vectorized transfer eigendata and Weyl m-functions, one T_L(E) evaluation.
+def _crystal_m_values(sample: SampleSpec, side: str, E: np.ndarray) -> np.ndarray:
+    """The Weyl m-function m_l (side 'l') or m_r (side 'r') of the periodized half-lines.
 
-    Returns the `_transfer_band` dict together with alpha_off (`_alpha_off`
-    at the off-band entries, in order), m_l, m_r, theta (nan off band) and
-    vec_off, the off-band eigenvectors (phi_+, kappa_s psi_+, phi_-,
-    kappa_s psi_-).  No errors are raised; callers decide how to treat
-    flagged entries.
-
-    Inside the bands m_l, m_r and the sine of theta = atan2(sin theta, tr/2)
-    come from `_band_m_values`, so phase and m-functions agree at the edges.
-    Outside the bands (or exactly at an edge) the eigenvectors
-    (phi, kappa_s psi) are real, and m_r = -phi/(kappa_s psi) is read from
-    the decaying one, m_l from the growing one.
+    Inside the bands the value is that of `_band_m_values`.  Outside them
+    (or exactly at an edge) the eigenvectors (phi, kappa_s psi) of T_L are
+    real, and the root is read from the one eigenvector the side needs:
+    m_r = -phi/(kappa_s psi) from the decaying one, 1/(kappa_s^2 m_l) from
+    the growing one.
     """
-    ed = _transfer_band(sample, E)
-    in_band, off = ed["in_band"], ~ed["in_band"]
-    m_l, m_r = np.empty((2, *E.shape), dtype=complex)
-    theta = np.full(E.shape, np.nan)
-    _, m_l[in_band], m_r[in_band], sin_th = _band_m_values(sample, ed)
-    theta[in_band] = np.arctan2(sin_th, ed["tr"][in_band] / 2.0)
-    al = _alpha_off(ed, off)
-    vec = (np.empty(0),) * 4
-    if al.size:
-        ao, bo, co, do = (ed[k][off] for k in ("a", "b", "c", "d"))
-        vec = (*_real_eigvec2(ao, bo, co, do, al), *_real_eigvec2(ao, bo, co, do, 1.0 / al))
-        ph_p, w_p, ph_m, w_m = vec
-        # the quadratic root of eigenvector (phi, w) is -phi/w: the decaying
-        # one gives m_r, the growing one 1/(kappa_s^2 m_l)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            m_r[off] = -ph_m / w_m
-            m_l[off] = -w_p / (sample.kappa_s**2 * ph_p)
-    ed.update(alpha_off=al, m_l=m_l, m_r=m_r, theta=theta, vec_off=vec)
-    return ed
-
-
-def _crystal_m_values(sample: SampleSpec, E: np.ndarray):
-    """Weyl m-functions of the periodized half-lines: (m_l, m_r, eigendata)."""
-    ed = _eigendata_values(sample, E)
-    return ed["m_l"], ed["m_r"], ed
+    band = _transfer_band(sample, E)
+    mask, m_l, m_r, _ = _band_m_values(sample, band)
+    m_in = m_l if side == "l" else m_r
+    if mask is None:
+        return m_in
+    m = np.empty(E.shape, dtype=complex)
+    m[mask] = m_in
+    off = ~mask
+    al = _alpha_off(band, off)
+    ao, bo, co, do = (band[k][off] for k in ("a", "b", "c", "d"))
+    phi, w = _real_eigvec2(ao, bo, co, do, al if side == "l" else 1.0 / al)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m[off] = -w / (sample.kappa_s**2 * phi) if side == "l" else -phi / w
+    return m
 
 
 def crystal_m_functions(sample: SampleSpec, E: float) -> tuple[complex, complex]:
     """Weyl m-functions (m_l, m_r) at a band-interior energy.
 
-    Raises OffSpectrumError where the eigendata flags E as off band or in
+    Raises OffSpectrumError where `_transfer_band` flags E as off band or in
     the band-edge exclusion zone, |tr T_L(E)| within EDGE_TOL of 2 (where the
     values are near-singular in derivative and all downstream quantities are
     only a.e.-defined), and DomainError at a non-finite E or where the
     transfer data overflow float64.
     """
     with _refusing_overflow(E):
-        m_l, m_r, ed = _crystal_m_values(sample, _one_energy(E))
-    if not ed["in_band"][0] or ed["edge"][0]:
-        tr = float(ed["a"][0] + ed["d"][0])
-        raise OffSpectrumError(
-            f"m-functions requested off spectrum or at a band edge (|tr T_L({E})| = {abs(tr)})"
-        )
+        band = _transfer_band(sample, _one_energy(E))
+        if not band["in_band"][0] or band["edge"][0]:
+            raise OffSpectrumError(
+                f"m-functions requested off spectrum or at a band edge "
+                f"(|tr T_L({E})| = {abs(float(band['tr'][0]))})"
+            )
+        _, m_l, m_r, _ = _band_m_values(sample, band)
     return complex(m_l[0]), complex(m_r[0])
 
 
@@ -257,8 +242,7 @@ def _lead_F_values(lead: LeadModel, E: np.ndarray) -> np.ndarray:
     if isinstance(lead, HalfLineLead):
         return _halfline_F(lead, E)  # Im F >= +0 and Re F != -0: the clamp would keep every bit
     if isinstance(lead, CrystallineLead):
-        m_l, m_r, _ = _crystal_m_values(lead.sample, E)
-        F = m_l if lead.side == "l" else m_r
+        F = _crystal_m_values(lead.sample, lead.side, E)
     elif isinstance(lead, TabulatedLead):
         lo, hi = lead.energies[0], lead.energies[-1]
         if np.any(E < lo) or np.any(E > hi):

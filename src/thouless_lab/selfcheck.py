@@ -18,9 +18,9 @@ from .currents import QuadratureConfig, ThermoState, crystalline_currents, sign_
 from .currents import thouless_currents, weights
 from .errors import NumericalError, QuadratureError, SampleEigenvalueError
 from .jacobi import SampleSpec, _count, band_spectrum, transfer_step
-from .leads import CrystallineLead, HalfLineLead, _crystal_m_values
+from .leads import CrystallineLead, HalfLineLead, _band_m_values, _transfer_band
 from .oracle import _coupled_corners, _n_cell_system, transmittance_oracle
-from .transport import sample_green, transmittance_n
+from .transport import _spread, sample_green, transmittance_n
 
 
 @dataclass(frozen=True)
@@ -151,7 +151,8 @@ def check_m_identities(rng: np.random.Generator, n_samples: int = 25) -> CheckRe
         m_l = [(h_L - E - kappa_s^2 m_l e_1 e_1^T)^{-1}]_LL,
 
     each solved by the oracle's stacked LU: one solve per sample and side
-    over the whole grid, so no transfer matrix is involved.  The residual
+    over the whole grid, so no transfer matrix is involved.  m_l and m_r are
+    those of `_band_m_values`, the values T_infty reads.  The residual
     is |m - m_fixed| / (|m| + 1); energies where either one-period system
     fails the oracle's residual gate are skipped.
     """
@@ -160,7 +161,9 @@ def check_m_identities(rng: np.random.Generator, n_samples: int = 25) -> CheckRe
     for _ in range(n_samples):
         sample = random_sample(rng)
         grid = band_interior_grid(band_spectrum(sample), 30)
-        m_l, m_r, _ = _crystal_m_values(sample, grid)
+        mask, m_l, m_r, _ = _band_m_values(sample, _transfer_band(sample, grid))
+        # an off-band entry has no Herglotz m: its 0 fails the Im m > 0 test
+        m_l, m_r = _spread(mask, m_l, 0.0), _spread(mask, m_r, 0.0)
         min_im = min(min_im, float(np.min(m_l.imag)), float(np.min(m_r.imag)))
         # kappa_s^2 m on an end site is that half-line's boundary self-energy
         period = _n_cell_system(sample, 1)

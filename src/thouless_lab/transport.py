@@ -37,13 +37,13 @@ from .errors import (
     NumericalError,
     SampleEigenvalueError,
 )
-from .jacobi import GreenMatrix2, SampleSpec, _energies, _repetition_count
+from .jacobi import GreenMatrix2, SampleSpec, _energies, _real_eigvec2, _repetition_count
 # Not called here; kept importable because bench/tracer.py wraps this name.
 from .jacobi import _one_period_abcd  # noqa: F401
 from .jacobi import _refusing_overflow
 from .leads import EDGE_TOL, SUPPORT_TOL, CrystallineLead, LeadModel, lead_F_values
-from .leads import _alpha_off, _band_m_values, _check_kappa, _clamp_im, _eigendata_values
-from .leads import _one_energy, _transfer_band
+from .leads import _alpha_off, _band_m_values, _check_kappa, _clamp_im, _one_energy
+from .leads import _transfer_band
 # Not called here; kept importable because bench/tracer.py wraps this name.
 from .leads import _crystal_m_values  # noqa: F401
 
@@ -83,23 +83,26 @@ def transfer_eigendata(sample: SampleSpec, E: float) -> TransferEigenData:
     DomainError, and so does an E where T_L or tr^2 overflows float64.
     """
     with _refusing_overflow(E):
-        ed = _eigendata_values(sample, _one_energy(E))
-    if ed["edge"][0]:
-        raise BandEdgeError(
-            f"transfer eigendata at E={E}: |tr T_L| within {EDGE_TOL} of 2"
-        )
-    in_band = bool(ed["in_band"][0])
-    if in_band and abs(ed["b"][0]) < 1e-12:
-        raise DegeneratePivotError(f"b(E) degenerate inside a band at E={E}")
+        band = _transfer_band(sample, _one_energy(E))
+        if band["edge"][0]:
+            raise BandEdgeError(f"transfer eigendata at E={E}: |tr T_L| within {EDGE_TOL} of 2")
+        in_band = bool(band["in_band"][0])
+        if in_band and abs(band["b"][0]) < 1e-12:
+            raise DegeneratePivotError(f"b(E) degenerate inside a band at E={E}")
+        if in_band:
+            _, _, m_r, sin_th = _band_m_values(sample, band)
+            theta = np.arctan2(sin_th, band["tr"] / 2.0)
+            alpha = np.exp(1j * theta)[0]
+            phi_p = phi_m = 1.0
+            kpsi_p = complex(-1.0 / m_r[0])
+            kpsi_m = kpsi_p.conjugate()
+        else:
+            al = _alpha_off(band, ~band["in_band"])
+            abcd = tuple(band[k] for k in ("a", "b", "c", "d"))
+            alpha = al[0]
+            phi_p, kpsi_p = (v[0] for v in _real_eigvec2(*abcd, al))
+            phi_m, kpsi_m = (v[0] for v in _real_eigvec2(*abcd, 1.0 / al))
     kS = sample.kappa_s
-    if in_band:
-        alpha = np.exp(1j * ed["theta"])[0]
-        phi_p = phi_m = 1.0
-        kpsi_p = complex(-1.0 / ed["m_r"][0])
-        kpsi_m = kpsi_p.conjugate()
-    else:
-        alpha = ed["alpha_off"][0]
-        phi_p, kpsi_p, phi_m, kpsi_m = (v[0] for v in ed["vec_off"])
     return TransferEigenData(
         energy=float(E),
         alpha=complex(alpha),
@@ -107,7 +110,7 @@ def transfer_eigendata(sample: SampleSpec, E: float) -> TransferEigenData:
         phi_minus=complex(phi_m),
         psi_plus=complex(kpsi_p) / kS,
         psi_minus=complex(kpsi_m) / kS,
-        theta=float(ed["theta"][0]) if in_band else None,
+        theta=float(theta[0]) if in_band else None,
         in_band=in_band,
     )
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from test_jacobi import probe_l32_sample
-from thouless_lab import cli
+from thouless_lab import CrystallineLead, band_spectrum, cli, transmittance_inf, transmittance_n
 from thouless_lab.cli import main
 from thouless_lab.jacobi import SampleSpec, bloch_hamiltonian
 
@@ -291,7 +291,7 @@ def test_selfcheck_library_error_is_a_failed_check_not_a_numerical_exit(tmp_path
 
 @pytest.mark.parametrize("half_line", [True, False], ids=["half_line", "crystalline"])
 def test_transmit_inf_t_column_is_the_same_with_diagnostics(tmp_path, half_line):
-    # the diagnostics T column reads the full eigendata, plain --inf the T_infty plan
+    # the diagnostics T column reads the band record, plain --inf the T_infty plan
     payload = dict(DIMER, kappa=0.7, energy_grid={"count": 401})
     if half_line:
         payload["leads"] = {"left": {"type": "half_line", "t": 1.2, "v0": 0.1},
@@ -304,6 +304,37 @@ def test_transmit_inf_t_column_is_the_same_with_diagnostics(tmp_path, half_line)
     diag_rows = diag.read_text().splitlines()[2:]
     assert len(plain_rows) == len(diag_rows) > 100
     assert [row.rsplit(",", 2)[0] for row in diag_rows] == plain_rows
+
+
+@pytest.mark.parametrize("flags", [["--inf"], ["--N", "4"]], ids=["inf", "N4"])
+def test_transmit_with_crystalline_leads_on_another_sample(tmp_path, flags):
+    # the "sample": {...} form of a crystalline lead: the T column has the bits
+    # of the library's transmittance, and is an exact 0 off the lead sample's bands
+    lead_sample = {"J": [0.9], "lambda": [0.4, -0.3], "kappa_S": 0.8}
+    payload = {key: value for key, value in DIMER.items() if key != "energy_grid"}
+    payload.update(kappa=0.7, leads={
+        "left": {"type": "crystalline", "sample": lead_sample, "side": "l"},
+        "right": {"type": "crystalline", "sample": lead_sample, "side": "r"},
+    })
+    out = tmp_path / "t.csv"
+    assert main(["transmit", "--config", write_config(tmp_path, payload), "--out", str(out),
+                 *flags]) == 0
+    header, rows = read_csv(out)
+    assert header == ["E", "T"] and rows.shape == (400, 2)
+    E, T = rows.T
+    sample = SampleSpec((1.0,), (0.0, 0.0), 0.5)
+    other = SampleSpec((0.9,), (0.4, -0.3), 0.8)
+    leads = (CrystallineLead(other, "l"), CrystallineLead(other, "r"))
+    if flags == ["--inf"]:
+        want = transmittance_inf(sample, *leads, 0.7, E)
+    else:
+        want = transmittance_n(sample, *leads, 0.7, 4, E)
+    assert T.tobytes() == want.tobytes()
+    in_band = np.zeros(E.shape, dtype=bool)
+    for lo, hi in band_spectrum(other).bands:
+        in_band |= (lo <= E) & (E <= hi)
+    assert np.count_nonzero(~in_band) > 50
+    assert np.all(T[~in_band] == 0.0) and np.count_nonzero(T) > 200
 
 
 def test_config_rejects_unknown_keys(tmp_path):

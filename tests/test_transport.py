@@ -8,6 +8,7 @@ from thouless_lab import (
     CrystallineLead,
     DomainError,
     HalfLineLead,
+    OffSpectrumError,
     QuadratureConfig,
     SampleEigenvalueError,
     SampleSpec,
@@ -37,7 +38,7 @@ from thouless_lab.selfcheck import (
     random_sample,
 )
 from thouless_lab.jacobi import transfer_step
-from thouless_lab.leads import _eigendata_values
+from thouless_lab.leads import _band_m_values, _transfer_band
 from thouless_lab.oracle import resolvent_green
 from thouless_lab.transport import (
     _chebyshev_factors,
@@ -143,15 +144,29 @@ def test_check_m_identities_rejects_wrong_m_functions(monkeypatch, mutate):
     from thouless_lab import selfcheck
 
     assert selfcheck.check_m_identities(np.random.default_rng(3), n_samples=10).passed
-    true_values = selfcheck._crystal_m_values
+    true_values = selfcheck._band_m_values
 
-    def wrong_values(sample, E):
-        m_l, m_r, ed = true_values(sample, E)
-        return (*mutate(m_l, m_r), ed)
+    def wrong_values(sample, band):
+        mask, m_l, m_r, sin_th = true_values(sample, band)
+        return (mask, *mutate(m_l, m_r), sin_th)
 
-    monkeypatch.setattr(selfcheck, "_crystal_m_values", wrong_values)
+    monkeypatch.setattr(selfcheck, "_band_m_values", wrong_values)
     result = selfcheck.check_m_identities(np.random.default_rng(3), n_samples=10)
     assert result.passed is False
+
+
+def test_check_m_identities_fails_on_an_off_band_energy(monkeypatch):
+    # an energy off band has no Herglotz m-function: a grid that reaches one fails
+    from thouless_lab import selfcheck
+
+    true_grid = selfcheck.band_interior_grid
+
+    def grid_past_the_hull(spectrum, points):
+        return np.append(true_grid(spectrum, points), spectrum.hull[1] + 1.0)
+
+    monkeypatch.setattr(selfcheck, "band_interior_grid", grid_past_the_hull)
+    result = selfcheck.check_m_identities(np.random.default_rng(3), n_samples=10)
+    assert result.passed is False and "min Im m = 0.000e+00" in result.detail
 
 
 @pytest.mark.parametrize("error", [ValueError, SampleEigenvalueError])
@@ -248,10 +263,16 @@ def test_m_functions_are_computed_only_when_read(monkeypatch, dimer, wide_lead):
         band_m_calls.clear()
         evaluate(*args)
         assert len(band_m_calls) == expected, (evaluate.__name__, args[1:3])
-    # the full eigendata of a crystalline lead on another sample reads both
-    # off-band eigenvectors
-    lead_F_values(CrystallineLead(dimer, "r"), grid)
-    assert len(eigvec_calls) == 2
+    # a crystalline lead on another sample reads the one off-band eigenvector
+    # its side needs, and crystal_m_functions refuses off band before any
+    for side in ("l", "r"):
+        eigvec_calls.clear()
+        lead_F_values(CrystallineLead(dimer, side), grid)
+        assert len(eigvec_calls) == 1, side
+    eigvec_calls.clear()
+    with pytest.raises(OffSpectrumError):
+        crystal_m_functions(dimer, 0.0)  # in the gap
+    assert eigvec_calls == []
 
 
 def _repetition_count_calls(dimer, lead):
@@ -481,15 +502,15 @@ def test_chebyshev_factors_match_matrix_power(rng):
         spectrum = band_spectrum(s)
         lo, hi = spectrum.hull
         E = np.concatenate([np.linspace(lo - 0.5, hi + 0.5, 41), np.ravel(spectrum.bands)])
-        ed = _eigendata_values(s, E)
+        band = _transfer_band(s, E)
         for n in (1, 2, 7, 12):
-            p, q, w = _chebyshev_factors(ed, n)
+            p, q, w = _chebyshev_factors(band, n)
             for i, energy in enumerate(E):
                 T = one_period_transfer(s, float(energy)).as_array()
                 power = w[i] * np.linalg.matrix_power(T, n)
                 got = p[i] * T - q[i] * np.eye(2)
                 assert np.max(np.abs(got - power)) <= 1e-10 * max(np.max(np.abs(power)), 1.0)
-        p, q, w = _chebyshev_factors(ed, 1)
+        p, q, w = _chebyshev_factors(band, 1)
         assert np.all(p == 1.0) and np.all(q == 0.0) and np.all(w == 1.0)
 
 
@@ -679,7 +700,7 @@ def test_tinf_matches_an_oracle_fit_with_both_contacts_mismatched():
 def test_diagnostic_columns_keep_the_bits_of_the_evaluators():
     # transmit --diagnostics reads T, r and theta from one band record: each
     # column has the bits of transmittance_inf or transmittance_n and of
-    # _r_theta_values, whose m-functions are those of the full eigendata, on
+    # _r_theta_values, whose m-functions and phase are those of _band_m_values, on
     # grids across gaps and edges and on all-interior grids that take no masked copy
     rng = np.random.default_rng(7)
     for _ in range(30):
@@ -701,10 +722,14 @@ def test_diagnostic_columns_keep_the_bits_of_the_evaluators():
                     for got, want in zip(columns.T, (T, r, theta)):
                         assert got.tobytes() == want.tobytes()
                 record = transport._band_record(*_transport_inputs(s, *pair, kappa, E, True))
-                full = _eigendata_values(s, E)
-                assert record.m_l.tobytes() == full["m_l"][live].tobytes()
-                assert record.m_r.tobytes() == full["m_r"][live].tobytes()
-                assert theta[live].tobytes() == full["theta"][live].tobytes()
+                band = _transfer_band(s, E)
+                mask, m_l, m_r, sin_th = _band_m_values(s, band)
+                phase = np.arctan2(sin_th, band["tr"][band["in_band"]] / 2.0)
+                m_l, m_r, phase = (transport._spread(mask, x, np.nan)[live]
+                                   for x in (m_l, m_r, phase))
+                assert record.m_l.tobytes() == m_l.tobytes()
+                assert record.m_r.tobytes() == m_r.tobytes()
+                assert theta[live].tobytes() == phase.tobytes()
             T_inf = transmittance_inf(s, *pair, kappa, grids[1])
             assert transmittance_inf(s, *pair, kappa, float(grids[1][7])) == T_inf[7]
 
