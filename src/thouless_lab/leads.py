@@ -29,6 +29,8 @@ from the one eigenvector its side needs, at the growing eigenvalue
 
 from __future__ import annotations
 
+import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -48,7 +50,10 @@ EDGE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class HalfLineLead:
-    """Homogeneous Jacobi half-line with hopping t != 0 and onsite v0, Dirichlet boundary."""
+    """Homogeneous Jacobi half-line with hopping t and onsite v0, Dirichlet boundary.
+
+    t must keep t^2 a normal float and 4 t^2 finite: 1.5e-154 <= |t| < 6.7e153.
+    """
 
     t: float
     v0: float = 0.0
@@ -56,8 +61,12 @@ class HalfLineLead:
     def __post_init__(self):
         object.__setattr__(self, "t", _finite(self.t))
         object.__setattr__(self, "v0", _finite(self.v0))
-        if self.t == 0.0:
-            raise DomainError(f"half-line t must be nonzero, t and v0 finite: ({self.t}, {self.v0})")
+        t2 = self.t * self.t  # so that the in-band scale 1/(2 t^2) and F are finite
+        if not (sys.float_info.min <= t2 and 4.0 * t2 < math.inf):
+            raise DomainError(
+                f"half-line t must be nonzero with t^2 and 4 t^2 in float range, t and v0 finite: "
+                f"({self.t}, {self.v0})"
+            )
 
 
 @dataclass(frozen=True)
@@ -135,13 +144,19 @@ def _check_kappa(kappa) -> float:
 def _halfline_F(lead: HalfLineLead, E: np.ndarray) -> np.ndarray:
     """Roots of t^2 F^2 + x F + 1 = 0, x = E - v0: Im > 0 inside the band, decaying outside.
 
-    The decaying root is -sign(x) / (h + sqrt(h - |t|) sqrt(h + |t|)), h = |x|/2:
+    Inside the band (disc = x^2 - 4 t^2 < 0) F = ((0 - x) + i sqrt(|disc|)) scl,
+    with the one reciprocal scl = 1/(2 t^2) applied to both parts.  The
+    decaying root is -sign(x) / (h + sqrt(h - |t|) sqrt(h + |t|)), h = |x|/2:
     its terms have one sign, so nothing cancels, and nothing overflows.
+    `_halfline_F_one` is the same operations on one Python float.
     """
     t2 = lead.t * lead.t
     x = E - lead.v0
     disc = x * x - 4.0 * t2
-    F = (-x + 1j * np.sqrt(np.abs(disc))) / (2.0 * t2)
+    scl = 1.0 / (2.0 * t2)
+    F = np.empty(x.shape, dtype=complex)
+    F.real = (0.0 - x) * scl
+    F.imag = np.sqrt(np.abs(disc)) * scl
     inside = disc < 0.0
     if not inside.all():
         outside = ~inside
@@ -149,6 +164,18 @@ def _halfline_F(lead: HalfLineLead, E: np.ndarray) -> np.ndarray:
         h, t = np.abs(xo) / 2.0, abs(lead.t)
         F[outside] = -np.sign(xo) / (h + np.sqrt(np.maximum(h - t, 0.0)) * np.sqrt(h + t))
     return F
+
+
+def _halfline_F_one(lead: HalfLineLead, E: float) -> complex:
+    """`_halfline_F` at one checked energy, in Python floats: the same operations and bits."""
+    t2 = lead.t * lead.t
+    x = E - lead.v0
+    disc = x * x - 4.0 * t2
+    if disc < 0.0:
+        scl = 1.0 / (2.0 * t2)
+        return complex((0.0 - x) * scl, math.sqrt(abs(disc)) * scl)
+    h, t = abs(x) / 2.0, abs(lead.t)
+    return complex(-math.copysign(1.0, x) / (h + math.sqrt(max(h - t, 0.0)) * math.sqrt(h + t)))
 
 
 def _transfer_band(sample: SampleSpec, E: np.ndarray) -> dict:
@@ -283,14 +310,24 @@ def _clamp_im(F: np.ndarray) -> np.ndarray:
     return F.real + 1j * im
 
 
+def _lead_F_one(lead: LeadModel, E: float) -> complex:
+    """`_lead_F_values` at one checked energy: a half-line reads the Python-float root.
+
+    Crystalline and tabulated leads evaluate their array path on a 1-element array.
+    """
+    if isinstance(lead, HalfLineLead):
+        return _halfline_F_one(lead, E)
+    return complex(_lead_F_values(lead, np.array([E]))[0])
+
+
 def lead_F(lead: LeadModel, E: float) -> complex:
     """Boundary value F(E) of a lead at a single finite energy; Im F >= 0.
 
     A crystalline lead raises DomainError where its transfer data overflow.
     """
-    E = _one_energy(E)
-    with _refusing_overflow(E[0]):
-        return complex(_lead_F_values(lead, E)[0])
+    E = float(_one_energy(E)[0])
+    with _refusing_overflow(E):
+        return _lead_F_one(lead, E)
 
 
 def _parse_rows(path, lines) -> np.ndarray:

@@ -12,13 +12,19 @@ blocks of one block-diagonal tridiagonal matrix, on the flat (K NL)-row
 arrays, with zero coupling between blocks, and solved by one
 partial-pivoted LAPACK LU (gtsv, the routine scipy's ``solve_banded`` uses
 for one sub- and one super-diagonal).  Each energy's solution passes a
-1e-11 residual gate on its own; a system that fails it is solved again
-alone, so a singular energy neither stops nor pollutes the others.  A
-single energy is assembled in Python floats and complex numbers around a
-K = 1 solve, in the array path's order of operations, so it returns the
-same bits as the matching entry of an array call.  This path depends only
-on the periodized Jacobi parameters and the lead boundary values; it
-shares nothing with the closed-form evaluation it validates.
+1e-11 gate on the 2-norm of both of its residuals on its own; a system
+that fails it is solved again alone, so a singular energy neither stops
+nor pollutes the others.  The residual is formed on the solution's two
+right-hand-side rows laid end to end, 2K blocks with the same zero
+coupling, by one pair of shifted products, and each block's 2-norm is one
+dot product.  A single energy is assembled in Python floats and complex
+numbers around a K = 1 solve, in the array path's order of operations, and
+a half-line lead's F comes from the Python-float root
+``leads._halfline_F_one``, so it returns the same bits as the matching
+entry of an array call and costs little more than its solve and
+residual.  This path depends only on the periodized Jacobi parameters and
+the lead boundary values; it shares nothing with the closed-form
+evaluation it validates.
 
 The N-cell system is built once per (sample, N): a bounded cache keyed on
 ``jacobi._sample_key`` (the frozen ``SampleSpec`` and the signs of its zero
@@ -37,7 +43,7 @@ import numpy as np
 from .errors import SingularEnergyError
 from .jacobi import GreenMatrix2, SampleSpec, _energies, _repetition_count, _sample_key
 from .jacobi import periodized_parameters
-from .leads import LeadModel, _check_kappa, _lead_F_values, _one_energy
+from .leads import LeadModel, _check_kappa, _lead_F_one, _lead_F_values, _one_energy
 
 _RESIDUAL_TOL = 1e-11
 # N-cell systems kept by _n_cell_system; each holds N*L complex and N*L - 1 real entries
@@ -75,36 +81,45 @@ def _corner_green(diag: np.ndarray, off: np.ndarray):
     g_nn, ok), each of length K; ok[k] is False where system k failed the
     residual gate, and its corners are then meaningless.
 
-    The K systems are solved and checked as one flat (K n)-row stack: the
-    coupling between consecutive systems is zero, so each row's residual
-    is that of its own system, and the squares are summed per system.  A
-    non-finite solution makes the zero coupling add a NaN to its
-    neighbours' residuals, which only sends them to their lone re-solve.
+    The K systems are solved as one flat (K n)-row stack with zero coupling
+    between consecutive systems.  The two right-hand sides, e_1 and e_n of
+    every system, are the rows of a (2, K n) array, the transpose of gtsv's
+    column-major solution.  Flattened, that array is a stack of 2K blocks
+    of n rows with the same zero coupling between blocks, so one pair of
+    shifted products forms every block's residual, and each block's
+    2-norm is read from a (2, K, 2n) view.  A non-finite solution makes the
+    zero coupling add a NaN to its neighbours' residuals, which only sends
+    them to their lone re-solve.
     """
     K, n = diag.shape
+    m = K * n
     d = diag.ravel()
-    rhs = np.zeros((K * n, 2), dtype=complex)
-    rhs[::n, 0] = 1.0
-    rhs[n - 1 :: n, 1] = 1.0
+    rhs = np.zeros((2, m), dtype=complex)
+    rhs[0, ::n] = 1.0
+    rhs[1, n - 1 :: n] = 1.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if n == 1:  # 1 x 1 systems: divide, as solve_banded does
-            x = rhs / d[:, None]
+            x = rhs / d
             info = 0
         else:
-            coupling = np.zeros((K, n))
+            # the coupling of the 2K blocks; its first m - 1 entries couple the K systems
+            coupling = np.zeros((2 * K, n), dtype=complex)
             coupling[:, :-1] = off
             coupling = coupling.ravel()[:-1]
-            _, _, _, x, info = _zgtsv()(coupling, d, coupling, rhs)
-        r = d[:, None] * x - rhs
+            _, _, _, x, info = _zgtsv()(coupling[: m - 1], d, coupling[: m - 1], rhs.T)
+            x = x.T
+        r = (d * x - rhs).ravel()
         if n > 1:
-            r[:-1] += coupling[:, None] * x[1:]
-            r[1:] += coupling[:, None] * x[:-1]
-        # the 2-norm over each system's column, as np.linalg.norm(r, axis=1) computes it
-        resid = np.sqrt(np.add.reduce((r.conj() * r).real.reshape(K, n, 2), axis=1))
-    # a zero pivot stops gtsv for the whole stack: no system is solved then
-    ok = (resid <= _RESIDUAL_TOL).all(axis=1) & (info == 0)
-    x = x.reshape(K, n, 2)
-    corners = [x[:, 0, 0], x[:, 0, 1], x[:, -1, 0], x[:, -1, 1]]
+            flat = x.ravel()
+            r[:-1] += coupling * flat[1:]
+            r[1:] += coupling * flat[:-1]
+        r = r.view(float).reshape(2, K, 2 * n)
+        # each system's larger residual 2-norm over its two right-hand sides
+        resid = np.sqrt(np.maximum.reduce(np.vecdot(r, r), axis=0))
+    ok = resid <= _RESIDUAL_TOL
+    if info:  # a zero pivot stops gtsv for the whole stack: no system is solved then
+        ok[:] = False
+    corners = [x[0, ::n], x[1, ::n], x[0, n - 1 :: n], x[1, n - 1 :: n]]
     if K > 1 and not ok.all():
         for k in np.flatnonzero(~ok):
             *lone, lone_ok = _corner_green(diag[k : k + 1], off)
@@ -115,9 +130,13 @@ def _corner_green(diag: np.ndarray, off: np.ndarray):
 
 
 def _lead_values(lead_l, lead_r, kappa, E):
-    """(kappa by `_check_kappa`, F_l, F_r) at the checked energies E; kappa is read first."""
+    """(kappa by `_check_kappa`, F_l, F_r) at the checked energies E; kappa is read first.
+
+    E is an array, or one float whose values come from `_lead_F_one`.
+    """
     kappa = _check_kappa(kappa)
-    return kappa, _lead_F_values(lead_l, E), _lead_F_values(lead_r, E)
+    lead_F = _lead_F_one if isinstance(E, float) else _lead_F_values
+    return kappa, lead_F(lead_l, E), lead_F(lead_r, E)
 
 
 def _coupled_corners(system, kappa, E, F_l, F_r):
@@ -148,10 +167,9 @@ def resolvent_green(
 ) -> GreenMatrix2:
     """Full 2x2 Green matrix between the end sites of the coupled N-cell system."""
     n_cells = _repetition_count(n_cells)
-    E_arr = _one_energy(E)
-    kappa, F_l, F_r = _lead_values(lead_l, lead_r, kappa, E_arr)
-    E_one, f_l, f_r = float(E_arr[0]), complex(F_l[0]), complex(F_r[0])
-    *corners, ok = _coupled_corners(_n_cell_system(sample, n_cells), kappa, E_one, f_l, f_r)
+    E_one = float(_one_energy(E)[0])
+    kappa, F_l, F_r = _lead_values(lead_l, lead_r, kappa, E_one)
+    *corners, ok = _coupled_corners(_n_cell_system(sample, n_cells), kappa, E_one, F_l, F_r)
     if not ok[0]:
         raise SingularEnergyError(f"the solve at E={E} fails the residual gate {_RESIDUAL_TOL:g}")
     return GreenMatrix2(*(complex(g[0]) for g in corners), float(E), n_cells)
@@ -175,18 +193,18 @@ def transmittance_oracle(
     """
     E_arr, scalar = _energies(E)
     system = _n_cell_system(sample, n_cells)
-    kappa, F_l, F_r = _lead_values(lead_l, lead_r, kappa, E_arr)
+    E = float(E_arr[0]) if scalar else E_arr
+    kappa, F_l, F_r = _lead_values(lead_l, lead_r, kappa, E)
     if scalar:
-        E_one, f_l, f_r = float(E_arr[0]), complex(F_l[0]), complex(F_r[0])
-        if not (f_l.imag > 0.0 and f_r.imag > 0.0):
+        if not (F_l.imag > 0.0 and F_r.imag > 0.0):
             return 0.0
-        _, g_lr, _, _, ok = _coupled_corners(system, kappa, E_one, f_l, f_r)
+        _, g_lr, _, _, ok = _coupled_corners(system, kappa, E, F_l, F_r)
         if not ok[0]:
             raise SingularEnergyError(
-                f"the solve at E={E_one} fails the residual gate {_RESIDUAL_TOL:g}"
+                f"the solve at E={E} fails the residual gate {_RESIDUAL_TOL:g}"
             )
         g_abs = abs(complex(g_lr[0]))  # libm hypot, as in the array path
-        return 4.0 * kappa**4 * (g_abs * g_abs) * f_l.imag * f_r.imag
+        return 4.0 * kappa**4 * (g_abs * g_abs) * F_l.imag * F_r.imag
     live = (F_l.imag > 0.0) & (F_r.imag > 0.0)
     T = np.zeros(E_arr.shape)
     if live.any():

@@ -16,13 +16,20 @@ from thouless_lab import (
     lead_F_values,
     load_tabulated_csv,
 )
-from thouless_lab.leads import SUPPORT_TOL, _clamp_im, _halfline_F, _support_edges
+from thouless_lab.leads import SUPPORT_TOL, _clamp_im, _halfline_F, _halfline_F_one, _support_edges
 from thouless_lab.selfcheck import band_interior_grid, random_sample
 
 
 def test_halfline_validation():
     with pytest.raises(DomainError):
         HalfLineLead(t=0.0)
+    # t^2 must be a normal float and 4 t^2 finite, or 1/(2 t^2) and F are not finite
+    for t in (1e-160, -1.4e-154, 6.8e153, -1e200):
+        with pytest.raises(DomainError, match="4 t\\^2 in float range"):
+            HalfLineLead(t)
+    for t in (1.5e-154, -6.7e153):
+        lead = HalfLineLead(t)
+        assert np.all(np.isfinite(lead_F_values(lead, [0.0, 1e-160, 1e200])))
 
 
 def test_halfline_in_band_value(free_lead):
@@ -60,17 +67,26 @@ def _bits(z):
 
 @pytest.mark.parametrize("t, v0", [(1.3, 0.2), (-0.7, -0.4)])
 def test_halfline_array_equals_scalar_calls_across_both_edges(t, v0):
+    # lead_F takes the Python-float root _halfline_F_one, lead_F_values the array kernel
     lead = HalfLineLead(t, v0)
     w = 2.0 * abs(t)
     edges = np.array([v0 - w, v0 + w])
+    far = np.logspace(-300, 300, 121)
     E = np.concatenate([
         np.linspace(v0 - 2.0 * w, v0 + 2.0 * w, 81),
+        [0.0, -0.0, v0],
         edges,
         np.nextafter(edges, [-np.inf, np.inf]),
         np.nextafter(edges, [np.inf, -np.inf]),
+        far,
+        -far,
+        v0 + far,
+        v0 - far,
     ])
     F = lead_F_values(lead, E)
     np.testing.assert_array_equal(_bits(F), _bits(np.array([lead_F(lead, e) for e in E])))
+    scalar_root = np.array([_halfline_F_one(lead, float(e)) for e in E])
+    np.testing.assert_array_equal(_bits(F), _bits(scalar_root))
     # the band interior alone takes the path without an off-band root
     core = np.linspace(v0 - 0.9 * w, v0 + 0.9 * w, 17)
     np.testing.assert_array_equal(

@@ -1,5 +1,6 @@
 import inspect
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -23,7 +24,12 @@ from thouless_lab import oracle
 from thouless_lab.jacobi import periodized_parameters
 from thouless_lab.leads import lead_F_values
 from thouless_lab.oracle import _corner_green
-from thouless_lab.selfcheck import band_interior_grid, random_configuration, random_sample
+from thouless_lab.selfcheck import (
+    band_interior_grid,
+    covering_halfline,
+    random_configuration,
+    random_sample,
+)
 from thouless_lab.transport import _full_green_lr_values, _transport_inputs, sample_green
 
 from dense_green import dirichlet_sample_green
@@ -196,22 +202,53 @@ def test_singular_block_flags_only_itself(free_chain, n_cells, where):
     np.testing.assert_array_equal(ok, grid != 0.0)
 
 
+def _gated(E):
+    """The pattern of the SingularEnergyError text of a solve at E that fails the gate."""
+    return re.escape(f"the solve at E={E} fails the residual gate 1e-11")
+
+
 def test_gate_flags_energies_next_to_an_eigenvalue():
     # finite but inaccurate solves 1e-9 from a Dirichlet eigenvalue fail the residual gate
     sample = SampleSpec(hop=(0.7, 1.3), onsite=(0.2, -0.4, 0.5), kappa_s=0.9)
     diag, off = periodized_parameters(sample, 2)
     eigs = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     grid = np.concatenate([eigs + 1e-9, 0.5 * (eigs[1:] + eigs[:-1])])
-    *corners, ok = _corner_green(diag.astype(complex) - grid[:, None], off)
+    d = diag.astype(complex) - grid[:, None]
+    *corners, ok = _corner_green(d, off)
     assert np.all(np.isfinite(corners))
     np.testing.assert_array_equal(ok, np.arange(grid.size) >= eigs.size)
-    with pytest.raises(SampleEigenvalueError):
-        dirichlet_sample_green(sample, 2, float(grid[0]))
+    # one energy at a time, as the single-energy entry points solve: the same
+    # gate decisions and corners.  kappa^2 = 1e-400 underflows to 0, so the
+    # coupled system is the Dirichlet one, and the refusals read the same text.
+    lead = HalfLineLead(3.0)
+    for k, E in enumerate(grid.tolist()):
+        *lone, lone_ok = _corner_green(d[k : k + 1], off)
+        assert lone_ok[0] == ok[k]
+        if ok[k]:
+            np.testing.assert_array_equal(
+                _bits(np.ravel(lone)), _bits(np.array(corners)[:, k])
+            )
+            g = resolvent_green(sample, 2, lead, lead, 1e-200, E)
+            np.testing.assert_array_equal(
+                _bits(np.array([g.g_ll, g.g_lr, g.g_rl, g.g_rr])), _bits(np.ravel(lone))
+            )
+            continue
+        with pytest.raises(SampleEigenvalueError, match=re.escape(
+            f"E={E} is (numerically) an eigenvalue of the 2-cell sample"
+        )):
+            dirichlet_sample_green(sample, 2, E)
+        with pytest.raises(SingularEnergyError, match=f"^{_gated(E)}$"):
+            resolvent_green(sample, 2, lead, lead, 1e-200, E)
+        with pytest.raises(SingularEnergyError, match=f"^{_gated(E)}$"):
+            transmittance_oracle(sample, lead, lead, 1e-200, 2, E)
+    with pytest.raises(SingularEnergyError, match=f"^{_gated(grid[0])}$"):
+        transmittance_oracle(sample, lead, lead, 1e-200, 2, grid)
 
 
-def _assert_array_oracle_equals_scalar_calls(s, lead_l, lead_r, kappa, n):
-    lo, hi = band_spectrum(s).hull
-    grid = np.linspace(lo - 1.0, hi + 1.0, 23)
+def _assert_array_oracle_equals_scalar_calls(s, lead_l, lead_r, kappa, n, grid=None):
+    if grid is None:
+        lo, hi = band_spectrum(s).hull
+        grid = np.linspace(lo - 1.0, hi + 1.0, 23)
     T = transmittance_oracle(s, lead_l, lead_r, kappa, n, grid)
     assert type(T) is np.ndarray and T.shape == grid.shape
     scalar = [transmittance_oracle(s, lead_l, lead_r, kappa, n, float(E)) for E in grid]
@@ -225,6 +262,24 @@ def test_array_oracle_equals_scalar_calls(rng, dimer, wide_lead):
         s, lead_l, lead_r, kappa = random_configuration(rng)
         n = int(rng.integers(1, 17))
         _assert_array_oracle_equals_scalar_calls(s, lead_l, lead_r, kappa, n)
+    # the benchmark's oracle comparison: half-line leads covering the spectrum,
+    # N in {1, 4, 16, 64} and L from 1 to 8, on band-interior and hull grids
+    for L in range(1, 9):
+        for n in (1, 4, 16, 64):
+            s = SampleSpec(
+                tuple(rng.uniform(0.2, 2.0, L - 1)), tuple(rng.uniform(-1.0, 1.0, L)),
+                float(rng.uniform(0.2, 2.0)),
+            )
+            spectrum = band_spectrum(s)
+            lead_l, lead_r = covering_halfline(spectrum, rng), covering_halfline(spectrum, rng)
+            lo, hi = spectrum.hull
+            grid = np.concatenate([
+                band_interior_grid(spectrum, 16), np.linspace(lo - 1.0, hi + 1.0, 9)
+            ])
+            T = _assert_array_oracle_equals_scalar_calls(
+                s, lead_l, lead_r, float(rng.uniform(0.4, 1.6)), n, grid
+            )
+            assert np.all(T[:-9] > 0.0)
     T = transmittance_oracle(dimer, wide_lead, wide_lead, 1.0, 3, np.array(0.0))
     assert type(T) is float
     # a crystalline lead on another sample, a tabulated lead, and an n = 1 system
@@ -285,7 +340,7 @@ def test_off_support_energies_skip_the_solver(monkeypatch, dimer, wide_lead):
 
 def test_scalar_resolvent_raises_at_a_singular_energy(free_chain, free_lead):
     # at the band edge E = 2, F = -1 is real and 0 - E - 2 kappa^2 F = 0 exactly
-    with pytest.raises(SingularEnergyError):
+    with pytest.raises(SingularEnergyError, match=f"^{_gated(2.0)}$"):
         resolvent_green(free_chain, 1, free_lead, free_lead, 1.0, 2.0)
     assert transmittance_oracle(free_chain, free_lead, free_lead, 1.0, 1, 2.0) == 0.0
 
@@ -297,7 +352,7 @@ def test_array_oracle_raises_on_a_gated_energy(monkeypatch, dimer, wide_lead):
         return (*corners, ok)
 
     monkeypatch.setattr(oracle, "_corner_green", one_fails)
-    with pytest.raises(SingularEnergyError, match="E=-0.5"):
+    with pytest.raises(SingularEnergyError, match=f"^{_gated(-0.5)}$"):
         transmittance_oracle(dimer, wide_lead, wide_lead, 1.0, 2, np.array([-1.0, -0.5, 1.0]))
 
 
@@ -313,7 +368,7 @@ def test_scalar_oracle_raises_on_a_gated_energy(monkeypatch, dimer, wide_lead):
     monkeypatch.setattr(oracle, "_corner_green", fails)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(SingularEnergyError, match="E=-0.5 "):
+        with pytest.raises(SingularEnergyError, match=f"^{_gated(-0.5)}$"):
             transmittance_oracle(dimer, wide_lead, wide_lead, 1.0, 2, -0.5)
     assert solves == [1]
 
